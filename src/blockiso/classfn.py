@@ -1,0 +1,101 @@
+"""One exact class-function type over a cached description of a group's classes.
+
+A `ClassSpace` holds a finite group's class labels in canonical order, the
+index map, the group order |G| and the integer class sizes |G|/z_c.  Every
+inner product and transfer is then one integer dot product against those
+weights followed by a single division by |G| (times a common denominator
+when the values are Fractions).  All classes of the groups handled here are
+real, so no complex conjugation is needed.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
+
+
+class ClassSpace:
+    """Labels, index map, order and class-size weights of one group."""
+
+    def __init__(self, labels, centralizers, order: int, canonical=None, n=None, p=None, w=None):
+        self.labels = labels
+        self.index = {lbl: i for i, lbl in enumerate(labels)}
+        self.order = order
+        self.weights = tuple(order // z for z in centralizers)
+        self.canonical = canonical
+        self.n, self.p, self.w = n, p, w
+
+    def weighted(self, values) -> tuple[tuple[int, ...], int]:
+        """The integers |c| * values[c] * d over the classes c, and d, the
+        least common denominator of the values."""
+        if all(type(v) is int for v in values):
+            d = 1
+        else:
+            d = lcm(*(v.denominator for v in values))
+            values = [v.numerator * (d // v.denominator) for v in values]
+        return tuple(map(mul, self.weights, values)), d
+
+    def pairings(self, values, vectors) -> tuple[Fraction, ...]:
+        """Inner products of values with each of the given vectors."""
+        u, d = self.weighted(values)
+        den = self.order * d
+        return tuple(Fraction(sum(map(mul, u, v)), den) for v in vectors)
+
+    def inner(self, a, b) -> Fraction:
+        return self.pairings(a, (b,))[0]
+
+    def project(self, values, rows) -> tuple[Fraction, ...]:
+        """Orthogonal projection of values onto the span of orthonormal
+        integer rows."""
+        u, d = self.weighted(values)
+        out = [0] * len(self.labels)
+        for row in rows:
+            c = sum(map(mul, u, row))
+            if c:
+                out = [x + c * y for x, y in zip(out, row)]
+        den = self.order * d
+        return tuple(Fraction(x, den) for x in out)
+
+
+@dataclass(frozen=True)
+class ClassFunction:
+    """Dense class function over a space, in the space's label order."""
+
+    space: ClassSpace
+    values: tuple
+
+    @property
+    def n(self):
+        return self.space.n
+
+    @property
+    def p(self):
+        return self.space.p
+
+    @property
+    def w(self):
+        return self.space.w
+
+    def value(self, label):
+        space = self.space
+        return self.values[space.index[space.canonical(label) if space.canonical else label]]
+
+    def __add__(self, other: ClassFunction) -> ClassFunction:
+        self._match(other)
+        return ClassFunction(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
+
+    def __sub__(self, other: ClassFunction) -> ClassFunction:
+        self._match(other)
+        return ClassFunction(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
+
+    def scaled(self, c) -> ClassFunction:
+        return ClassFunction(self.space, tuple(c * a for a in self.values))
+
+    def is_zero(self) -> bool:
+        return not any(self.values)
+
+    def _match(self, other: ClassFunction) -> None:
+        if self.space is not other.space:
+            raise ValueError("mismatched class spaces")

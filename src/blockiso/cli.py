@@ -13,7 +13,9 @@ or JSON Lines.  Verification commands print a JSON Lines report: a meta
 line carrying the guard limits and the canonical orderings used, then one
 record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
-invalid arguments, 3 a guard limit was exceeded.
+invalid arguments (including --p below 2 and a negative --w or --e, which
+are rejected as soon as the arguments are parsed), 3 a guard limit was
+exceeded.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -45,6 +47,9 @@ from .reporting import Report
 # Subcommands (verify verbs count separately) that accept composite p.
 COMPOSITE_OK = {"core", "quotient", "sign", "gamma", "isometry"}
 COMPOSITE_OK_VERIFY = {"main"}
+
+# Smallest accepted value of each integer option, checked right after parsing.
+MINIMUM = {"p": 2, "w": 0, "e": 0}
 
 VERIFY_VERBS = (
     "main",
@@ -89,6 +94,13 @@ def _csv_text(header: list, rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _check_ranges(args) -> None:
+    for name, low in MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            raise ValueError(f"--{name}={value} must be >= {low}")
 
 
 def _require_prime(p: int) -> None:
@@ -558,6 +570,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
+        _check_ranges(args)
         return args.func(args)
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

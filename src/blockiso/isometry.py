@@ -11,19 +11,20 @@ force centralizer characterisation on explicit permutations.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
 
 from .abacus import (
     block_weight,
     circularly_nondecreasing,
+    from_core_and_quotient,
     hook_partition,
     is_core,
     p_quotient,
     p_sign,
     runner_permutation,
 )
+from .classfn import ClassFunction
 from .partitions import (
     GuardExceeded,
     Partition,
@@ -38,11 +39,11 @@ from .reporting import Report
 from .symchar import (
     SnClassFunction,
     d_alpha,
+    decompose,
     degree,
     character_value,
     height_by_tower,
     height_by_valuation,
-    inner_product,
     irr_class_function,
     irr_in_block,
     mn_value,
@@ -53,7 +54,6 @@ from .wreath import (
     MAX_W,
     WreathClassFunction,
     canonical_label,
-    centralizer_order_wreath,
     delta_alpha,
     embed_to_sn,
     enumerate_irr_wreath,
@@ -103,8 +103,6 @@ def isometry_row(lam: Partition, rho: Partition, p: int) -> tuple[int, tuple[Par
 
 def isometry_inverse(psi: tuple[Partition, ...], rho: Partition, p: int) -> Partition:
     """The block character whose leg-indexed components are psi."""
-    from .abacus import from_core_and_quotient
-
     gamma = runner_permutation(rho, p)
     quot = []
     for runner in range(p):
@@ -114,7 +112,7 @@ def isometry_inverse(psi: tuple[Partition, ...], rho: Partition, p: int) -> Part
     return from_core_and_quotient(rho, tuple(quot), p)
 
 
-def isometry_image(lam: Partition, rho: Partition, p: int) -> WreathClassFunction:
+def isometry_image(lam: Partition, rho: Partition, p: int) -> ClassFunction:
     sign, psi = isometry_row(lam, rho, p)
     w = block_weight(lam, p)
     return zeta_irr(p, w, lambda_psi(psi, p)).scaled(sign)
@@ -145,17 +143,13 @@ def list_all_partitions_upto(w: int) -> tuple[Partition, ...]:
     return tuple(mu for k in range(w + 1) for mu in enumerate_partitions(k))
 
 
-def _integer_values(xi: SnClassFunction) -> SnClassFunction:
-    out = []
-    for v in xi.values:
-        f = Fraction(v)
-        if f.denominator != 1:
-            raise AssertionError("expected integral class function values")
-        out.append(int(f))
-    return SnClassFunction(xi.n, tuple(out))
+def _integer_values(xi: ClassFunction) -> ClassFunction:
+    if any(v.denominator != 1 for v in xi.values):
+        raise AssertionError("expected integral class function values")
+    return SnClassFunction(xi.n, (int(v) for v in xi.values))
 
 
-def pushdown_to_wreath(lam: Partition, rho: Partition, p: int, w: int) -> WreathClassFunction:
+def pushdown_to_wreath(lam: Partition, rho: Partition, p: int, w: int) -> ClassFunction:
     """Restrict, push down by rho, and pull back along the wreath embedding."""
     pushed = _integer_values(tilde_pi_rho(irr_class_function(lam), rho))
     return restrict_from_sn(pushed, p, w)
@@ -283,8 +277,6 @@ def _perm_pow(g, m: int):
 
 
 def _perm_order(g) -> int:
-    from math import lcm
-
     seen = [False] * len(g)
     out = 1
     for i in range(len(g)):
@@ -442,10 +434,7 @@ def verify_diagram(p: int, w: int, rho: Partition, alphas=None) -> Report:
             coeffs: dict[Partition, int] = {}
             ok = True
             witness = None
-            for nu in enumerate_partitions(p * (w - m) + e):
-                c = inner_product(dxi, irr_class_function(nu))
-                if not c:
-                    continue
+            for nu, c in decompose(dxi).items():
                 if c.denominator != 1:
                     ok, witness = False, {"nu": format_partition(nu), "coeff": str(c)}
                     break
@@ -470,7 +459,7 @@ def verify_diagram(p: int, w: int, rho: Partition, alphas=None) -> Report:
     return rep
 
 
-def f_tensor(xi: SnClassFunction, p: int) -> dict:
+def f_tensor(xi: ClassFunction, p: int) -> dict:
     """Values of xi at one p-multiplied type joined with one type of p."""
     w = xi.n // p
     out = {}

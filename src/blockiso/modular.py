@@ -11,19 +11,20 @@ tuples they are orthonormal, which yields integer decomposition numbers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .abacus import hook_partition, is_hook
+from .classfn import ClassFunction
 from .partitions import Partition, enumerate_partitions, format_partition, is_prime
 from .reporting import Report
-from .symchar import character_value
+from .symchar import character_value, sn_space
 from .wreath import (
     Factor,
     WreathClassFunction,
+    enumerate_irr_wreath,
     enumerate_wreath_classes,
-    wreath_inner_product,
     zeta_class_function,
+    zeta_irr,
 )
 
 BrauerLabel = tuple[str, object]
@@ -87,17 +88,10 @@ def projective_values(label: BrauerLabel, p: int) -> tuple:
 
 def validate_base_modular(p: int) -> None:
     """Biorthogonality of the Brauer and projective families."""
-    labels = brauer_labels(p)
-    from .symchar import centralizer_order_sn
-
+    labels, space = brauer_labels(p), sn_space(p)
     for a in labels:
         for b in labels:
-            phi = brauer_values(a, p)
-            hat = projective_values(b, p)
-            total = Fraction(0)
-            for c, x, y in zip(enumerate_partitions(p), phi, hat):
-                total += Fraction(x * y, centralizer_order_sn(c))
-            if total != (1 if a == b else 0):
+            if space.inner(brauer_values(a, p), projective_values(b, p)) != (1 if a == b else 0):
                 raise AssertionError(f"biorthogonality failed at {a}, {b}")
 
 
@@ -143,7 +137,7 @@ def _factors(psi: GIBrLabel, p: int, value_fn) -> list[Factor]:
     return out
 
 
-def zeta_brauer(p: int, w: int, psi: GIBrLabel) -> WreathClassFunction:
+def zeta_brauer(p: int, w: int, psi: GIBrLabel) -> ClassFunction:
     """Induced class function with zero-extended Brauer base factors.
 
     Vanishes automatically on classes with a base p-cycle pair, and on the
@@ -152,7 +146,7 @@ def zeta_brauer(p: int, w: int, psi: GIBrLabel) -> WreathClassFunction:
     return zeta_class_function(p, w, _factors(psi, p, brauer_values))
 
 
-def zeta_projective(p: int, w: int, psi: GIBrLabel) -> WreathClassFunction:
+def zeta_projective(p: int, w: int, psi: GIBrLabel) -> ClassFunction:
     """Induced class function with projective base factors."""
     return zeta_class_function(p, w, _factors(psi, p, projective_values))
 
@@ -176,11 +170,10 @@ def verify_orth(p: int, w: int) -> Report:
         {"p": p, "w": w, "count": len(gibr), "regular_classes": len(regular_wreath_classes(p, w))},
         len(gibr) == len(regular_wreath_classes(p, w)),
     )
-    brauer_side = {psi: zeta_brauer(p, w, psi) for psi in gibr}
-    proj_side = {psi: zeta_projective(p, w, psi) for psi in gibr}
+    brauer_side = [zeta_brauer(p, w, psi).values for psi in gibr]
     for a in gibr:
-        for b in gibr:
-            val = wreath_inner_product(proj_side[a], brauer_side[b])
+        hat = zeta_projective(p, w, a)
+        for b, val in zip(gibr, hat.space.pairings(hat.values, brauer_side)):
             want = 1 if a == b else 0
             rep.add(
                 {"p": p, "w": w, "psi": _gibr_text(a), "phi": _gibr_text(b)},
@@ -198,24 +191,21 @@ def decomposition_matrix(p: int, w: int):
     restriction of each row to the regular classes must match the integer
     combination of Brauer tuples.
     """
-    from .wreath import enumerate_irr_wreath, zeta_irr
-
     gibr = enumerate_gibr(p, w)
-    proj = [zeta_projective(p, w, psi) for psi in gibr]
+    proj = [zeta_projective(p, w, psi).values for psi in gibr]
     brau = [zeta_brauer(p, w, psi) for psi in gibr]
     regular = regular_wreath_classes(p, w)
     rows = []
     for theta_label in enumerate_irr_wreath(p, w):
         theta = zeta_irr(p, w, theta_label)
-        row = []
-        for hat in proj:
-            d = wreath_inner_product(theta, hat)
-            if d.denominator != 1:
-                raise AssertionError("decomposition number is not an integer")
-            row.append(int(d))
+        numbers = theta.space.pairings(theta.values, proj)
+        if any(d.denominator != 1 for d in numbers):
+            raise AssertionError("decomposition number is not an integer")
+        row = [int(d) for d in numbers]
         recon = WreathClassFunction(p, w, (0,) * len(theta.values))
         for d, zb in zip(row, brau):
-            recon = recon + zb.scaled(d)
+            if d:
+                recon = recon + zb.scaled(d)
         for lbl in regular:
             if recon.value(lbl) != theta.value(lbl):
                 raise AssertionError("Brauer expansion fails on a regular class")

@@ -13,15 +13,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .isometry import isometry_image, isometry_row
+from .abacus import hook_partition
+from .classfn import ClassFunction
+from .isometry import isometry_image, isometry_inverse, isometry_row
 from .lattice import hnf_basis, kernel_lattice, lattice_equal
 from .modular import principal_gibr_filter, enumerate_gibr, zeta_projective
 from .partitions import Partition, enumerate_partitions, format_partition, v_p
 from .reporting import Report
 from .symchar import (
     SnClassFunction,
+    block_projection,
     centralizer_order_sn,
-    inner_product,
+    character_value,
     irr_class_function,
     irr_in_block,
 )
@@ -31,6 +34,7 @@ from .wreath import (
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    lambda_psi,
     principal_block_filter,
     tp_wr,
     wreath_inner_product,
@@ -58,50 +62,29 @@ def label_p_regular(label, p: int) -> bool:
 def build_mu(p: int, w: int, rho: Partition):
     """Matrix of the bicharacter over (big class, wreath label)."""
     n = p * w + sum(rho)
-    classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
-    rows = [[0] * len(labels) for _ in classes]
+    rows = [[0] * len(labels) for _ in enumerate_partitions(n)]
     for lam in irr_in_block(n, p, rho):
-        image = isometry_image(lam, rho, p)
-        for i, tau in enumerate(classes):
-            from .symchar import character_value
-
-            a = character_value(lam, tau)
+        image = isometry_image(lam, rho, p).values
+        for i, a in enumerate(irr_class_function(lam).values):
             if a:
-                for j in range(len(labels)):
-                    rows[i][j] += a * image.values[j]
+                rows[i] = [x + a * y for x, y in zip(rows[i], image)]
     return rows
 
 
-def R_mu(mu_rows, xi: SnClassFunction, p: int, w: int) -> WreathClassFunction:
-    """Transfer a big-group class function to the wreath product."""
-    classes = enumerate_partitions(xi.n)
-    labels = enumerate_wreath_classes(p, w)
-    values = []
-    for j in range(len(labels)):
-        total = Fraction(0)
-        for i, tau in enumerate(classes):
-            total += Fraction(mu_rows[i][j]) * Fraction(xi.values[i], centralizer_order_sn(tau))
-        values.append(total)
-    return WreathClassFunction(p, w, tuple(values))
+def R_mu(mu_rows, xi: ClassFunction, p: int, w: int) -> ClassFunction:
+    """Transfer a big-group class function to the wreath product: the value
+    at a label is the inner product of xi with that column of the matrix."""
+    return WreathClassFunction(p, w, xi.space.pairings(xi.values, zip(*mu_rows)))
 
 
-def I_mu(mu_rows, theta: WreathClassFunction, n: int) -> SnClassFunction:
-    """Transfer a wreath class function back to the big group."""
-    classes = enumerate_partitions(n)
-    labels = enumerate_wreath_classes(theta.p, theta.w)
-    values = []
-    for i in range(len(classes)):
-        total = Fraction(0)
-        for j, lbl in enumerate(labels):
-            total += Fraction(mu_rows[i][j]) * Fraction(
-                theta.values[j], centralizer_order_wreath(lbl, theta.p)
-            )
-        values.append(total)
-    return SnClassFunction(n, tuple(values))
+def I_mu(mu_rows, theta: ClassFunction, n: int) -> ClassFunction:
+    """Transfer a wreath class function back to the big group: the value at
+    a class is the inner product of theta with that row of the matrix."""
+    return SnClassFunction(n, theta.space.pairings(theta.values, mu_rows))
 
 
-def in_L_lambda_sn(xi: SnClassFunction, lam: Partition, p: int) -> bool:
+def in_L_lambda_sn(xi: ClassFunction, lam: Partition, p: int) -> bool:
     """Vanishing off the classes whose p-multiplied data equals lam."""
     return all(
         v == 0
@@ -110,7 +93,7 @@ def in_L_lambda_sn(xi: SnClassFunction, lam: Partition, p: int) -> bool:
     )
 
 
-def in_L_lambda_wreath(theta: WreathClassFunction, lam: Partition) -> bool:
+def in_L_lambda_wreath(theta: ClassFunction, lam: Partition) -> bool:
     return all(
         v == 0
         for lbl, v in zip(enumerate_wreath_classes(theta.p, theta.w), theta.values)
@@ -118,16 +101,12 @@ def in_L_lambda_wreath(theta: WreathClassFunction, lam: Partition) -> bool:
     )
 
 
-def wreath_block_projection(theta: WreathClassFunction) -> WreathClassFunction:
+def wreath_block_projection(theta: ClassFunction) -> ClassFunction:
     """Projection onto the span of the principal wreath irreducibles."""
     p, w = theta.p, theta.w
-    out = WreathClassFunction(p, w, (Fraction(0),) * len(theta.values))
-    for phi in principal_block_filter(enumerate_irr_wreath(p, w), p):
-        z = zeta_irr(p, w, phi)
-        c = wreath_inner_product(theta, z)
-        if c:
-            out = out + z.scaled(c)
-    return out
+    principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
+    rows = [zeta_irr(p, w, phi).values for phi in principal]
+    return ClassFunction(theta.space, theta.space.project(theta.values, rows))
 
 
 def verify_transfer(p: int, w: int, rho: Partition) -> Report:
@@ -153,26 +132,17 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
             {"p": p, "w": w, "core": core_txt, "lambda": format_partition(lam), "map": "kill"},
             got.is_zero(),
         )
+    # Reading phi at the hook with leg i inverts lambda_psi.
+    hooks = [enumerate_partitions(p).index(hook_partition(i, p)) for i in range(p)]
     for phi in principal_block_filter(enumerate_irr_wreath(p, w), p):
-        theta = zeta_irr(p, w, phi)
-        got = I_mu(mu_rows, theta, n)
-        sign, lam = _preimage(p, w, rho, phi)
-        want = irr_class_function(lam).scaled(sign)
+        got = I_mu(mu_rows, zeta_irr(p, w, phi), n)
+        lam = isometry_inverse(tuple(phi[k] for k in hooks), rho, p)
+        want = irr_class_function(lam).scaled(isometry_row(lam, rho, p)[0])
         rep.add(
             {"p": p, "w": w, "core": core_txt, "phi": _phi_text(phi), "map": "inverse"},
             tuple(got.values) == tuple(Fraction(v) for v in want.values),
         )
     return rep
-
-
-def _preimage(p: int, w: int, rho: Partition, phi):
-    for lam in irr_in_block(p * w + sum(rho), p, rho):
-        sign, psi = isometry_row(lam, rho, p)
-        from .wreath import lambda_psi
-
-        if lambda_psi(psi, p) == phi:
-            return sign, lam
-    raise ValueError("assignment outside the principal image")
 
 
 def verify_sep(p: int, w: int, rho: Partition) -> Report:
@@ -203,8 +173,6 @@ def verify_sep(p: int, w: int, rho: Partition) -> Report:
 
 def verify_type(p: int, w: int, rho: Partition) -> Report:
     """Transfer preserves the stratification by p-multiplied data."""
-    from .symchar import block_projection
-
     rep = Report("type")
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
@@ -257,8 +225,6 @@ def block_projective_lattice(p: int, w: int, rho: Partition):
     n = p * w + sum(rho)
     block = irr_in_block(n, p, rho)
     singular = [tau for tau in enumerate_partitions(n) if tp_p(tau, p) != ()]
-    from .symchar import character_value
-
     matrix = [[character_value(lam, tau) for tau in singular] for lam in block]
     return kernel_lattice(matrix)
 
@@ -271,8 +237,7 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     block = irr_in_block(n, p, rho)
     irr_wr = enumerate_irr_wreath(p, w)
     idx = {phi: i for i, phi in enumerate(irr_wr)}
-    from .wreath import lambda_psi
-
+    principal_wr = set(principal_block_filter(irr_wr, p))
     image_rows = []
     for coeff_row in block_projective_lattice(p, w, rho):
         vec = [0] * len(irr_wr)
@@ -293,7 +258,7 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
             if c.denominator != 1:
                 raise AssertionError("projective tuple has fractional coefficients")
             c = int(c)
-            if c and not _is_principal(phi, p):
+            if c and phi not in principal_wr:
                 ok_support = False
             vec.append(c)
         rep.add(
@@ -314,12 +279,6 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
         same,
     )
     return rep
-
-
-def _is_principal(phi, p: int) -> bool:
-    from .abacus import is_hook
-
-    return all(not mu or is_hook(kappa) for kappa, mu in zip(enumerate_partitions(p), phi))
 
 
 def perfectness_probe(p: int, w: int, rho: Partition) -> Report:

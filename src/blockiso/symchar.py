@@ -9,19 +9,25 @@ Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
-from .abacus import beta_set, partition_from_beta, p_core, partitions_with_core
+from .abacus import (
+    beta_set,
+    block_weight,
+    core_tower_sizes,
+    partition_from_beta,
+    p_core,
+    partitions_with_core,
+)
+from .classfn import ClassFunction, ClassSpace
 from .partitions import (
     GuardExceeded,
     Partition,
     contains,
     enumerate_partitions,
     p_adic_digits,
-    partition_index,
     scale,
     sqcup,
     v_p,
@@ -100,72 +106,41 @@ def char_table(n: int, max_n: int = MAX_TABLE_N) -> list[list[int]]:
     return [[character_value(lam, tau) for tau in classes] for lam in classes]
 
 
-@dataclass(frozen=True)
-class SnClassFunction:
-    """Dense class function on a symmetric group, canonical class order."""
-
-    n: int
-    values: tuple
-
-    def value(self, tau: Partition):
-        return self.values[partition_index(tau)]
-
-    def __add__(self, other: "SnClassFunction") -> "SnClassFunction":
-        if self.n != other.n:
-            raise ValueError("mismatched group sizes")
-        return SnClassFunction(self.n, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "SnClassFunction") -> "SnClassFunction":
-        if self.n != other.n:
-            raise ValueError("mismatched group sizes")
-        return SnClassFunction(self.n, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scaled(self, c) -> "SnClassFunction":
-        return SnClassFunction(self.n, tuple(c * a for a in self.values))
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
+@cache
+def sn_space(n: int) -> ClassSpace:
+    """The classes of S_n: cycle types in canonical order."""
+    classes = enumerate_partitions(n)
+    return ClassSpace(classes, [centralizer_order_sn(t) for t in classes], factorial(n), n=n)
 
 
-def irr_class_function(lam: Partition) -> SnClassFunction:
+def SnClassFunction(n: int, values) -> ClassFunction:
+    """Class function on S_n, values in canonical class order."""
+    return ClassFunction(sn_space(n), tuple(values))
+
+
+@cache
+def irr_class_function(lam: Partition) -> ClassFunction:
+    """Irreducible character of lam; the row is built once and shared."""
     n = sum(lam)
-    return SnClassFunction(n, tuple(character_value(lam, tau) for tau in enumerate_partitions(n)))
+    return SnClassFunction(n, (character_value(lam, tau) for tau in enumerate_partitions(n)))
 
 
-def skew_class_function(lam: Partition, mu: Partition) -> SnClassFunction:
+def skew_class_function(lam: Partition, mu: Partition) -> ClassFunction:
     n = sum(lam) - sum(mu)
-    return SnClassFunction(n, tuple(mn_value(lam, mu, tau) for tau in enumerate_partitions(n)))
+    return SnClassFunction(n, (mn_value(lam, mu, tau) for tau in enumerate_partitions(n)))
 
 
-def class_function_from_coeffs(n: int, coeffs: dict[Partition, int]) -> SnClassFunction:
-    """Virtual character from an irreducible-coefficient dict."""
-    values = [0] * len(enumerate_partitions(n))
-    for lam, c in coeffs.items():
-        if sum(lam) != n:
-            raise ValueError("coefficient label of wrong size")
-        for j, tau in enumerate(enumerate_partitions(n)):
-            values[j] += c * character_value(lam, tau)
-    return SnClassFunction(n, tuple(values))
-
-
-def inner_product(xi: SnClassFunction, theta: SnClassFunction) -> Fraction:
+def inner_product(xi: ClassFunction, theta: ClassFunction) -> Fraction:
     """Class-weighted inner product; all classes here are self-inverse."""
-    if xi.n != theta.n:
-        raise ValueError("mismatched group sizes")
-    total = Fraction(0)
-    for tau, a, b in zip(enumerate_partitions(xi.n), xi.values, theta.values):
-        total += Fraction(a * b, centralizer_order_sn(tau))
-    return total
+    xi._match(theta)
+    return xi.space.inner(xi.values, theta.values)
 
 
-def decompose(xi: SnClassFunction) -> dict[Partition, Fraction]:
+def decompose(xi: ClassFunction) -> dict[Partition, Fraction]:
     """Coefficients of xi on the irreducible basis."""
-    out = {}
-    for lam in enumerate_partitions(xi.n):
-        c = inner_product(xi, irr_class_function(lam))
-        if c:
-            out[lam] = c
-    return out
+    labels = enumerate_partitions(xi.n)
+    coeffs = xi.space.pairings(xi.values, [irr_class_function(lam).values for lam in labels])
+    return {lam: c for lam, c in zip(labels, coeffs) if c}
 
 
 def irr_in_block(n: int, p: int, rho: Partition) -> tuple[Partition, ...]:
@@ -173,41 +148,32 @@ def irr_in_block(n: int, p: int, rho: Partition) -> tuple[Partition, ...]:
     return partitions_with_core(n, rho, p)
 
 
-def block_projection(xi: SnClassFunction, p: int, rho: Partition) -> SnClassFunction:
+def block_projection(xi: ClassFunction, p: int, rho: Partition) -> ClassFunction:
     """Orthogonal projection onto the span of the block's irreducibles."""
-    out = SnClassFunction(xi.n, (Fraction(0),) * len(xi.values))
-    for lam in irr_in_block(xi.n, p, rho):
-        c = inner_product(xi, irr_class_function(lam))
-        if c:
-            out = out + irr_class_function(lam).scaled(c)
-    return out
+    rows = [irr_class_function(lam).values for lam in irr_in_block(xi.n, p, rho)]
+    return ClassFunction(xi.space, xi.space.project(xi.values, rows))
 
 
-def tilde_pi_rho(xi: SnClassFunction, rho: Partition) -> SnClassFunction:
+def tilde_pi_rho(xi: ClassFunction, rho: Partition) -> ClassFunction:
     """Push a class function down by the fixed small partition rho.
 
     The value at a class of the smaller group averages xi over all ways of
     adjoining a cycle type of size |rho|, weighted by the character of rho
     over the centralizer order of the adjoined type.  On an irreducible
-    this produces exactly the skew character by rho.
+    this produces exactly the skew character by rho; at rho = () it is xi.
     """
+    if not rho:
+        return xi
     e = sum(rho)
     m = xi.n - e
     if m < 0:
         raise ValueError("rho larger than the domain")
-    values = []
-    for tau in enumerate_partitions(m):
-        total = Fraction(0)
-        for sigma in enumerate_partitions(e):
-            total += Fraction(
-                xi.value(sqcup(tau, sigma)) * character_value(rho, sigma),
-                centralizer_order_sn(sigma),
-            )
-        values.append(total)
-    return SnClassFunction(m, tuple(values))
+    sigmas = enumerate_partitions(e)
+    adjoined = [[xi.value(sqcup(tau, s)) for s in sigmas] for tau in enumerate_partitions(m)]
+    return SnClassFunction(m, sn_space(e).pairings(irr_class_function(rho).values, adjoined))
 
 
-def d_alpha(xi: SnClassFunction, alpha: Partition, p: int) -> SnClassFunction:
+def d_alpha(xi: ClassFunction, alpha: Partition, p: int) -> ClassFunction:
     """Evaluate xi with disjoint cycles of lengths p*alpha adjoined."""
     m = xi.n - p * sum(alpha)
     if m < 0:
@@ -220,8 +186,6 @@ def d_alpha(xi: SnClassFunction, alpha: Partition, p: int) -> SnClassFunction:
 
 def height_by_tower(lam: Partition, p: int) -> int:
     """Height from iterated core sizes against the base-p digits of the weight."""
-    from .abacus import block_weight, core_tower_sizes
-
     w = block_weight(lam, p)
     towers = core_tower_sizes(lam, p)
     total = sum(towers[1:]) - sum(p_adic_digits(w, p))

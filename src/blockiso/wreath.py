@@ -12,12 +12,12 @@ collected top cycle type times the phi values at the base classes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial
 
 from .abacus import hook_partition, is_hook
+from .classfn import ClassFunction, ClassSpace
 from .lattice import hnf_basis, lattice_contains
 from .partitions import (
     GuardExceeded,
@@ -26,7 +26,7 @@ from .partitions import (
     scale,
     sqcup,
 )
-from .symchar import SnClassFunction, centralizer_order_sn, character_value
+from .symchar import centralizer_order_sn, character_value
 
 ClassLabel = tuple[tuple[int, Partition], ...]
 PMapLabel = tuple[Partition, ...]
@@ -69,11 +69,6 @@ def enumerate_wreath_classes(p: int, w: int, max_p: int = MAX_P, max_w: int = MA
     return tuple(labels)
 
 
-@cache
-def _label_index(p: int, w: int) -> dict[ClassLabel, int]:
-    return {lbl: i for i, lbl in enumerate(enumerate_wreath_classes(p, w))}
-
-
 def wreath_group_order(p: int, w: int) -> int:
     return factorial(p) ** w * factorial(w)
 
@@ -111,42 +106,22 @@ def identity_label(p: int, w: int) -> ClassLabel:
     return canonical_label(((1, (1,) * p),) * w)
 
 
-@dataclass(frozen=True)
-class WreathClassFunction:
-    """Dense class function on a wreath product, canonical label order."""
-
-    p: int
-    w: int
-    values: tuple
-
-    def value(self, label: ClassLabel):
-        return self.values[_label_index(self.p, self.w)[canonical_label(label)]]
-
-    def __add__(self, other: "WreathClassFunction") -> "WreathClassFunction":
-        self._match(other)
-        return WreathClassFunction(self.p, self.w, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: "WreathClassFunction") -> "WreathClassFunction":
-        self._match(other)
-        return WreathClassFunction(self.p, self.w, tuple(a - b for a, b in zip(self.values, other.values)))
-
-    def scaled(self, c) -> "WreathClassFunction":
-        return WreathClassFunction(self.p, self.w, tuple(c * a for a in self.values))
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-    def _match(self, other: "WreathClassFunction") -> None:
-        if (self.p, self.w) != (other.p, other.w):
-            raise ValueError("mismatched wreath parameters")
+@cache
+def wreath_space(p: int, w: int) -> ClassSpace:
+    """The classes of the wreath product, canonical label order."""
+    labels = enumerate_wreath_classes(p, w)
+    centralizers = [centralizer_order_wreath(lbl, p) for lbl in labels]
+    return ClassSpace(labels, centralizers, wreath_group_order(p, w), canonical_label, p=p, w=w)
 
 
-def wreath_inner_product(xi: WreathClassFunction, theta: WreathClassFunction) -> Fraction:
+def WreathClassFunction(p: int, w: int, values) -> ClassFunction:
+    """Class function on the wreath product, values in canonical label order."""
+    return ClassFunction(wreath_space(p, w), tuple(values))
+
+
+def wreath_inner_product(xi: ClassFunction, theta: ClassFunction) -> Fraction:
     xi._match(theta)
-    total = Fraction(0)
-    for label, a, b in zip(enumerate_wreath_classes(xi.p, xi.w), xi.values, theta.values):
-        total += Fraction(a * b, centralizer_order_wreath(label, xi.p))
-    return total
+    return xi.space.inner(xi.values, theta.values)
 
 
 # A factor is a pair (phi, chi): phi is a dense value tuple over the base
@@ -204,9 +179,9 @@ def zeta_value(p: int, factors: list[Factor], label: ClassLabel):
     return total
 
 
-def zeta_class_function(p: int, w: int, factors: list[Factor]) -> WreathClassFunction:
+def zeta_class_function(p: int, w: int, factors: list[Factor]) -> ClassFunction:
     return WreathClassFunction(
-        p, w, tuple(zeta_value(p, factors, lbl) for lbl in enumerate_wreath_classes(p, w))
+        p, w, (zeta_value(p, factors, lbl) for lbl in enumerate_wreath_classes(p, w))
     )
 
 
@@ -229,7 +204,9 @@ def factors_from_pmap(phi_label: PMapLabel, p: int) -> list[Factor]:
     return out
 
 
-def zeta_irr(p: int, w: int, phi_label: PMapLabel) -> WreathClassFunction:
+@cache
+def zeta_irr(p: int, w: int, phi_label: PMapLabel) -> ClassFunction:
+    """Wreath irreducible labelled by phi; the row is built once and shared."""
     if sum(sum(mu) for mu in phi_label) != w:
         raise ValueError("assignment sizes must sum to w")
     return zeta_class_function(p, w, factors_from_pmap(phi_label, p))
@@ -273,7 +250,7 @@ def lambda_psi(psi: tuple[Partition, ...], p: int) -> PMapLabel:
     return tuple(spot.get(kappa, ()) for kappa in kappas)
 
 
-def tilde_power(phi: tuple, p: int, w: int) -> WreathClassFunction:
+def tilde_power(phi: tuple, p: int, w: int) -> ClassFunction:
     """Product of base values over a label's pairs (top group ignored)."""
     class_idx = {c: i for i, c in enumerate(enumerate_partitions(p))}
     values = []
@@ -285,7 +262,7 @@ def tilde_power(phi: tuple, p: int, w: int) -> WreathClassFunction:
     return WreathClassFunction(p, w, tuple(values))
 
 
-def restrict_from_sn(chi: SnClassFunction, p: int, w: int) -> WreathClassFunction:
+def restrict_from_sn(chi: ClassFunction, p: int, w: int) -> ClassFunction:
     """Pull back a class function of the big symmetric group along embedding."""
     if chi.n != p * w:
         raise ValueError("degree mismatch")
@@ -294,7 +271,7 @@ def restrict_from_sn(chi: SnClassFunction, p: int, w: int) -> WreathClassFunctio
     )
 
 
-def omega_lambda(xi: WreathClassFunction, lam: Partition) -> dict[tuple[Partition, ...], object]:
+def omega_lambda(xi: ClassFunction, lam: Partition) -> dict[tuple[Partition, ...], object]:
     """Base-class tensor of xi along labels with top cycle lengths lam."""
     if sum(lam) != xi.w:
         raise ValueError("lam must partition w")
@@ -313,7 +290,7 @@ def omega_lambda(xi: WreathClassFunction, lam: Partition) -> dict[tuple[Partitio
     return out
 
 
-def shr_m(xi: WreathClassFunction, m: int) -> WreathClassFunction:
+def shr_m(xi: ClassFunction, m: int) -> ClassFunction:
     """Shrink: value at a label is the value at the label with tops scaled by m."""
     if xi.w % m:
         raise ValueError("m must divide w")
@@ -325,7 +302,7 @@ def shr_m(xi: WreathClassFunction, m: int) -> WreathClassFunction:
     return WreathClassFunction(xi.p, d, values)
 
 
-def delta_alpha(xi: WreathClassFunction, alpha: Partition) -> WreathClassFunction:
+def delta_alpha(xi: ClassFunction, alpha: Partition) -> ClassFunction:
     """Adjoin pairs (alpha_j, base p-cycle) to every label, then evaluate xi."""
     m = sum(alpha)
     if m > xi.w:
@@ -338,7 +315,7 @@ def delta_alpha(xi: WreathClassFunction, alpha: Partition) -> WreathClassFunctio
     return WreathClassFunction(xi.p, xi.w - m, values)
 
 
-def in_K_s(xi: WreathClassFunction, s: int) -> bool:
+def in_K_s(xi: ClassFunction, s: int) -> bool:
     """Whether xi vanishes on every class with at least s base p-cycles."""
     return all(
         v == 0
@@ -347,7 +324,7 @@ def in_K_s(xi: WreathClassFunction, s: int) -> bool:
     )
 
 
-def span_generators(p: int, w: int, base_list: list[tuple]) -> list[WreathClassFunction]:
+def span_generators(p: int, w: int, base_list: list[tuple]) -> list[ClassFunction]:
     """Induced generators with base factors drawn from the given value tuples."""
 
     def gen(i: int, rem: int):
@@ -371,7 +348,7 @@ def span_generators(p: int, w: int, base_list: list[tuple]) -> list[WreathClassF
     return out
 
 
-def span_membership(xi: WreathClassFunction, base_list: list[tuple]) -> bool:
+def span_membership(xi: ClassFunction, base_list: list[tuple]) -> bool:
     """Whether xi lies in the integer span of the induced generators."""
     if any(int(v) != v for v in xi.values):
         raise ValueError("membership asks for integer class functions")

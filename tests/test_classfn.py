@@ -1,0 +1,124 @@
+"""The shared class-function kernel against per-class Fraction sums.
+
+Each reference below is the textbook formula evaluated one class at a time,
+sum of a * b / z_c over the classes c, in exact rationals; the kernel's
+single weighted integer dot product must agree with it exactly.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from blockiso.partitions import enumerate_partitions
+from blockiso.perfect import I_mu, R_mu, build_mu, wreath_block_projection
+from blockiso.symchar import (
+    SnClassFunction,
+    block_projection,
+    centralizer_order_sn,
+    inner_product,
+    irr_class_function,
+    irr_in_block,
+    tilde_pi_rho,
+)
+from blockiso.wreath import (
+    WreathClassFunction,
+    centralizer_order_wreath,
+    enumerate_irr_wreath,
+    enumerate_wreath_classes,
+    wreath_inner_product,
+    zeta_irr,
+)
+
+
+def sn_reference(a, b, n):
+    return sum(
+        (
+            Fraction(x * y, centralizer_order_sn(tau))
+            for tau, x, y in zip(enumerate_partitions(n), a, b)
+        ),
+        Fraction(0),
+    )
+
+
+def wreath_reference(a, b, p, w):
+    return sum(
+        (
+            Fraction(x * y, centralizer_order_wreath(lbl, p))
+            for lbl, x, y in zip(enumerate_wreath_classes(p, w), a, b)
+        ),
+        Fraction(0),
+    )
+
+
+def test_sn_orthonormality_matches_reference():
+    for n in range(0, 9):
+        parts = enumerate_partitions(n)
+        for lam in parts:
+            for mu in parts:
+                a, b = irr_class_function(lam), irr_class_function(mu)
+                got = inner_product(a, b)
+                assert got == sn_reference(a.values, b.values, n) == (lam == mu), (lam, mu)
+
+
+def test_wreath_orthonormality_matches_reference():
+    for p in (2, 3):
+        for w in range(0, 3):
+            irr = enumerate_irr_wreath(p, w)
+            for phi in irr:
+                for psi in irr:
+                    a, b = zeta_irr(p, w, phi), zeta_irr(p, w, psi)
+                    got = wreath_inner_product(a, b)
+                    assert got == wreath_reference(a.values, b.values, p, w) == (phi == psi)
+
+
+def test_transfers_on_fraction_inputs_match_reference():
+    p, w, rho = 3, 2, (1,)
+    n = p * w + sum(rho)
+    mu_rows = build_mu(p, w, rho)
+    classes = enumerate_partitions(n)
+    labels = enumerate_wreath_classes(p, w)
+    fractional = 0
+    for i in range(len(classes)):
+        indicator = SnClassFunction(n, (int(k == i) for k in range(len(classes))))
+        xi = block_projection(indicator, p, rho)
+        fractional += any(v.denominator != 1 for v in xi.values)
+        want = tuple(
+            sn_reference(xi.values, [row[j] for row in mu_rows], n) for j in range(len(labels))
+        )
+        assert R_mu(mu_rows, xi, p, w).values == want
+    assert fractional
+    for j in range(len(labels)):
+        indicator = WreathClassFunction(p, w, (int(k == j) for k in range(len(labels))))
+        theta = wreath_block_projection(indicator)
+        want = tuple(wreath_reference(theta.values, row, p, w) for row in mu_rows)
+        assert I_mu(mu_rows, theta, n).values == want
+
+
+def test_block_projection_matches_reference():
+    n, p, rho = 5, 2, (1,)
+    xi = SnClassFunction(n, (Fraction(k + 1, 3) for k in range(len(enumerate_partitions(n)))))
+    want = [Fraction(0)] * len(xi.values)
+    for lam in irr_in_block(n, p, rho):
+        row = irr_class_function(lam).values
+        c = sn_reference(xi.values, row, n)
+        want = [x + c * y for x, y in zip(want, row)]
+    got = block_projection(xi, p, rho)
+    assert got.values == tuple(want)
+
+
+def test_pushdown_by_empty_core_is_identity():
+    for lam in enumerate_partitions(6):
+        xi = irr_class_function(lam)
+        assert tilde_pi_rho(xi, ()) is xi
+    frac = SnClassFunction(3, (Fraction(1, 2), 0, Fraction(-7, 3)))
+    assert tilde_pi_rho(frac, ()).values == (Fraction(1, 2), 0, Fraction(-7, 3))
+
+
+def test_cached_rows_are_shared_immutable_tuples():
+    assert irr_class_function((3, 2)) is irr_class_function((3, 2))
+    phi = enumerate_irr_wreath(3, 2)[1]
+    assert zeta_irr(3, 2, phi) is zeta_irr(3, 2, phi)
+    for row in (irr_class_function((3, 2)), zeta_irr(3, 2, phi)):
+        assert type(row.values) is tuple
+        with pytest.raises(AttributeError):
+            row.values = ()

@@ -184,6 +184,21 @@ def test_invalid_arguments_exit_two(capsys):
         assert rc == 2, argv
 
 
+def test_out_of_range_integers_exit_two(capsys):
+    for argv in (
+        ("verify", "centp", "--p", "2", "--w", "1", "--e", "-1"),
+        ("verify", "main", "--p", "3", "--w", "-1"),
+        ("decomp", "--p", "3", "--w", "-1"),
+        ("core", "--partition", "2", "--p", "1"),
+    ):
+        rc = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert rc == 2, argv
+        assert captured.out == "", argv
+        assert captured.err.startswith("invalid arguments: "), argv
+        assert captured.err.count("\n") == 1, argv
+
+
 def test_guard_exit_three(capsys):
     rc, _ = run(capsys, "table", "--n", "13")
     assert rc == 3
