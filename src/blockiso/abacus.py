@@ -15,7 +15,6 @@ from functools import cache
 
 from .partitions import (
     Partition,
-    conjugate,
     contains,
     enumerate_partitions,
     partition,
@@ -221,8 +220,3 @@ def hook_partition(i: int, p: int) -> Partition:
 
 def is_hook(lam: Partition) -> bool:
     return len(lam) <= 1 or lam[1] == 1
-
-
-def quotient_tuple_conjugates(quot: tuple[Partition, ...]) -> tuple[Partition, ...]:
-    """Componentwise conjugate (used when pairing runners with hook legs)."""
-    return tuple(conjugate(q) for q in quot)

@@ -20,8 +20,7 @@ exceeded.
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
 Everything block-theoretic (heights, modular data, bicharacter work)
-insists on a prime.  --jobs is accepted for interface stability but the
-evaluators are single-process; determinism is unaffected.
+insists on a prime.
 """
 
 from __future__ import annotations
@@ -44,28 +43,8 @@ from .partitions import (
 )
 from .reporting import Report
 
-# Subcommands (verify verbs count separately) that accept composite p.
-COMPOSITE_OK = {"core", "quotient", "sign", "gamma", "isometry"}
-COMPOSITE_OK_VERIFY = {"main"}
-
 # Smallest accepted value of each integer option, checked right after parsing.
 MINIMUM = {"p": 2, "w": 0, "e": 0}
-
-VERIFY_VERBS = (
-    "main",
-    "val",
-    "heights",
-    "unique",
-    "centp",
-    "diagram",
-    "lemmaf",
-    "sep",
-    "type",
-    "perfproj",
-    "probe",
-    "orth",
-    "transfer",
-)
 
 
 def _plain(obj):
@@ -94,6 +73,17 @@ def _csv_text(header: list, rows: list[list]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def _emit_table(args, meta: dict, row_key: str, values_key: str, columns: list, rows) -> None:
+    """Write (name, values) rows as JSON Lines, a meta line first, or as CSV
+    under a header of row_key and the column names."""
+    if args.format == "json":
+        lines = [_json_line(meta)]
+        lines.extend(_json_line({row_key: name, values_key: vals}) for name, vals in rows)
+        _emit("\n".join(lines) + "\n", args.out)
+    else:
+        _emit(_csv_text([row_key] + columns, [[name] + vals for name, vals in rows]), args.out)
 
 
 def _check_ranges(args) -> None:
@@ -135,10 +125,6 @@ def parse_class_label(text: str, p: int, w: int) -> wreath.ClassLabel:
     if sum(kk for kk, _ in label) != w:
         raise ValueError(f"label top lengths must sum to w={w}: {text!r}")
     return label
-
-
-def format_class_label(label: wreath.ClassLabel) -> str:
-    return ",".join(f"{k}:{format_partition(c)}" for k, c in label)
 
 
 def parse_pmap(text: str, p: int, w: int) -> wreath.PMapLabel:
@@ -279,9 +265,9 @@ def cmd_char(args) -> int:
 
 def cmd_table(args) -> int:
     n = args.n
-    if n > symchar.MAX_TABLE_N:
-        raise GuardExceeded(f"table guard: n={n} beyond {symchar.MAX_TABLE_N}")
+    table = symchar.char_table(n)
     classes = enumerate_partitions(n)
+    keep = set(classes)
     if args.p is not None:
         _require_prime(args.p)
         rho = parse_partition(args.core)
@@ -289,21 +275,10 @@ def cmd_table(args) -> int:
             raise ValueError(f"{args.core!r} is not a {args.p}-core")
         if (n - sum(rho)) % args.p:
             raise ValueError("n minus the core size must be divisible by p")
-        rows = abacus.partitions_with_core(n, rho, args.p)
-    else:
-        rows = enumerate_partitions(n)
-    table = [[symchar.character_value(lam, tau) for tau in classes] for lam in rows]
-    if args.format == "json":
-        lines = [_json_line({"n": n, "classes": [format_partition(t) for t in classes]})]
-        lines.extend(
-            _json_line({"lambda": format_partition(lam), "values": vals})
-            for lam, vals in zip(rows, table)
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        header = ["lambda"] + [format_partition(t) for t in classes]
-        body = [[format_partition(lam)] + vals for lam, vals in zip(rows, table)]
-        _emit(_csv_text(header, body), args.out)
+        keep = set(abacus.partitions_with_core(n, rho, args.p))
+    names = [format_partition(t) for t in classes]
+    rows = [(name, vals) for lam, name, vals in zip(classes, names, table) if lam in keep]
+    _emit_table(args, {"n": n, "classes": names}, "lambda", "values", names, rows)
     return 0
 
 
@@ -316,7 +291,7 @@ def cmd_wchar(args) -> int:
         "p": args.p,
         "w": args.w,
         "phi": format_pmap(phi, args.p),
-        "class": format_class_label(label),
+        "class": wreath.format_class_label(label),
         "value": xi.value(label),
     }
     _emit(_json_line(out) + "\n", args.out)
@@ -347,21 +322,8 @@ def cmd_decomp(args) -> int:
     all_irr = wreath.enumerate_irr_wreath(args.p, args.w)
     principal = set(wreath.principal_block_filter(all_irr, args.p))
     cols = [_gibr_col_text(psi, args.p) for psi in gibr]
-    pri_rows = [
-        (format_pmap(phi, args.p), row)
-        for phi, row in zip(all_irr, matrix)
-        if phi in principal
-    ]
-    if args.format == "json":
-        lines = [_json_line({"p": args.p, "w": args.w, "gibr": cols})]
-        lines.extend(
-            _json_line({"phi": name, "numbers": row}) for name, row in pri_rows
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        header = ["phi"] + cols
-        body = [[name] + row for name, row in pri_rows]
-        _emit(_csv_text(header, body), args.out)
+    rows = [(format_pmap(phi, args.p), row) for phi, row in zip(all_irr, matrix) if phi in principal]
+    _emit_table(args, {"p": args.p, "w": args.w, "gibr": cols}, "phi", "numbers", cols, rows)
     return 0
 
 
@@ -370,101 +332,71 @@ def cmd_mu(args) -> int:
     rho = parse_partition(args.core)
     if not abacus.is_core(rho, args.p):
         raise ValueError(f"{args.core!r} is not a {args.p}-core")
-    rows = perfect.build_mu(args.p, args.w, rho)
-    n = args.p * args.w + sum(rho)
-    classes = enumerate_partitions(n)
-    labels = wreath.enumerate_wreath_classes(args.p, args.w)
-    if args.format == "json":
-        lines = [
-            _json_line(
-                {
-                    "p": args.p,
-                    "w": args.w,
-                    "core": format_partition(rho),
-                    "classes": [format_partition(t) for t in classes],
-                    "labels": [format_class_label(l) for l in labels],
-                }
-            )
-        ]
-        lines.extend(
-            _json_line({"class": format_partition(tau), "values": row})
-            for tau, row in zip(classes, rows)
-        )
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        header = ["class"] + [format_class_label(l) for l in labels]
-        body = [[format_partition(tau)] + row for tau, row in zip(classes, rows)]
-        _emit(_csv_text(header, body), args.out)
+    matrix = perfect.build_mu(args.p, args.w, rho)
+    classes = [format_partition(t) for t in enumerate_partitions(args.p * args.w + sum(rho))]
+    labels = [wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(args.p, args.w)]
+    meta = {"p": args.p, "w": args.w, "core": format_partition(rho), "classes": classes, "labels": labels}
+    _emit_table(args, meta, "class", "values", labels, zip(classes, matrix))
     return 0
 
 
-def _verify_orderings(what: str, args, rho: Partition) -> dict:
-    p, w = args.p, args.w
+def _verify_orderings(keys, p: int, w: int, rho: Partition) -> dict:
     n = p * w + sum(rho)
-    orderings: dict = {}
-    if what in {"main", "val", "heights", "unique", "diagram", "lemmaf", "sep", "type", "perfproj", "probe", "transfer"}:
-        orderings["block"] = [
-            format_partition(lam) for lam in symchar.irr_in_block(n, p, rho)
-        ]
-    if what in {"sep", "type", "perfproj", "probe", "transfer"}:
-        orderings["sn_classes"] = [format_partition(t) for t in enumerate_partitions(n)]
-    if what not in {"heights"}:
-        orderings["wreath_classes"] = [
-            format_class_label(l) for l in wreath.enumerate_wreath_classes(p, w)
-        ]
-    if what in {"orth"}:
-        orderings["gibr"] = [
-            _gibr_col_text(psi, p) for psi in modular.enumerate_gibr(p, w)
-        ]
-        orderings["regular_classes"] = [
-            format_class_label(l) for l in modular.regular_wreath_classes(p, w)
-        ]
-    return orderings
+    build = {
+        "block": lambda: [format_partition(lam) for lam in symchar.irr_in_block(n, p, rho)],
+        "sn_classes": lambda: [format_partition(t) for t in enumerate_partitions(n)],
+        "wreath_classes": lambda: [
+            wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(p, w)
+        ],
+        "gibr": lambda: [_gibr_col_text(psi, p) for psi in modular.enumerate_gibr(p, w)],
+        "regular_classes": lambda: [
+            wreath.format_class_label(l) for l in modular.regular_wreath_classes(p, w)
+        ],
+    }
+    return {key: build[key]() for key in keys}
+
+
+_BLOCK_WREATH = ("block", "wreath_classes")
+_BLOCK_SN_WREATH = ("block", "sn_classes", "wreath_classes")
+
+# The verify verbs, in the README's order: whether p must be prime, the
+# runner (called with the parsed arguments and the core), and the keys of
+# the orderings its meta line carries.  Runners look the library function
+# up when called, so a wrapper later bound on its module is the one run.
+VERIFY = {
+    "main": (False, lambda a, rho: isometry.verify_main(a.p, a.w, rho), _BLOCK_WREATH),
+    "val": (True, lambda a, rho: isometry.verify_val(a.p, a.w), _BLOCK_WREATH),
+    "heights": (True, lambda a, rho: isometry.verify_heights(a.p, a.w, rho), ("block",)),
+    "unique": (True, lambda a, rho: isometry.verify_uniqueness(a.p, a.w), _BLOCK_WREATH),
+    "centp": (
+        True,
+        lambda a, rho: isometry.verify_centp(a.p, a.w, a.e, a.max_group_order),
+        ("wreath_classes",),
+    ),
+    "diagram": (True, lambda a, rho: isometry.verify_diagram(a.p, a.w, rho), _BLOCK_WREATH),
+    "lemmaf": (True, lambda a, rho: isometry.verify_lemma_f(a.p, a.w), _BLOCK_WREATH),
+    "sep": (True, lambda a, rho: perfect.verify_sep(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "type": (True, lambda a, rho: perfect.verify_type(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "perfproj": (True, lambda a, rho: perfect.verify_perfproj(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "probe": (True, lambda a, rho: perfect.perfectness_probe(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "orth": (
+        True,
+        lambda a, rho: modular.verify_orth(a.p, a.w),
+        ("wreath_classes", "gibr", "regular_classes"),
+    ),
+    "transfer": (True, lambda a, rho: perfect.verify_transfer(a.p, a.w, rho), _BLOCK_SN_WREATH),
+}
+VERIFY_VERBS = tuple(VERIFY)
 
 
 def cmd_verify(args) -> int:
-    what = args.what
-    if what not in COMPOSITE_OK_VERIFY:
+    prime, runner, keys = VERIFY[args.what]
+    if prime:
         _require_prime(args.p)
     rho = parse_partition(args.core)
-    p, w, e = args.p, args.w, args.e
-    if what == "main":
-        rep = isometry.verify_main(p, w, rho)
-    elif what == "val":
-        rep = isometry.verify_val(p, w)
-    elif what == "heights":
-        rep = isometry.verify_heights(p, w, rho)
-    elif what == "unique":
-        rep = isometry.verify_uniqueness(p, w)
-    elif what == "centp":
-        rep = isometry.verify_centp(p, w, e, args.max_group_order)
-    elif what == "diagram":
-        rep = isometry.verify_diagram(p, w, rho)
-    elif what == "lemmaf":
-        rep = isometry.verify_lemma_f(p, w)
-    elif what == "sep":
-        rep = perfect.verify_sep(p, w, rho)
-    elif what == "type":
-        rep = perfect.verify_type(p, w, rho)
-    elif what == "perfproj":
-        rep = perfect.verify_perfproj(p, w, rho)
-    elif what == "probe":
-        rep = perfect.perfectness_probe(p, w, rho)
-    elif what == "orth":
-        rep = modular.verify_orth(p, w)
-    elif what == "transfer":
-        rep = perfect.verify_transfer(p, w, rho)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown verification: {what}")
-    params = {"p": p, "w": w, "e": e, "core": format_partition(rho)}
-    if what == "centp":
-        orderings = {
-            "wreath_classes": [
-                format_class_label(l) for l in wreath.enumerate_wreath_classes(p, w)
-            ]
-        }
-    else:
-        orderings = _verify_orderings(what, args, rho)
+    rep = runner(args, rho)
+    params = {"p": args.p, "w": args.w, "e": args.e, "core": format_partition(rho)}
+    orderings = _verify_orderings(keys, args.p, args.w, rho)
     _emit(_report_text(rep, params, orderings, args.max_group_order), args.out)
     return 0 if rep.ok else 1
 
@@ -548,7 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=isometry.MAX_GROUP_ORDER,
         help="brute-force guard for permutation scans",
     )
-    s.add_argument("--jobs", type=int, default=1, help="accepted; evaluation is sequential")
     s.set_defaults(func=cmd_verify)
 
     s = subs.add_parser("decomp", help="decomposition matrix of the wreath principal block")

@@ -11,7 +11,6 @@ force centralizer characterisation on explicit permutations.
 from __future__ import annotations
 
 import itertools
-from functools import cache
 from math import factorial, lcm
 
 from .abacus import (
@@ -31,6 +30,7 @@ from .partitions import (
     conjugate,
     enumerate_partitions,
     format_partition,
+    multipartitions,
     scale,
     sqcup,
     v_p,
@@ -40,7 +40,6 @@ from .symchar import (
     SnClassFunction,
     d_alpha,
     decompose,
-    degree,
     character_value,
     height_by_tower,
     height_by_valuation,
@@ -58,13 +57,14 @@ from .wreath import (
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    format_class_label,
     identity_label,
     in_K_s,
     in_U_s,
+    induced_value,
     lambda_psi,
     principal_block_filter,
     restrict_from_sn,
-    tp_wr,
     zeta_irr,
 )
 
@@ -125,22 +125,12 @@ def build_isometry(p: int, w: int, rho: Partition):
     n = p * w + sum(rho)
     rows = [(lam,) + isometry_row(lam, rho, p) for lam in irr_in_block(n, p, rho)]
     seen = {psi for _, _, psi in rows}
-    expected = {
-        tuple(psi)
-        for psi in itertools.product(*[list_all_partitions_upto(w)] * p)
-        if sum(sum(q) for q in psi) == w
-    }
-    if seen != expected:
+    if seen != set(multipartitions(p, w)):
         raise AssertionError("leg assignments do not exhaust the target set")
     for lam, _, psi in rows:
         if isometry_inverse(psi, rho, p) != lam:
             raise AssertionError("inverse failed to recover the block label")
     return rows
-
-
-@cache
-def list_all_partitions_upto(w: int) -> tuple[Partition, ...]:
-    return tuple(mu for k in range(w + 1) for mu in enumerate_partitions(k))
 
 
 def _integer_values(xi: ClassFunction) -> ClassFunction:
@@ -174,7 +164,7 @@ def verify_main(p: int, w: int, rho: Partition) -> Report:
                     for lbl, v in zip(enumerate_wreath_classes(p, w), delta.values)
                     if in_U_s(lbl, p, s) and v
                 )
-                witness = {"label": _label_text(bad), "difference": str(delta.value(bad))}
+                witness = {"label": format_class_label(bad), "difference": str(delta.value(bad))}
             rep.add(
                 {"p": p, "w": w, "core": core_txt, "lambda": format_partition(lam), "level": s},
                 ok,
@@ -195,7 +185,7 @@ def verify_val(p: int, w: int) -> Report:
             lhs = image.value(lbl)
             rhs = character_value(lam, embed_to_sn(lbl))
             rep.add(
-                {"p": p, "w": w, "lambda": format_partition(lam), "label": _label_text(lbl)},
+                {"p": p, "w": w, "lambda": format_partition(lam), "label": format_class_label(lbl)},
                 lhs == rhs,
                 None if lhs == rhs else {"image": str(lhs), "restricted": str(rhs)},
             )
@@ -376,7 +366,7 @@ def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER)
     for label, inside in membership.items():
         expected = in_U_s(label, p, threshold)
         rep.add(
-            {"p": p, "w": w, "e": e, "label": _label_text(label), "threshold": threshold},
+            {"p": p, "w": w, "e": e, "label": format_class_label(label), "threshold": threshold},
             inside == expected,
             None if inside == expected else {"bruteforce": inside, "expected": expected},
         )
@@ -400,10 +390,6 @@ def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER)
 # commuting square and hook expansion checks
 
 
-def _alphas_upto(w: int):
-    return [alpha for m in range(w + 1) for alpha in enumerate_partitions(m)]
-
-
 def verify_diagram(p: int, w: int, rho: Partition, alphas=None) -> Report:
     """Both squares: pushdown commutes with cycle adjunction, and the
     bijection intertwines adjunction with its wreath counterpart."""
@@ -411,7 +397,7 @@ def verify_diagram(p: int, w: int, rho: Partition, alphas=None) -> Report:
     e = sum(rho)
     n = p * w + e
     if alphas is None:
-        alphas = _alphas_upto(w)
+        alphas = [alpha for m in range(w + 1) for alpha in enumerate_partitions(m)]
     block = irr_in_block(n, p, rho)
     core_txt = format_partition(rho)
     for alpha in alphas:
@@ -475,34 +461,16 @@ def _young_induced_value(factors, alpha: Partition) -> int:
     factors is a list of (size, value_fn); the parts of alpha are assigned
     to factors filling each size exactly.
     """
-    caps = [sz for sz, _ in factors]
-    if sum(caps) != sum(alpha):
-        raise ValueError("sizes do not match")
-    parts = list(alpha)
-    total = 0
 
-    def rec(j, rem, acc):
-        nonlocal total
-        if j == len(parts):
-            if any(rem):
-                return
-            term = 1
-            for i, (_, fn) in enumerate(factors):
-                term *= fn(tuple(sorted(acc[i], reverse=True)))
-                if not term:
-                    return
-            total += term
-            return
-        for i in range(len(factors)):
-            if rem[i] >= parts[j]:
-                rem[i] -= parts[j]
-                acc[i].append(parts[j])
-                rec(j + 1, rem, acc)
-                acc[i].pop()
-                rem[i] += parts[j]
+    def term(groups) -> int:
+        out = 1
+        for (_, fn), parts in zip(factors, groups):
+            out *= fn(tuple(sorted(parts, reverse=True)))
+            if not out:
+                return 0
+        return out
 
-    rec(0, caps, [[] for _ in factors])
-    return total
+    return induced_value(alpha, alpha, [sz for sz, _ in factors], term)
 
 
 def verify_lemma_f(p: int, w: int) -> Report:
@@ -547,7 +515,3 @@ def verify_lemma_f(p: int, w: int) -> Report:
                 break
         rep.add({"p": p, "w": w, "lambda": format_partition(lam)}, ok, witness)
     return rep
-
-
-def _label_text(label) -> str:
-    return ",".join(f"{k}:{format_partition(c) or '-'}" for k, c in label)

@@ -15,7 +15,13 @@ from functools import cache
 
 from .abacus import hook_partition, is_hook
 from .classfn import ClassFunction
-from .partitions import Partition, enumerate_partitions, format_partition, is_prime
+from .partitions import (
+    Partition,
+    enumerate_partitions,
+    format_multipartition,
+    is_prime,
+    multipartitions,
+)
 from .reporting import Report
 from .symchar import character_value, sn_space
 from .wreath import (
@@ -23,16 +29,12 @@ from .wreath import (
     WreathClassFunction,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    induction_factors,
     zeta_class_function,
     zeta_irr,
 )
 
 BrauerLabel = tuple[str, object]
-
-
-def p_regular_classes(p: int) -> tuple[Partition, ...]:
-    """Base classes with no part divisible by p (here: all but the p-cycle)."""
-    return tuple(c for c in enumerate_partitions(p) if c != (p,))
 
 
 @cache
@@ -98,22 +100,9 @@ def validate_base_modular(p: int) -> None:
 GIBrLabel = tuple[Partition, ...]
 
 
-@cache
 def enumerate_gibr(p: int, w: int) -> tuple[GIBrLabel, ...]:
     """Assignments of partitions to Brauer labels with total size w."""
-    labels = brauer_labels(p)
-
-    def gen(i: int, rem: int):
-        if i == len(labels):
-            if rem == 0:
-                yield ()
-            return
-        for k in range(rem, -1, -1):
-            for mu in enumerate_partitions(k):
-                for rest in gen(i + 1, rem - k):
-                    yield (mu,) + rest
-
-    return tuple(sorted(gen(0, w), reverse=True))
+    return multipartitions(len(brauer_labels(p)), w)
 
 
 def principal_gibr_filter(assignments, p: int) -> tuple[GIBrLabel, ...]:
@@ -127,14 +116,7 @@ def principal_gibr_filter(assignments, p: int) -> tuple[GIBrLabel, ...]:
 
 
 def _factors(psi: GIBrLabel, p: int, value_fn) -> list[Factor]:
-    labels = brauer_labels(p)
-    out: list[Factor] = []
-    for label, mu in zip(labels, psi):
-        if mu:
-            out.append((value_fn(label, p), {mu: 1}))
-    if not out:
-        out.append(((1,) * len(enumerate_partitions(p)), {(): 1}))
-    return out
+    return induction_factors((value_fn(label, p) for label in brauer_labels(p)), psi)
 
 
 def zeta_brauer(p: int, w: int, psi: GIBrLabel) -> ClassFunction:
@@ -176,7 +158,7 @@ def verify_orth(p: int, w: int) -> Report:
         for b, val in zip(gibr, hat.space.pairings(hat.values, brauer_side)):
             want = 1 if a == b else 0
             rep.add(
-                {"p": p, "w": w, "psi": _gibr_text(a), "phi": _gibr_text(b)},
+                {"p": p, "w": w, "psi": format_multipartition(a), "phi": format_multipartition(b)},
                 val == want,
                 None if val == want else {"gram": str(val)},
             )
@@ -211,7 +193,3 @@ def decomposition_matrix(p: int, w: int):
                 raise AssertionError("Brauer expansion fails on a regular class")
         rows.append(row)
     return rows
-
-
-def _gibr_text(psi: GIBrLabel) -> str:
-    return ";".join(format_partition(mu) for mu in psi)

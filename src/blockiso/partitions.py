@@ -59,6 +59,11 @@ def format_partition(lam: Partition) -> str:
     return ",".join(str(x) for x in lam)
 
 
+def format_multipartition(phi: tuple[Partition, ...]) -> str:
+    """Components in the wire format, joined by ';' (empty ones included)."""
+    return ";".join(format_partition(mu) for mu in phi)
+
+
 def conjugate(lam: Partition) -> Partition:
     """Transpose of the Young diagram."""
     if not lam:
@@ -104,14 +109,13 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
-def partition_index(lam: Partition) -> int:
-    """Position of lam in the canonical ordering of its size class."""
-    return _index_map(sum(lam))[lam]
-
-
 @cache
-def _index_map(n: int) -> dict[Partition, int]:
-    return {lam: i for i, lam in enumerate(enumerate_partitions(n))}
+def multipartitions(k: int, w: int) -> tuple[tuple[Partition, ...], ...]:
+    """All k-tuples of partitions with total size w, descending lexicographic."""
+    if k == 0:
+        return ((),) if w == 0 else ()
+    heads = sorted((mu for m in range(w + 1) for mu in enumerate_partitions(m)), reverse=True)
+    return tuple((mu,) + rest for mu in heads for rest in multipartitions(k - 1, w - sum(mu)))
 
 
 def compare_dominance(lam: Partition, mu: Partition) -> str:
@@ -138,15 +142,6 @@ def compare_dominance(lam: Partition, mu: Partition) -> str:
     if le:
         return "less"
     return "incomparable"
-
-
-def compare_lex(lam: Partition, mu: Partition) -> str:
-    """Lexicographic comparison of equal-size partitions."""
-    if sum(lam) != sum(mu):
-        raise ValueError("lex comparison needs equal sizes")
-    if lam == mu:
-        return "equal"
-    return "greater" if lam > mu else "less"
 
 
 def is_prime(p: int) -> bool:

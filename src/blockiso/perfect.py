@@ -18,7 +18,13 @@ from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row
 from .lattice import hnf_basis, kernel_lattice, lattice_equal
 from .modular import principal_gibr_filter, enumerate_gibr, zeta_projective
-from .partitions import Partition, enumerate_partitions, format_partition, v_p
+from .partitions import (
+    Partition,
+    enumerate_partitions,
+    format_multipartition,
+    format_partition,
+    v_p,
+)
 from .reporting import Report
 from .symchar import (
     SnClassFunction,
@@ -34,6 +40,7 @@ from .wreath import (
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    format_class_label,
     lambda_psi,
     principal_block_filter,
     tp_wr,
@@ -45,13 +52,6 @@ from .wreath import (
 def tp_p(tau: Partition, p: int) -> Partition:
     """The p-divisible parts of tau, divided by p."""
     return tuple(x // p for x in tau if x % p == 0)
-
-
-def p_part_decomposition(tau: Partition, p: int) -> tuple[Partition, Partition]:
-    """Split a cycle type into p-divisible and p-regular parts."""
-    div = tuple(x for x in tau if x % p == 0)
-    reg = tuple(x for x in tau if x % p)
-    return div, reg
 
 
 def label_p_regular(label, p: int) -> bool:
@@ -139,7 +139,7 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
         lam = isometry_inverse(tuple(phi[k] for k in hooks), rho, p)
         want = irr_class_function(lam).scaled(isometry_row(lam, rho, p)[0])
         rep.add(
-            {"p": p, "w": w, "core": core_txt, "phi": _phi_text(phi), "map": "inverse"},
+            {"p": p, "w": w, "core": core_txt, "phi": format_multipartition(phi), "map": "inverse"},
             tuple(got.values) == tuple(Fraction(v) for v in want.values),
         )
     return rep
@@ -163,7 +163,7 @@ def verify_sep(p: int, w: int, rho: Partition) -> Report:
                     "w": w,
                     "core": format_partition(rho),
                     "class": format_partition(tau),
-                    "label": _label_text(lbl),
+                    "label": format_class_label(lbl),
                 },
                 ok,
                 None if ok else {"mu": mu_rows[i][j]},
@@ -211,7 +211,7 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
                 image = I_mu(mu_rows, theta, n)
                 rep.add(
                     {"p": p, "w": w, "core": core_txt, "type": format_partition(lam),
-                     "label": _label_text(lbl), "side": "backward"},
+                     "label": format_class_label(lbl), "side": "backward"},
                     in_L_lambda_sn(image, lam, p),
                 )
     return rep
@@ -262,7 +262,7 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
                 ok_support = False
             vec.append(c)
         rep.add(
-            {"p": p, "w": w, "psi": _phi_text(psi), "support": "principal"},
+            {"p": p, "w": w, "psi": format_multipartition(psi), "support": "principal"},
             ok_support,
         )
         proj_rows.append(vec)
@@ -293,21 +293,22 @@ def perfectness_probe(p: int, w: int, rho: Partition) -> Report:
     mu_rows = build_mu(p, w, rho)
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
+    label_data = [
+        (label_p_regular(lbl, p), v_p(centralizer_order_wreath(lbl, p), p)) for lbl in labels
+    ]
     divisibility_bad = []
     regularity_bad = []
-    for i, tau in enumerate(classes):
-        for j, lbl in enumerate(labels):
-            m = mu_rows[i][j]
-            g_regular = all(x % p for x in tau)
-            h_regular = label_p_regular(lbl, p)
-            if m != 0 and g_regular != h_regular:
+    for tau, row in zip(classes, mu_rows):
+        g_regular = all(x % p for x in tau)
+        v_tau = v_p(centralizer_order_sn(tau), p)
+        for lbl, (h_regular, v_lbl), m in zip(labels, label_data, row):
+            if m == 0:
+                continue
+            if g_regular != h_regular:
                 regularity_bad.append((tau, lbl))
-            if m != 0:
-                vm = v_p(m, p)
-                if vm < v_p(centralizer_order_sn(tau), p) or vm < v_p(
-                    centralizer_order_wreath(lbl, p), p
-                ):
-                    divisibility_bad.append((tau, lbl))
+            vm = v_p(m, p)
+            if vm < v_tau or vm < v_lbl:
+                divisibility_bad.append((tau, lbl))
     rep.add(
         {
             "p": p,
@@ -338,14 +339,6 @@ def probe_is_perfect(rep: Report) -> bool:
     return all(r["parameters"]["violations"] == 0 for r in rep.records)
 
 
-def _label_text(label) -> str:
-    return ",".join(f"{k}:{format_partition(c)}" for k, c in label)
-
-
 def _pair_text(pair) -> dict:
     tau, lbl = pair
-    return {"class": format_partition(tau), "label": _label_text(lbl)}
-
-
-def _phi_text(phi) -> str:
-    return ";".join(format_partition(mu) for mu in phi)
+    return {"class": format_partition(tau), "label": format_class_label(lbl)}

@@ -23,10 +23,12 @@ from .partitions import (
     GuardExceeded,
     Partition,
     enumerate_partitions,
+    format_partition,
+    multipartitions,
     scale,
     sqcup,
 )
-from .symchar import centralizer_order_sn, character_value
+from .symchar import centralizer_order_sn, character_value, sn_space
 
 ClassLabel = tuple[tuple[int, Partition], ...]
 PMapLabel = tuple[Partition, ...]
@@ -42,6 +44,11 @@ def _pair_key(pair: tuple[int, Partition]):
 
 def canonical_label(pairs) -> ClassLabel:
     return tuple(sorted(pairs, key=_pair_key))
+
+
+def format_class_label(label: ClassLabel) -> str:
+    """Wire format `k1:c1,k2:c2,...` of a class label."""
+    return ",".join(f"{k}:{format_partition(c)}" for k, c in label)
 
 
 @cache
@@ -141,42 +148,54 @@ def _chi_value(chi: dict[Partition, int], tau: Partition) -> int:
     return sum(c * character_value(mu, tau) for mu, c in chi.items())
 
 
-def zeta_value(p: int, factors: list[Factor], label: ClassLabel):
-    """Value at label of the class function induced from the given factors."""
-    caps = [_chi_weight(chi) for _, chi in factors]
-    pairs = list(label)
-    if sum(caps) != sum(k for k, _ in pairs):
-        raise ValueError("factor weights do not sum to the label weight")
-    class_idx = {c: i for i, c in enumerate(enumerate_partitions(p))}
-    s = len(factors)
+def induced_value(items, sizes, caps, term):
+    """Sum of term(groups) over every deal of the items to len(caps) factors
+    in which the sizes of the items dealt to factor i add up to caps[i].
+
+    groups[i] lists the items dealt to factor i in their given order.  This
+    is the value of a character induced from a Young-type subgroup, one
+    factor per direct factor of the subgroup.
+    """
+    if sum(caps) != sum(sizes):
+        raise ValueError("factor sizes do not sum to the total size")
+    rem = list(caps)
+    groups: list[list] = [[] for _ in caps]
     total = 0
 
-    def rec(j: int, rem: list[int], acc):
+    def rec(j: int):
         nonlocal total
-        if j == len(pairs):
-            if any(rem):
-                return
-            term = 1
-            for i, (phi, chi) in enumerate(factors):
-                tau = tuple(sorted((k for k, c in acc[i]), reverse=True))
-                term *= _chi_value(chi, tau)
-                if term == 0:
-                    return
-                for _, c in acc[i]:
-                    term *= phi[class_idx[c]]
-            total += term
+        if j == len(items):
+            total += term(groups)
             return
-        k, c = pairs[j]
-        for i in range(s):
+        k = sizes[j]
+        for i, group in enumerate(groups):
             if rem[i] >= k:
                 rem[i] -= k
-                acc[i].append((k, c))
-                rec(j + 1, rem, acc)
-                acc[i].pop()
+                group.append(items[j])
+                rec(j + 1)
+                group.pop()
                 rem[i] += k
 
-    rec(0, caps, [[] for _ in range(s)])
+    rec(0)
     return total
+
+
+def zeta_value(p: int, factors: list[Factor], label: ClassLabel):
+    """Value at label of the class function induced from the given factors."""
+    class_idx = sn_space(p).index
+
+    def term(groups) -> int:
+        out = 1
+        for (phi, chi), group in zip(factors, groups):
+            out *= _chi_value(chi, tuple(sorted((k for k, _ in group), reverse=True)))
+            if not out:
+                return 0
+            for _, c in group:
+                out *= phi[class_idx[c]]
+        return out
+
+    caps = [_chi_weight(chi) for _, chi in factors]
+    return induced_value(label, [k for k, _ in label], caps, term)
 
 
 def zeta_class_function(p: int, w: int, factors: list[Factor]) -> ClassFunction:
@@ -190,18 +209,17 @@ def irr_base_values(kappa: Partition, p: int) -> tuple:
     return tuple(character_value(kappa, c) for c in enumerate_partitions(p))
 
 
+def induction_factors(rows, assignment) -> list[Factor]:
+    """The factor (row, {mu: 1}) of each nonempty mu of the assignment."""
+    return [(row, {mu: 1}) for row, mu in zip(rows, assignment) if mu]
+
+
 def factors_from_pmap(phi_label: PMapLabel, p: int) -> list[Factor]:
     """Factors of the irreducible labelled by an assignment of partitions."""
     kappas = enumerate_partitions(p)
     if len(phi_label) != len(kappas):
         raise ValueError("assignment length must match the base class count")
-    out: list[Factor] = []
-    for kappa, mu in zip(kappas, phi_label):
-        if mu:
-            out.append((irr_base_values(kappa, p), {mu: 1}))
-    if not out:
-        out.append((irr_base_values((p,), p), {(): 1}))
-    return out
+    return induction_factors((irr_base_values(kappa, p) for kappa in kappas), phi_label)
 
 
 @cache
@@ -212,23 +230,10 @@ def zeta_irr(p: int, w: int, phi_label: PMapLabel) -> ClassFunction:
     return zeta_class_function(p, w, factors_from_pmap(phi_label, p))
 
 
-@cache
 def enumerate_irr_wreath(p: int, w: int) -> tuple[PMapLabel, ...]:
     """Assignments of partitions to base irreducibles with total size w."""
-    kappas = enumerate_partitions(p)
     enumerate_wreath_classes(p, w)  # shared guard
-
-    def gen(i: int, rem: int):
-        if i == len(kappas):
-            if rem == 0:
-                yield ()
-            return
-        for k in range(rem, -1, -1):
-            for mu in enumerate_partitions(k):
-                for rest in gen(i + 1, rem - k):
-                    yield (mu,) + rest
-
-    return tuple(sorted(gen(0, w), reverse=True))
+    return multipartitions(len(enumerate_partitions(p)), w)
 
 
 def principal_block_filter(labels, p: int) -> tuple[PMapLabel, ...]:
@@ -326,26 +331,10 @@ def in_K_s(xi: ClassFunction, s: int) -> bool:
 
 def span_generators(p: int, w: int, base_list: list[tuple]) -> list[ClassFunction]:
     """Induced generators with base factors drawn from the given value tuples."""
-
-    def gen(i: int, rem: int):
-        if i == len(base_list):
-            if rem == 0:
-                yield ()
-            return
-        for k in range(rem, -1, -1):
-            for mu in enumerate_partitions(k):
-                for rest in gen(i + 1, rem - k):
-                    yield (mu,) + rest
-
-    out = []
-    for assign in gen(0, w):
-        factors: list[Factor] = [
-            (phi, {mu: 1}) for phi, mu in zip(base_list, assign) if mu
-        ]
-        if not factors:
-            factors = [(base_list[0], {(): 1})] if base_list else []
-        out.append(zeta_class_function(p, w, factors))
-    return out
+    return [
+        zeta_class_function(p, w, induction_factors(base_list, assign))
+        for assign in multipartitions(len(base_list), w)
+    ]
 
 
 def span_membership(xi: ClassFunction, base_list: list[tuple]) -> bool:

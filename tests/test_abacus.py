@@ -23,7 +23,6 @@ from blockiso.abacus import (
     p_sign,
     partition_from_beta,
     partitions_with_core,
-    quotient_tuple_conjugates,
     runner_permutation,
 )
 from blockiso.partitions import conjugate, enumerate_partitions, partition
@@ -154,7 +153,7 @@ def test_conjugate_exchanges_quotient_components():
             for lam in enumerate_partitions(n):
                 quot = p_quotient(lam, p)
                 conj_quot = p_quotient(conjugate(lam), p)
-                assert conj_quot == quotient_tuple_conjugates(tuple(reversed(quot)))
+                assert conj_quot == tuple(conjugate(q) for q in reversed(quot))
 
 
 def test_contains_p_matches_componentwise_containment():

