@@ -202,6 +202,7 @@ def core_tower_sizes(lam: Partition, p: int) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+@cache
 def partitions_with_core(n: int, rho: Partition, p: int) -> tuple[Partition, ...]:
     """All partitions of n whose p-core is rho, canonical order."""
     if not is_core(rho, p):

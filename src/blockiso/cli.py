@@ -15,7 +15,7 @@ record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
 invalid arguments (including --p below 2 and a negative --w or --e, which
 are rejected as soon as the arguments are parsed), 3 a guard limit was
-exceeded.
+exceeded (every verify verb checks the wreath guard before any work).
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -394,6 +394,7 @@ def cmd_verify(args) -> int:
     if prime:
         _require_prime(args.p)
     rho = parse_partition(args.core)
+    wreath.enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
     rep = runner(args, rho)
     params = {"p": args.p, "w": args.w, "e": args.e, "core": format_partition(rho)}
     orderings = _verify_orderings(keys, args.p, args.w, rho)

@@ -11,6 +11,7 @@ force centralizer characterisation on explicit permutations.
 from __future__ import annotations
 
 import itertools
+from functools import cache
 from math import factorial, lcm
 
 from .abacus import (
@@ -57,6 +58,7 @@ from .wreath import (
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    factors_from_pmap,
     format_class_label,
     identity_label,
     in_K_s,
@@ -66,6 +68,7 @@ from .wreath import (
     principal_block_filter,
     restrict_from_sn,
     zeta_irr,
+    zeta_value,
 )
 
 MAX_GROUP_ORDER = 50000
@@ -193,7 +196,7 @@ def verify_val(p: int, w: int) -> Report:
 
 
 def wreath_irr_degree(p: int, w: int, phi_label) -> int:
-    return zeta_irr(p, w, phi_label).value(identity_label(p, w))
+    return zeta_value(p, factors_from_pmap(phi_label, p), identity_label(p, w))
 
 
 def verify_heights(p: int, w: int, rho: Partition) -> Report:
@@ -333,28 +336,36 @@ def _in_wreath_times_tail(g, p: int, w: int) -> bool:
     return True
 
 
+@cache
+def _centralizer_scan(hp, p: int, w: int) -> tuple[bool, int | None]:
+    """Scan S_n for the centralizer of the permutation hp: whether it stays
+    inside the block subgroup times the tail, and its order (None once an
+    element outside is found and the scan stops)."""
+    n = len(hp)
+    count = 0
+    for g in itertools.permutations(range(n)):
+        for i in range(n):
+            if g[hp[i]] != hp[g[i]]:
+                break
+        else:
+            if not _in_wreath_times_tail(g, p, w):
+                return False, None
+            count += 1
+    return True, count
+
+
 def compute_W(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER) -> dict:
     """For each class label, whether the centralizer of the p-part of its
     representative stays inside the block subgroup times the tail."""
     n = p * w + e
     if factorial(n) > max_group_order:
         raise GuardExceeded(f"group order {factorial(n)} exceeds {max_group_order}")
-    out = {}
     # The factorial bound is the binding guard here, so lift the table caps.
-    for label in enumerate_wreath_classes(p, w, max_p=max(p, MAX_P), max_w=max(w, MAX_W)):
-        hp = p_part_perm(label_representative(label, p, w, e), p)
-        inside = True
-        for g in itertools.permutations(range(n)):
-            commutes = True
-            for i in range(n):
-                if g[hp[i]] != hp[g[i]]:
-                    commutes = False
-                    break
-            if commutes and not _in_wreath_times_tail(g, p, w):
-                inside = False
-                break
-        out[label] = inside
-    return out
+    # Classes whose representatives share a p-part share one scan.
+    return {
+        label: _centralizer_scan(p_part_perm(label_representative(label, p, w, e), p), p, w)[0]
+        for label in enumerate_wreath_classes(p, w, max_p=max(p, MAX_P), max_w=max(w, MAX_W))
+    }
 
 
 def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER) -> Report:
@@ -372,11 +383,8 @@ def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER)
         )
     central = canonical_label(((1, (p,)),) * w)
     hp = p_part_perm(label_representative(central, p, w, e), p)
-    n = p * w + e
-    count = 0
-    for g in itertools.permutations(range(n)):
-        if all(g[hp[i]] == hp[g[i]] for i in range(n)):
-            count += 1
+    # A scan that stopped early counted nothing, so its record fails.
+    _, count = _centralizer_scan(hp, p, w)
     expected_order = p**w * factorial(w) * factorial(e)
     rep.add(
         {"p": p, "w": w, "e": e, "central_centralizer": count},
@@ -390,17 +398,15 @@ def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER)
 # commuting square and hook expansion checks
 
 
-def verify_diagram(p: int, w: int, rho: Partition, alphas=None) -> Report:
+def verify_diagram(p: int, w: int, rho: Partition) -> Report:
     """Both squares: pushdown commutes with cycle adjunction, and the
     bijection intertwines adjunction with its wreath counterpart."""
     rep = Report("diagram")
     e = sum(rho)
     n = p * w + e
-    if alphas is None:
-        alphas = [alpha for m in range(w + 1) for alpha in enumerate_partitions(m)]
     block = irr_in_block(n, p, rho)
     core_txt = format_partition(rho)
-    for alpha in alphas:
+    for alpha in (alpha for m in range(w + 1) for alpha in enumerate_partitions(m)):
         m = sum(alpha)
         small = irr_in_block(p * (w - m) + e, p, rho)
         for lam in block:
@@ -412,11 +418,10 @@ def verify_diagram(p: int, w: int, rho: Partition, alphas=None) -> Report:
                 "alpha": format_partition(alpha),
                 "lambda": format_partition(lam),
             }
-            left1 = tilde_pi_rho(d_alpha(xi, alpha, p), rho)
-            left2 = d_alpha(tilde_pi_rho(xi, rho), alpha, p)
-            rep.add(dict(base, square="left"), left1.values == left2.values)
-
             dxi = d_alpha(xi, alpha, p)
+            pushed = d_alpha(tilde_pi_rho(xi, rho), alpha, p)
+            rep.add(dict(base, square="left"), tilde_pi_rho(dxi, rho).values == pushed.values)
+
             coeffs: dict[Partition, int] = {}
             ok = True
             witness = None

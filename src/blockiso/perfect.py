@@ -16,7 +16,7 @@ from fractions import Fraction
 from .abacus import hook_partition
 from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row
-from .lattice import hnf_basis, kernel_lattice, lattice_equal
+from .lattice import hnf_basis, kernel_lattice
 from .modular import principal_gibr_filter, enumerate_gibr, zeta_projective
 from .partitions import (
     Partition,
@@ -267,16 +267,16 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
         )
         proj_rows.append(vec)
 
-    same = lattice_equal(hnf_basis(image_rows) if image_rows else [], proj_rows)
+    image, projective = hnf_basis(image_rows), hnf_basis(proj_rows)
     rep.add(
         {
             "p": p,
             "w": w,
             "core": format_partition(rho),
-            "rank_image": len(hnf_basis(image_rows)) if image_rows else 0,
-            "rank_projective": len(hnf_basis(proj_rows)),
+            "rank_image": len(image),
+            "rank_projective": len(projective),
         },
-        same,
+        image == projective,
     )
     return rep
 

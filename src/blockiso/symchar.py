@@ -98,10 +98,10 @@ def centralizer_order_sn(tau: Partition) -> int:
     return out
 
 
-def char_table(n: int, max_n: int = MAX_TABLE_N) -> list[list[int]]:
+def char_table(n: int) -> list[list[int]]:
     """Full character table, rows and columns in canonical partition order."""
-    if n > max_n:
-        raise GuardExceeded(f"char_table guard: n={n} > {max_n}")
+    if n > MAX_TABLE_N:
+        raise GuardExceeded(f"char_table guard: n={n} > {MAX_TABLE_N}")
     classes = enumerate_partitions(n)
     return [[character_value(lam, tau) for tau in classes] for lam in classes]
 

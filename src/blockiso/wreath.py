@@ -12,6 +12,7 @@ collected top cycle type times the phi values at the base classes.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -53,25 +54,15 @@ def format_class_label(label: ClassLabel) -> str:
 
 @cache
 def enumerate_wreath_classes(p: int, w: int, max_p: int = MAX_P, max_w: int = MAX_W) -> tuple[ClassLabel, ...]:
-    """All class labels of the wreath of S_p by S_w, canonical order."""
+    """All class labels of the wreath of S_p by S_w, canonical order.  Part k
+    of component c of a multipartition is a top k-cycle over base class c."""
     if p > max_p or w > max_w:
         raise GuardExceeded(f"wreath guard: p={p}, w={w} beyond ({max_p}, {max_w})")
-    pool = sorted(
-        ((k, c) for k in range(1, w + 1) for c in enumerate_partitions(p)),
-        key=_pair_key,
-    )
-
-    def gen(start: int, rem: int):
-        if rem == 0:
-            yield ()
-            return
-        for i in range(start, len(pool)):
-            k, c = pool[i]
-            if k <= rem:
-                for rest in gen(i, rem - k):
-                    yield ((k, c),) + rest
-
-    labels = [canonical_label(lbl) for lbl in gen(0, w)]
+    bases = enumerate_partitions(p)
+    labels = [
+        canonical_label((k, c) for c, mu in zip(bases, mp) for k in mu)
+        for mp in multipartitions(len(bases), w)
+    ]
     labels.sort(key=lambda lbl: tuple(_pair_key(pr) for pr in lbl))
     return tuple(labels)
 
@@ -280,19 +271,10 @@ def omega_lambda(xi: ClassFunction, lam: Partition) -> dict[tuple[Partition, ...
     """Base-class tensor of xi along labels with top cycle lengths lam."""
     if sum(lam) != xi.w:
         raise ValueError("lam must partition w")
-    out = {}
-
-    def rec(j: int, chosen):
-        if j == len(lam):
-            out[tuple(chosen)] = xi.value(canonical_label(zip(lam, chosen)))
-            return
-        for c in enumerate_partitions(xi.p):
-            chosen.append(c)
-            rec(j + 1, chosen)
-            chosen.pop()
-
-    rec(0, [])
-    return out
+    return {
+        chosen: xi.value(canonical_label(zip(lam, chosen)))
+        for chosen in itertools.product(enumerate_partitions(xi.p), repeat=len(lam))
+    }
 
 
 def shr_m(xi: ClassFunction, m: int) -> ClassFunction:

@@ -209,6 +209,21 @@ def test_guard_exit_three(capsys):
     assert rc == 3
 
 
+def test_wreath_guard_before_any_work(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("ran before the wreath guard")
+
+    monkeypatch.setattr(isometry, "compute_W", never)
+    monkeypatch.setattr(isometry, "verify_lemma_f", never)
+    for verb in ("centp", "lemmaf"):
+        rc = cli.main(["verify", verb, "--p", "7", "--w", "1"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.out == ""
+        assert captured.err.startswith("guard exceeded: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_failing_verification_exits_one(capsys, monkeypatch):
     def fake(p, w):
         rep = Report("val")

@@ -3,13 +3,17 @@
 import pytest
 
 from blockiso.abacus import partitions_with_core
+from blockiso import isometry
 from blockiso.isometry import (
+    _centralizer_scan,
     build_isometry,
     compute_W,
     epsilon_sign,
     isometry_image,
     isometry_inverse,
     isometry_row,
+    label_representative,
+    p_part_perm,
     psi_p,
     pushdown_to_wreath,
     verify_centp,
@@ -19,10 +23,14 @@ from blockiso.isometry import (
     verify_main,
     verify_uniqueness,
     verify_val,
+    wreath_irr_degree,
 )
 from blockiso.partitions import GuardExceeded
+from blockiso.symchar import centralizer_order_sn
 from blockiso.wreath import (
+    enumerate_irr_wreath,
     enumerate_wreath_classes,
+    identity_label,
     in_U_s,
     lambda_psi,
     wreath_inner_product,
@@ -164,6 +172,47 @@ def test_compute_W_small_and_guard():
         ((1, (1, 1)),): False,
         ((1, (2,)),): True,
     }
+
+
+def cycle_type(g):
+    seen, parts = set(), []
+    for i in range(len(g)):
+        if i not in seen:
+            j, length = i, 0
+            while j not in seen:
+                seen.add(j)
+                j, length = g[j], length + 1
+            parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
+def test_centralizer_scan_counts_the_centralizer():
+    for p, w in ((2, 3), (3, 2)):
+        for e in range(3):
+            insides = 0
+            for label in enumerate_wreath_classes(p, w):
+                hp = p_part_perm(label_representative(label, p, w, e), p)
+                inside, count = _centralizer_scan(hp, p, w)
+                if inside:
+                    insides += 1
+                    assert count == centralizer_order_sn(cycle_type(hp))
+                else:
+                    assert count is None
+            assert insides
+
+
+def test_central_count_fails_when_the_scan_stops_early(monkeypatch):
+    monkeypatch.setattr(isometry, "_centralizer_scan", lambda hp, p, w: (False, None))
+    rep = verify_centp(2, 1, 0)
+    central = rep.records[-1]
+    assert central["status"] == "fail"
+    assert central["witness"] == {"expected": 2}
+
+
+def test_wreath_irr_degree_is_the_identity_value():
+    for p, w in ((2, 4), (3, 3), (5, 2)):
+        for phi in enumerate_irr_wreath(p, w):
+            assert wreath_irr_degree(p, w, phi) == zeta_irr(p, w, phi).value(identity_label(p, w))
 
 
 def test_epsilon_spot_values():

@@ -65,6 +65,32 @@ def test_table_guards():
     assert len(enumerate_wreath_classes(7, 1, max_p=7)) == 15
 
 
+def pair_multiset_classes(p, w):
+    """Reference enumeration: multisets of pairs (k, c) with the k summing
+    to w, drawn from a pool in canonical pair order, then sorted."""
+    key = lambda pair: (-pair[0], tuple(-x for x in pair[1]))
+    pool = sorted(((k, c) for k in range(1, w + 1) for c in enumerate_partitions(p)), key=key)
+
+    def gen(start, rem):
+        if rem == 0:
+            yield ()
+            return
+        for i in range(start, len(pool)):
+            if pool[i][0] <= rem:
+                for rest in gen(i, rem - pool[i][0]):
+                    yield (pool[i],) + rest
+
+    labels = [canonical_label(lbl) for lbl in gen(0, w)]
+    return tuple(sorted(labels, key=lambda lbl: tuple(key(pr) for pr in lbl)))
+
+
+def test_classes_match_pair_multiset_reference():
+    for p in range(2, 6):
+        for w in range(5):
+            assert enumerate_wreath_classes(p, w) == pair_multiset_classes(p, w)
+    assert enumerate_wreath_classes(7, 1, max_p=7) == pair_multiset_classes(7, 1)
+
+
 def test_class_equation():
     for p, w in SMALL + ((2, 4), (3, 3), (5, 2)):
         order = wreath_group_order(p, w)
