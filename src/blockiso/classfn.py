@@ -19,12 +19,11 @@ from operator import mul
 class ClassSpace:
     """Labels, index map, order and class-size weights of one group."""
 
-    def __init__(self, labels, centralizers, order: int, canonical=None, n=None, p=None, w=None):
+    def __init__(self, labels, centralizers, order: int, n=None, p=None, w=None):
         self.labels = labels
         self.index = {lbl: i for i, lbl in enumerate(labels)}
         self.order = order
         self.weights = tuple(order // z for z in centralizers)
-        self.canonical = canonical
         self.n, self.p, self.w = n, p, w
 
     def weighted(self, values) -> tuple[tuple[int, ...], int]:
@@ -79,8 +78,8 @@ class ClassFunction:
         return self.space.w
 
     def value(self, label):
-        space = self.space
-        return self.values[space.index[space.canonical(label) if space.canonical else label]]
+        """The value at a label, which must be in its canonical form."""
+        return self.values[self.space.index[label]]
 
     def __add__(self, other: ClassFunction) -> ClassFunction:
         self._match(other)

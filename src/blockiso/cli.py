@@ -13,9 +13,10 @@ or JSON Lines.  Verification commands print a JSON Lines report: a meta
 line carrying the guard limits and the canonical orderings used, then one
 record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
-invalid arguments (including --p below 2 and a negative --w or --e, which
-are rejected as soon as the arguments are parsed), 3 a guard limit was
-exceeded (every verify verb checks the wreath guard before any work).
+invalid arguments (including --p below 2, a negative --w or --e, and a
+--core that is not a --p-core, which are rejected as soon as the arguments
+are parsed), 3 a guard limit was exceeded (every verify verb checks the
+wreath guard before any work).
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -96,6 +97,14 @@ def _check_ranges(args) -> None:
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"p={p} must be prime for this command")
+
+
+def _core(args) -> Partition:
+    """The parsed --core, checked to be a --p-core."""
+    rho = parse_partition(args.core)
+    if not abacus.is_core(rho, args.p):
+        raise ValueError(f"{args.core!r} is not a {args.p}-core")
+    return rho
 
 
 def parse_class_label(text: str, p: int, w: int) -> wreath.ClassLabel:
@@ -233,9 +242,7 @@ def cmd_sign(args) -> int:
 
 
 def cmd_gamma(args) -> int:
-    rho = parse_partition(args.core)
-    if not abacus.is_core(rho, args.p):
-        raise ValueError(f"{args.core!r} is not a {args.p}-core")
+    rho = _core(args)
     out = {
         "p": args.p,
         "core": format_partition(rho),
@@ -270,9 +277,7 @@ def cmd_table(args) -> int:
     keep = set(classes)
     if args.p is not None:
         _require_prime(args.p)
-        rho = parse_partition(args.core)
-        if not abacus.is_core(rho, args.p):
-            raise ValueError(f"{args.core!r} is not a {args.p}-core")
+        rho = _core(args)
         if (n - sum(rho)) % args.p:
             raise ValueError("n minus the core size must be divisible by p")
         keep = set(abacus.partitions_with_core(n, rho, args.p))
@@ -299,7 +304,7 @@ def cmd_wchar(args) -> int:
 
 
 def cmd_isometry(args) -> int:
-    rho = parse_partition(args.core)
+    rho = _core(args)
     rows = isometry.build_isometry(args.p, args.w, rho)
     lines = [
         _json_line(
@@ -329,9 +334,7 @@ def cmd_decomp(args) -> int:
 
 def cmd_mu(args) -> int:
     _require_prime(args.p)
-    rho = parse_partition(args.core)
-    if not abacus.is_core(rho, args.p):
-        raise ValueError(f"{args.core!r} is not a {args.p}-core")
+    rho = _core(args)
     matrix = perfect.build_mu(args.p, args.w, rho)
     classes = [format_partition(t) for t in enumerate_partitions(args.p * args.w + sum(rho))]
     labels = [wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(args.p, args.w)]
@@ -393,7 +396,7 @@ def cmd_verify(args) -> int:
     prime, runner, keys = VERIFY[args.what]
     if prime:
         _require_prime(args.p)
-    rho = parse_partition(args.core)
+    rho = _core(args)
     wreath.enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
     rep = runner(args, rho)
     params = {"p": args.p, "w": args.w, "e": args.e, "core": format_partition(rho)}

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
-from math import factorial, lcm
+from math import factorial
 
 from .abacus import (
     block_weight,
@@ -151,11 +151,10 @@ def pushdown_to_wreath(lam: Partition, rho: Partition, p: int, w: int) -> ClassF
 def verify_main(p: int, w: int, rho: Partition) -> Report:
     """Image minus pushdown vanishes on w base p-cycles, and on w-1 when
     the runner ranks rotate the identity."""
-    rep = Report("main")
+    rep = Report("main", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     start = circularly_nondecreasing(rho, p)
     levels = [w] if start is None else [w, w - 1]
-    core_txt = format_partition(rho)
     for lam in irr_in_block(n, p, rho):
         delta = isometry_image(lam, rho, p) - pushdown_to_wreath(lam, rho, p, w)
         for s in levels:
@@ -168,17 +167,13 @@ def verify_main(p: int, w: int, rho: Partition) -> Report:
                     if in_U_s(lbl, p, s) and v
                 )
                 witness = {"label": format_class_label(bad), "difference": str(delta.value(bad))}
-            rep.add(
-                {"p": p, "w": w, "core": core_txt, "lambda": format_partition(lam), "level": s},
-                ok,
-                witness,
-            )
+            rep.add({"lambda": format_partition(lam), "level": s}, ok, witness)
     return rep
 
 
 def verify_val(p: int, w: int) -> Report:
     """Exact value agreement on classes with at least w-1 base p-cycles."""
-    rep = Report("val")
+    rep = Report("val", {"p": p, "w": w})
     labels = [
         lbl for lbl in enumerate_wreath_classes(p, w) if in_U_s(lbl, p, w - 1)
     ]
@@ -188,7 +183,7 @@ def verify_val(p: int, w: int) -> Report:
             lhs = image.value(lbl)
             rhs = character_value(lam, embed_to_sn(lbl))
             rep.add(
-                {"p": p, "w": w, "lambda": format_partition(lam), "label": format_class_label(lbl)},
+                {"lambda": format_partition(lam), "label": format_class_label(lbl)},
                 lhs == rhs,
                 None if lhs == rhs else {"image": str(lhs), "restricted": str(rhs)},
             )
@@ -201,11 +196,11 @@ def wreath_irr_degree(p: int, w: int, phi_label) -> int:
 
 def verify_heights(p: int, w: int, rho: Partition) -> Report:
     """Both height computations agree and transfer across the bijection."""
-    rep = Report("heights")
+    rep = Report("heights", {"p": p, "w": w})
     n = p * w + sum(rho)
     principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
     floor = min(v_p(wreath_irr_degree(p, w, phi), p) for phi in principal)
-    rep.add({"p": p, "w": w, "wreath_floor": floor}, floor == 0)
+    rep.add({"wreath_floor": floor}, floor == 0)
     for lam in irr_in_block(n, p, rho):
         h_tower = height_by_tower(lam, p)
         h_val = height_by_valuation(lam, p)
@@ -213,7 +208,7 @@ def verify_heights(p: int, w: int, rho: Partition) -> Report:
         h_wr = v_p(wreath_irr_degree(p, w, lambda_psi(psi, p)), p) - floor
         ok = h_tower == h_val == h_wr
         rep.add(
-            {"p": p, "w": w, "core": format_partition(rho), "lambda": format_partition(lam)},
+            {"core": format_partition(rho), "lambda": format_partition(lam)},
             ok,
             None if ok else {"tower": h_tower, "valuation": h_val, "wreath": h_wr},
         )
@@ -222,7 +217,7 @@ def verify_heights(p: int, w: int, rho: Partition) -> Report:
 
 def verify_uniqueness(p: int, w: int) -> Report:
     """Signed sums of distinct restricted block characters stay detectable."""
-    rep = Report("unique")
+    rep = Report("unique", {"p": p, "w": w})
     block = irr_in_block(p * w, p, ())
     restricted = {
         lam: restrict_from_sn(irr_class_function(lam), p, w) for lam in block
@@ -234,8 +229,6 @@ def verify_uniqueness(p: int, w: int) -> Report:
                 ok = not in_K_s(xi, w - 1)
                 rep.add(
                     {
-                        "p": p,
-                        "w": w,
                         "lambda1": format_partition(block[a]),
                         "lambda2": format_partition(block[b]),
                         "sign": "-" if sign == 1 else "+",
@@ -243,10 +236,7 @@ def verify_uniqueness(p: int, w: int) -> Report:
                     ok,
                 )
     for lam in block:
-        rep.add(
-            {"p": p, "w": w, "lambda": format_partition(lam), "single": True},
-            not in_K_s(restricted[lam], w),
-        )
+        rep.add({"lambda": format_partition(lam), "single": True}, not in_K_s(restricted[lam], w))
     return rep
 
 
@@ -254,46 +244,26 @@ def verify_uniqueness(p: int, w: int) -> Report:
 # brute-force permutation side
 
 
-def _perm_mul(a, b):
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def _perm_pow(g, m: int):
-    out = tuple(range(len(g)))
-    base = g
-    while m:
-        if m & 1:
-            out = _perm_mul(base, out)
-        base = _perm_mul(base, base)
-        m >>= 1
-    return out
-
-
-def _perm_order(g) -> int:
-    seen = [False] * len(g)
-    out = 1
-    for i in range(len(g)):
-        if not seen[i]:
-            ln, j = 0, i
-            while not seen[j]:
-                seen[j] = True
-                j = g[j]
-                ln += 1
-            out = lcm(out, ln)
-    return out
-
-
 def p_part_perm(g, p: int):
-    """The power of g of order the p-part of the order of g."""
-    o = _perm_order(g)
-    k = 0
-    while o % p == 0:
-        o //= p
-        k += 1
-    if k == 0:
-        return tuple(range(len(g)))
-    q = _perm_order(g) // p**k
-    return _perm_pow(g, q * pow(q, -1, p**k))
+    """The power of g of order the p-part of the order of g.  On a cycle of
+    length p^a * m with m prime to p it is the shift by m * (m^-1 mod p^a)."""
+    img = list(range(len(g)))
+    seen = set()
+    for i in range(len(g)):
+        if i in seen:
+            continue
+        cycle = [i]
+        while g[cycle[-1]] != i:
+            cycle.append(g[cycle[-1]])
+        seen.update(cycle)
+        pa = 1
+        while len(cycle) % (pa * p) == 0:
+            pa *= p
+        m = len(cycle) // pa
+        shift = m * pow(m, -1, pa)
+        for t, x in enumerate(cycle):
+            img[x] = cycle[(t + shift) % len(cycle)]
+    return tuple(img)
 
 
 def _perm_of_type(c: Partition, p: int):
@@ -371,13 +341,13 @@ def compute_W(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER) ->
 def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER) -> Report:
     """Brute-force check that the centralizer condition cuts out exactly the
     classes with w (or w-1 when the tail is empty) base p-cycles."""
-    rep = Report("centp")
+    rep = Report("centp", {"p": p, "w": w, "e": e})
     threshold = w - 1 if e == 0 else w
     membership = compute_W(p, w, e, max_group_order)
     for label, inside in membership.items():
         expected = in_U_s(label, p, threshold)
         rep.add(
-            {"p": p, "w": w, "e": e, "label": format_class_label(label), "threshold": threshold},
+            {"label": format_class_label(label), "threshold": threshold},
             inside == expected,
             None if inside == expected else {"bruteforce": inside, "expected": expected},
         )
@@ -387,7 +357,7 @@ def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER)
     _, count = _centralizer_scan(hp, p, w)
     expected_order = p**w * factorial(w) * factorial(e)
     rep.add(
-        {"p": p, "w": w, "e": e, "central_centralizer": count},
+        {"central_centralizer": count},
         count == expected_order,
         None if count == expected_order else {"expected": expected_order},
     )
@@ -401,23 +371,16 @@ def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER)
 def verify_diagram(p: int, w: int, rho: Partition) -> Report:
     """Both squares: pushdown commutes with cycle adjunction, and the
     bijection intertwines adjunction with its wreath counterpart."""
-    rep = Report("diagram")
+    rep = Report("diagram", {"p": p, "w": w, "core": format_partition(rho)})
     e = sum(rho)
     n = p * w + e
     block = irr_in_block(n, p, rho)
-    core_txt = format_partition(rho)
     for alpha in (alpha for m in range(w + 1) for alpha in enumerate_partitions(m)):
         m = sum(alpha)
         small = irr_in_block(p * (w - m) + e, p, rho)
         for lam in block:
             xi = irr_class_function(lam)
-            base = {
-                "p": p,
-                "w": w,
-                "core": core_txt,
-                "alpha": format_partition(alpha),
-                "lambda": format_partition(lam),
-            }
+            base = {"alpha": format_partition(alpha), "lambda": format_partition(lam)}
             dxi = d_alpha(xi, alpha, p)
             pushed = d_alpha(tilde_pi_rho(xi, rho), alpha, p)
             rep.add(dict(base, square="left"), tilde_pi_rho(dxi, rho).values == pushed.values)
@@ -480,7 +443,9 @@ def _young_induced_value(factors, alpha: Partition) -> int:
 
 def verify_lemma_f(p: int, w: int) -> Report:
     """Hook expansion of the p-multiplied evaluation tensor."""
-    rep = Report("lemma_f")
+    if w < 1:
+        raise ValueError(f"lemmaf needs w >= 1, got w={w}")
+    rep = Report("lemma_f", {"p": p, "w": w})
     for lam in irr_in_block(p * w, p, ()):
         quot = p_quotient(lam, p)
         eps = p_sign(lam, (), p)
@@ -518,5 +483,5 @@ def verify_lemma_f(p: int, w: int) -> Report:
                     "expansion": rhs,
                 }
                 break
-        rep.add({"p": p, "w": w, "lambda": format_partition(lam)}, ok, witness)
+        rep.add({"lambda": format_partition(lam)}, ok, witness)
     return rep

@@ -145,11 +145,11 @@ def regular_wreath_classes(p: int, w: int):
 def verify_orth(p: int, w: int) -> Report:
     """Projective tuples against Brauer tuples give the identity Gram matrix,
     and the Brauer family is square on the regular classes."""
-    rep = Report("orth")
+    rep = Report("orth", {"p": p, "w": w})
     validate_base_modular(p)
     gibr = enumerate_gibr(p, w)
     rep.add(
-        {"p": p, "w": w, "count": len(gibr), "regular_classes": len(regular_wreath_classes(p, w))},
+        {"count": len(gibr), "regular_classes": len(regular_wreath_classes(p, w))},
         len(gibr) == len(regular_wreath_classes(p, w)),
     )
     brauer_side = [zeta_brauer(p, w, psi).values for psi in gibr]
@@ -158,7 +158,7 @@ def verify_orth(p: int, w: int) -> Report:
         for b, val in zip(gibr, hat.space.pairings(hat.values, brauer_side)):
             want = 1 if a == b else 0
             rep.add(
-                {"p": p, "w": w, "psi": format_multipartition(a), "phi": format_multipartition(b)},
+                {"psi": format_multipartition(a), "phi": format_multipartition(b)},
                 val == want,
                 None if val == want else {"gram": str(val)},
             )

@@ -112,26 +112,22 @@ def wreath_block_projection(theta: ClassFunction) -> ClassFunction:
 def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     """The transforms restrict to the bijection and its inverse, and kill
     class functions orthogonal to the blocks."""
-    rep = Report("transfer")
+    rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
-    core_txt = format_partition(rho)
     block = irr_in_block(n, p, rho)
     for lam in block:
         got = R_mu(mu_rows, irr_class_function(lam), p, w)
         want = isometry_image(lam, rho, p)
         rep.add(
-            {"p": p, "w": w, "core": core_txt, "lambda": format_partition(lam), "map": "forward"},
+            {"lambda": format_partition(lam), "map": "forward"},
             tuple(got.values) == tuple(Fraction(v) for v in want.values),
         )
     for lam in enumerate_partitions(n):
         if lam in block:
             continue
         got = R_mu(mu_rows, irr_class_function(lam), p, w)
-        rep.add(
-            {"p": p, "w": w, "core": core_txt, "lambda": format_partition(lam), "map": "kill"},
-            got.is_zero(),
-        )
+        rep.add({"lambda": format_partition(lam), "map": "kill"}, got.is_zero())
     # Reading phi at the hook with leg i inverts lambda_psi.
     hooks = [enumerate_partitions(p).index(hook_partition(i, p)) for i in range(p)]
     for phi in principal_block_filter(enumerate_irr_wreath(p, w), p):
@@ -139,7 +135,7 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
         lam = isometry_inverse(tuple(phi[k] for k in hooks), rho, p)
         want = irr_class_function(lam).scaled(isometry_row(lam, rho, p)[0])
         rep.add(
-            {"p": p, "w": w, "core": core_txt, "phi": format_multipartition(phi), "map": "inverse"},
+            {"phi": format_multipartition(phi), "map": "inverse"},
             tuple(got.values) == tuple(Fraction(v) for v in want.values),
         )
     return rep
@@ -147,7 +143,7 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
 
 def verify_sep(p: int, w: int, rho: Partition) -> Report:
     """The bicharacter vanishes whenever the p-multiplied data disagree."""
-    rep = Report("sep")
+    rep = Report("sep", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
     classes = enumerate_partitions(n)
@@ -158,13 +154,7 @@ def verify_sep(p: int, w: int, rho: Partition) -> Report:
                 continue
             ok = mu_rows[i][j] == 0
             rep.add(
-                {
-                    "p": p,
-                    "w": w,
-                    "core": format_partition(rho),
-                    "class": format_partition(tau),
-                    "label": format_class_label(lbl),
-                },
+                {"class": format_partition(tau), "label": format_class_label(lbl)},
                 ok,
                 None if ok else {"mu": mu_rows[i][j]},
             )
@@ -173,14 +163,14 @@ def verify_sep(p: int, w: int, rho: Partition) -> Report:
 
 def verify_type(p: int, w: int, rho: Partition) -> Report:
     """Transfer preserves the stratification by p-multiplied data."""
-    rep = Report("type")
+    rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
-    core_txt = format_partition(rho)
     for m in range(w + 1):
         for lam in enumerate_partitions(m):
+            typ = format_partition(lam)
             for i, tau in enumerate(classes):
                 if tp_p(tau, p) != lam:
                     continue
@@ -188,19 +178,12 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
                     n, tuple(int(k == i) for k in range(len(classes)))
                 )
                 xi = block_projection(indicator, p, rho)
+                cls = {"type": typ, "class": format_partition(tau)}
                 if not in_L_lambda_sn(xi, lam, p):
-                    rep.add(
-                        {"p": p, "w": w, "core": core_txt, "type": format_partition(lam),
-                         "class": format_partition(tau), "side": "projection"},
-                        False,
-                    )
+                    rep.add(dict(cls, side="projection"), False)
                     continue
                 image = R_mu(mu_rows, xi, p, w)
-                rep.add(
-                    {"p": p, "w": w, "core": core_txt, "type": format_partition(lam),
-                     "class": format_partition(tau), "side": "forward"},
-                    in_L_lambda_wreath(image, lam),
-                )
+                rep.add(dict(cls, side="forward"), in_L_lambda_wreath(image, lam))
             for j, lbl in enumerate(labels):
                 if tp_wr(lbl, p) != lam:
                     continue
@@ -210,8 +193,7 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
                 theta = wreath_block_projection(indicator)
                 image = I_mu(mu_rows, theta, n)
                 rep.add(
-                    {"p": p, "w": w, "core": core_txt, "type": format_partition(lam),
-                     "label": format_class_label(lbl), "side": "backward"},
+                    {"type": typ, "label": format_class_label(lbl), "side": "backward"},
                     in_L_lambda_sn(image, lam, p),
                 )
     return rep
@@ -232,7 +214,7 @@ def block_projective_lattice(p: int, w: int, rho: Partition):
 def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     """Transfer matches the block projective lattice with the span of the
     principal projective tuples, as lattices of wreath coefficients."""
-    rep = Report("perfproj")
+    rep = Report("perfproj", {"p": p, "w": w})
     n = p * w + sum(rho)
     block = irr_in_block(n, p, rho)
     irr_wr = enumerate_irr_wreath(p, w)
@@ -261,21 +243,12 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
             if c and phi not in principal_wr:
                 ok_support = False
             vec.append(c)
-        rep.add(
-            {"p": p, "w": w, "psi": format_multipartition(psi), "support": "principal"},
-            ok_support,
-        )
+        rep.add({"psi": format_multipartition(psi), "support": "principal"}, ok_support)
         proj_rows.append(vec)
 
     image, projective = hnf_basis(image_rows), hnf_basis(proj_rows)
     rep.add(
-        {
-            "p": p,
-            "w": w,
-            "core": format_partition(rho),
-            "rank_image": len(image),
-            "rank_projective": len(projective),
-        },
+        {"core": format_partition(rho), "rank_image": len(image), "rank_projective": len(projective)},
         image == projective,
     )
     return rep
@@ -288,7 +261,7 @@ def perfectness_probe(p: int, w: int, rho: Partition) -> Report:
     expected only while w < p, so both are reported with expectations
     rather than asserted outright.
     """
-    rep = Report("probe")
+    rep = Report("probe", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
     classes = enumerate_partitions(n)
@@ -310,25 +283,12 @@ def perfectness_probe(p: int, w: int, rho: Partition) -> Report:
             if vm < v_tau or vm < v_lbl:
                 divisibility_bad.append((tau, lbl))
     rep.add(
-        {
-            "p": p,
-            "w": w,
-            "core": format_partition(rho),
-            "criterion": "regularity",
-            "violations": len(regularity_bad),
-        },
+        {"criterion": "regularity", "violations": len(regularity_bad)},
         True,
         {"examples": [_pair_text(x) for x in regularity_bad[:3]]} if regularity_bad else None,
     )
     rep.add(
-        {
-            "p": p,
-            "w": w,
-            "core": format_partition(rho),
-            "criterion": "divisibility",
-            "violations": len(divisibility_bad),
-            "expected_perfect": w < p,
-        },
+        {"criterion": "divisibility", "violations": len(divisibility_bad), "expected_perfect": w < p},
         True,
         {"examples": [_pair_text(x) for x in divisibility_bad[:3]]} if divisibility_bad else None,
     )

@@ -16,11 +16,15 @@ def record(check: str, parameters: dict, ok: bool, witness=None) -> dict:
 
 @dataclass
 class Report:
+    """The records of one check.  `run` holds the parameters every record of
+    the run shares; `add` merges them into each record's own."""
+
     check: str
+    run: dict = field(default_factory=dict)
     records: list[dict] = field(default_factory=list)
 
     def add(self, parameters: dict, ok: bool, witness=None) -> None:
-        self.records.append(record(self.check, parameters, ok, witness))
+        self.records.append(record(self.check, {**self.run, **parameters}, ok, witness))
 
     @property
     def ok(self) -> bool:

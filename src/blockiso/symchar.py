@@ -197,7 +197,10 @@ def height_by_tower(lam: Partition, p: int) -> int:
 
 def height_by_valuation(lam: Partition, p: int) -> int:
     """Height as the degree valuation minus the block minimum."""
-    n = sum(lam)
-    block = irr_in_block(n, p, p_core(lam, p))
-    floor = min(v_p(degree(mu), p) for mu in block)
-    return v_p(degree(lam), p) - floor
+    return v_p(degree(lam), p) - _degree_floor(sum(lam), p, p_core(lam, p))
+
+
+@cache
+def _degree_floor(n: int, p: int, rho: Partition) -> int:
+    """The least degree valuation over the block of rho in S_n."""
+    return min(v_p(degree(mu), p) for mu in irr_in_block(n, p, rho))

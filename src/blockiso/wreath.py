@@ -109,7 +109,7 @@ def wreath_space(p: int, w: int) -> ClassSpace:
     """The classes of the wreath product, canonical label order."""
     labels = enumerate_wreath_classes(p, w)
     centralizers = [centralizer_order_wreath(lbl, p) for lbl in labels]
-    return ClassSpace(labels, centralizers, wreath_group_order(p, w), canonical_label, p=p, w=w)
+    return ClassSpace(labels, centralizers, wreath_group_order(p, w), p=p, w=w)
 
 
 def WreathClassFunction(p: int, w: int, values) -> ClassFunction:

@@ -13,7 +13,7 @@ import re
 from pathlib import Path
 
 import blockiso.cli as cli
-from blockiso import isometry
+from blockiso import isometry, modular
 from blockiso.reporting import Report
 
 
@@ -222,6 +222,41 @@ def test_wreath_guard_before_any_work(capsys, monkeypatch):
         assert captured.out == ""
         assert captured.err.startswith("guard exceeded: ")
         assert captured.err.count("\n") == 1
+
+
+def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("ran before the arguments were checked")
+
+    for module, name in (
+        (isometry, "verify_val"),
+        (isometry, "verify_main"),
+        (isometry, "compute_W"),
+        (modular, "verify_orth"),
+        (isometry, "enumerate_partitions"),
+    ):
+        monkeypatch.setattr(module, name, never)
+    for argv in (
+        ("verify", "orth", "--p", "3", "--w", "1", "--core", "3"),
+        ("verify", "centp", "--p", "2", "--w", "2", "--core", "2"),
+        ("verify", "val", "--p", "2", "--w", "1", "--core", "2"),
+        ("verify", "main", "--p", "7", "--w", "1", "--core", "7"),
+        ("isometry", "--p", "2", "--w", "1", "--core", "2"),
+        ("verify", "lemmaf", "--p", "2", "--w", "0"),
+    ):
+        rc = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert rc == 2, argv
+        assert captured.out == "", argv
+        assert captured.err.startswith("invalid arguments: "), argv
+        assert captured.err.count("\n") == 1, argv
+    assert "lemmaf" in captured.err and "w=0" in captured.err
+
+
+def test_report_records_carry_the_run_parameters():
+    rep = Report("main", {"p": 2, "w": 1, "core": ""})
+    rep.add({"lambda": "2", "level": 1}, True)
+    assert rep.records[0]["parameters"] == {"p": 2, "w": 1, "core": "", "lambda": "2", "level": 1}
 
 
 def test_failing_verification_exits_one(capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """The signed bijection between block characters and wreath characters."""
 
+import itertools
+from math import lcm
+
 import pytest
 
 from blockiso.abacus import partitions_with_core
@@ -127,6 +130,8 @@ def test_verify_main_suites():
         rep = verify_main(p, w, rho)
         assert rep.ok, rep.failures()
         assert rep.records
+        run = {"p": p, "w": w, "core": ",".join(map(str, rho))}
+        assert all(r["parameters"].items() >= run.items() for r in rep.records)
 
 
 def test_verify_val_suites():
@@ -199,6 +204,66 @@ def test_centralizer_scan_counts_the_centralizer():
                 else:
                     assert count is None
             assert insides
+
+
+def _perm_mul(a, b):
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def _perm_pow(g, m: int):
+    out = tuple(range(len(g)))
+    base = g
+    while m:
+        if m & 1:
+            out = _perm_mul(base, out)
+        base = _perm_mul(base, base)
+        m >>= 1
+    return out
+
+
+def _perm_order(g) -> int:
+    return lcm(*cycle_type(g))
+
+
+def reference_p_part(g, p: int):
+    """g to the power q * (q^-1 mod p^k), where g has order p^k * q."""
+    o = _perm_order(g)
+    pk = 1
+    while o % (pk * p) == 0:
+        pk *= p
+    q = o // pk
+    return _perm_pow(g, q * pow(q, -1, pk))
+
+
+def test_p_part_matches_powering():
+    for p in (2, 3, 5):
+        for n in range(7):
+            for g in itertools.permutations(range(n)):
+                assert p_part_perm(g, p) == reference_p_part(g, p), (g, p)
+
+
+def test_p_part_properties():
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(
+        st.integers(0, 12).flatmap(lambda n: st.permutations(range(n))),
+        st.sampled_from((2, 3, 5, 7)),
+    )
+    def check(g, p):
+        h = p_part_perm(tuple(g), p)
+        assert _perm_mul(g, h) == _perm_mul(h, g)
+        order = _perm_order(h)
+        while order % p == 0:
+            order //= p
+        assert order == 1
+        h_inv = [0] * len(h)
+        for i, x in enumerate(h):
+            h_inv[x] = i
+        assert _perm_order(_perm_mul(g, h_inv)) % p
+
+    check()
 
 
 def test_central_count_fails_when_the_scan_stops_early(monkeypatch):
