@@ -13,10 +13,12 @@ or JSON Lines.  Verification commands print a JSON Lines report: a meta
 line carrying the guard limits and the canonical orderings used, then one
 record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
-invalid arguments (including --p below 2, a negative --w or --e, and a
---core that is not a --p-core, which are rejected as soon as the arguments
-are parsed), 3 a guard limit was exceeded (every verify verb checks the
-wreath guard before any work).
+invalid arguments (including --p below 2, a negative --w or --e, a --w
+below 1 for a verify verb, and a --core that is not a --p-core, which are
+rejected before any work), 3 a guard limit was exceeded (every verify verb
+checks the wreath guard before any work), 4 an internal error (any other
+exception, or a verification that produced no records), reported as one
+stderr line.  A ValueError raised inside the library also exits 2.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -394,11 +396,15 @@ VERIFY_VERBS = tuple(VERIFY)
 
 def cmd_verify(args) -> int:
     prime, runner, keys = VERIFY[args.what]
+    if args.w < 1:
+        raise ValueError(f"verify {args.what} needs w >= 1, got w={args.w}")
     if prime:
         _require_prime(args.p)
     rho = _core(args)
     wreath.enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
     rep = runner(args, rho)
+    if not rep.records:
+        raise RuntimeError(f"verify {args.what} produced no records")
     params = {"p": args.p, "w": args.w, "e": args.e, "core": format_partition(rho)}
     orderings = _verify_orderings(keys, args.p, args.w, rho)
     _emit(_report_text(rep, params, orderings, args.max_group_order), args.out)
@@ -513,6 +519,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -44,9 +44,9 @@ from .symchar import (
     character_value,
     height_by_tower,
     height_by_valuation,
+    induced_mn,
     irr_class_function,
     irr_in_block,
-    mn_value,
     tilde_pi_rho,
 )
 from .wreath import (
@@ -63,7 +63,6 @@ from .wreath import (
     identity_label,
     in_K_s,
     in_U_s,
-    induced_value,
     lambda_psi,
     principal_block_filter,
     restrict_from_sn,
@@ -423,24 +422,6 @@ def f_tensor(xi: ClassFunction, p: int) -> dict:
     return out
 
 
-def _young_induced_value(factors, alpha: Partition) -> int:
-    """Induced product of factor class functions evaluated at cycle type.
-
-    factors is a list of (size, value_fn); the parts of alpha are assigned
-    to factors filling each size exactly.
-    """
-
-    def term(groups) -> int:
-        out = 1
-        for (_, fn), parts in zip(factors, groups):
-            out *= fn(tuple(sorted(parts, reverse=True)))
-            if not out:
-                return 0
-        return out
-
-    return induced_value(alpha, alpha, [sz for sz, _ in factors], term)
-
-
 def verify_lemma_f(p: int, w: int) -> Report:
     """Hook expansion of the p-multiplied evaluation tensor."""
     if w < 1:
@@ -457,20 +438,8 @@ def verify_lemma_f(p: int, w: int) -> Report:
             for j in range(p):
                 if not quot[j]:
                     continue
-                factors = []
-                for i in range(p):
-                    if i == j:
-                        factors.append(
-                            (
-                                sum(quot[i]) - 1,
-                                lambda tau, q=quot[i]: mn_value(q, (1,), tau),
-                            )
-                        )
-                    else:
-                        factors.append(
-                            (sum(quot[i]), lambda tau, q=quot[i]: mn_value(q, (), tau))
-                        )
-                term = _young_induced_value(factors, alpha)
+                factors = [((1,), q, (1,) if i == j else ()) for i, q in enumerate(quot)]
+                term = induced_mn(factors, [(k, 0) for k in alpha])
                 term *= character_value(hook_partition(p - j - 1, p), beta)
                 rhs += (-1) ** (p - j - 1) * term
             rhs *= eps

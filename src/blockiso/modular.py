@@ -82,8 +82,7 @@ def brauer_values(label: BrauerLabel, p: int) -> tuple:
 
 def projective_values(label: BrauerLabel, p: int) -> tuple:
     vals = _values_on_classes(projective_coeffs(label, p), p, regular_only=False)
-    idx = list(enumerate_partitions(p)).index((p,))
-    if vals[idx] != 0:
+    if vals[sn_space(p).index[(p,)]] != 0:
         raise AssertionError("projective character fails to vanish at the p-cycle")
     return vals
 

@@ -47,25 +47,58 @@ def mn_value(lam: Partition, mu: Partition, tau: Partition) -> int:
 
 
 @cache
+def strips(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
+    """(lam less the strip, sign) for each border strip of length k of lam."""
+    beta = beta_set(lam, len(lam) or 1)
+    occupied = set(beta)
+    out = []
+    for s in beta:
+        t = s - k
+        if t >= 0 and t not in occupied:
+            jumped = sum(1 for x in beta if t < x < s)
+            out.append((partition_from_beta((occupied - {s}) | {t}), (-1) ** jumped))
+    return tuple(out)
+
+
+@cache
 def _mn(lam: Partition, mu: Partition, tau: Partition) -> int:
     if not contains(lam, mu):
         return 0
     if not tau:
         return 1
-    k, rest = tau[0], tau[1:]
-    n_beads = len(lam) if lam else 1
-    beta = beta_set(lam, n_beads)
-    occupied = set(beta)
-    total = 0
-    for s in beta:
-        t = s - k
-        if t < 0 or t in occupied:
-            continue
-        jumped = sum(1 for x in beta if t < x < s)
-        nu = partition_from_beta((occupied - {s}) | {t})
-        if contains(nu, mu):
-            total += (-1) ** jumped * _mn(nu, mu, rest)
-    return total
+    return sum(sign * _mn(nu, mu, tau[1:]) for nu, sign in strips(lam, tau[0]) if contains(nu, mu))
+
+
+def induced_mn(factors, label) -> int:
+    """Value at label of the character induced from a Young-type subgroup.
+
+    A factor (row, lam, mu) is the skew character lam/mu of its top group,
+    times the base values row; a label is a sequence of (k, c): a k-cycle
+    over base class index c (always 0 for a symmetric group).  Each cycle
+    in turn is peeled as a k-border strip off one factor's shape and
+    weighted by that factor's row[c] (the Murnaghan-Nakayama rule of the
+    wreath product), memoised for this call on the shapes left and the
+    cycles peeled.
+    """
+    if sum(sum(lam) - sum(mu) for _, lam, mu in factors) != sum(k for k, _ in label):
+        raise ValueError("factor sizes do not sum to the label size")
+    if not all(contains(lam, mu) for _, lam, mu in factors):
+        return 0
+
+    @cache
+    def rec(shapes: tuple, j: int) -> int:
+        if j == len(label):
+            return 1
+        k, c = label[j]
+        total = 0
+        for i, (row, _, mu) in enumerate(factors):
+            if row[c]:
+                for nu, sign in strips(shapes[i], k):
+                    if contains(nu, mu):
+                        total += row[c] * sign * rec(shapes[:i] + (nu,) + shapes[i + 1 :], j + 1)
+        return total
+
+    return rec(tuple(lam for _, lam, _ in factors), 0)
 
 
 def character_value(lam: Partition, tau: Partition) -> int:

@@ -4,10 +4,10 @@ Conjugacy classes of the wreath of S_p by S_w are labelled by multisets of
 pairs (k, c): a top cycle of length k whose cycle product lies in the base
 class c (a partition of p), with the k summing to w.  A tuple of factors
 (phi_i, chi_i) with the chi_i virtual characters of smaller top groups
-induces up to a class function; its value at a label sums over all ways of
-assigning the label's pairs to factors so that each factor i receives top
-length exactly w_i, each assignment contributing the chi_i value at the
-collected top cycle type times the phi values at the base classes.
+induces up to a class function.  Its value at a label comes from the wreath
+Murnaghan-Nakayama rule (`symchar.induced_mn`): each pair (k, c) in turn is
+peeled as a k-border strip off one factor's top shape, weighted by the
+strip sign and that factor's base value phi_i at c.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .abacus import hook_partition, is_hook
 from .classfn import ClassFunction, ClassSpace
@@ -29,7 +29,7 @@ from .partitions import (
     scale,
     sqcup,
 )
-from .symchar import centralizer_order_sn, character_value, sn_space
+from .symchar import centralizer_order_sn, character_value, induced_mn, sn_space
 
 ClassLabel = tuple[tuple[int, Partition], ...]
 PMapLabel = tuple[Partition, ...]
@@ -123,70 +123,22 @@ def wreath_inner_product(xi: ClassFunction, theta: ClassFunction) -> Fraction:
 
 
 # A factor is a pair (phi, chi): phi is a dense value tuple over the base
-# classes, chi a dict mapping top-group partitions to integer coefficients
-# (all keys of one chi partition the same number).
+# classes, chi a dict mapping top-group partitions to integer coefficients.
+# Every factor built in this package has chi = {mu: 1}; the multi-term chi
+# that zeta_value expands by linearity is used only by the shrink tests.
 Factor = tuple[tuple, dict[Partition, int]]
 
 
-def _chi_weight(chi: dict[Partition, int]) -> int:
-    sizes = {sum(mu) for mu in chi}
-    if len(sizes) != 1:
-        raise ValueError("factor coefficients must share one size")
-    return sizes.pop()
-
-
-def _chi_value(chi: dict[Partition, int], tau: Partition) -> int:
-    return sum(c * character_value(mu, tau) for mu, c in chi.items())
-
-
-def induced_value(items, sizes, caps, term):
-    """Sum of term(groups) over every deal of the items to len(caps) factors
-    in which the sizes of the items dealt to factor i add up to caps[i].
-
-    groups[i] lists the items dealt to factor i in their given order.  This
-    is the value of a character induced from a Young-type subgroup, one
-    factor per direct factor of the subgroup.
-    """
-    if sum(caps) != sum(sizes):
-        raise ValueError("factor sizes do not sum to the total size")
-    rem = list(caps)
-    groups: list[list] = [[] for _ in caps]
-    total = 0
-
-    def rec(j: int):
-        nonlocal total
-        if j == len(items):
-            total += term(groups)
-            return
-        k = sizes[j]
-        for i, group in enumerate(groups):
-            if rem[i] >= k:
-                rem[i] -= k
-                group.append(items[j])
-                rec(j + 1)
-                group.pop()
-                rem[i] += k
-
-    rec(0)
-    return total
-
-
 def zeta_value(p: int, factors: list[Factor], label: ClassLabel):
-    """Value at label of the class function induced from the given factors."""
+    """Value at label of the class function induced from the given factors,
+    expanded by linearity in each chi."""
     class_idx = sn_space(p).index
-
-    def term(groups) -> int:
-        out = 1
-        for (phi, chi), group in zip(factors, groups):
-            out *= _chi_value(chi, tuple(sorted((k for k, _ in group), reverse=True)))
-            if not out:
-                return 0
-            for _, c in group:
-                out *= phi[class_idx[c]]
-        return out
-
-    caps = [_chi_weight(chi) for _, chi in factors]
-    return induced_value(label, [k for k, _ in label], caps, term)
+    indexed = [(k, class_idx[c]) for k, c in label]
+    total = 0
+    for terms in itertools.product(*(chi.items() for _, chi in factors)):
+        young = [(phi, mu, ()) for (phi, _), (mu, _) in zip(factors, terms)]
+        total += prod(c for _, c in terms) * induced_mn(young, indexed)
+    return total
 
 
 def zeta_class_function(p: int, w: int, factors: list[Factor]) -> ClassFunction:
@@ -248,7 +200,7 @@ def lambda_psi(psi: tuple[Partition, ...], p: int) -> PMapLabel:
 
 def tilde_power(phi: tuple, p: int, w: int) -> ClassFunction:
     """Product of base values over a label's pairs (top group ignored)."""
-    class_idx = {c: i for i, c in enumerate(enumerate_partitions(p))}
+    class_idx = sn_space(p).index
     values = []
     for label in enumerate_wreath_classes(p, w):
         term = 1

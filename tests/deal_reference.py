@@ -1,0 +1,73 @@
+"""Reference oracle for induced characters: enumerate every deal of a label's
+cycles to the factors, then evaluate each factor at the cycle type it was
+dealt.  `symchar.induced_mn` and `wreath.zeta_value` peel border strips
+instead and are checked against these.
+"""
+
+from blockiso.symchar import character_value, mn_value, sn_space
+
+
+def induced_value(items, sizes, caps, term):
+    """Sum of term(groups) over every deal of the items to len(caps) factors
+    in which the sizes of the items dealt to factor i add up to caps[i].
+
+    groups[i] lists the items dealt to factor i in their given order.
+    """
+    if sum(caps) != sum(sizes):
+        raise ValueError("factor sizes do not sum to the total size")
+    rem = list(caps)
+    groups: list[list] = [[] for _ in caps]
+    total = 0
+
+    def rec(j: int):
+        nonlocal total
+        if j == len(items):
+            total += term(groups)
+            return
+        k = sizes[j]
+        for i, group in enumerate(groups):
+            if rem[i] >= k:
+                rem[i] -= k
+                group.append(items[j])
+                rec(j + 1)
+                group.pop()
+                rem[i] += k
+
+    rec(0)
+    return total
+
+
+def _cycle_type(group) -> tuple:
+    return tuple(sorted((k for k, _ in group), reverse=True))
+
+
+def reference_induced_mn(factors, label) -> int:
+    """induced_mn by deals: factors (row, lam, mu), label pairs (k, c)."""
+
+    def term(groups) -> int:
+        out = 1
+        for (row, lam, mu), group in zip(factors, groups):
+            out *= mn_value(lam, mu, _cycle_type(group))
+            for _, c in group:
+                out *= row[c]
+        return out
+
+    caps = [sum(lam) - sum(mu) for _, lam, mu in factors]
+    return induced_value(label, [k for k, _ in label], caps, term)
+
+
+def reference_zeta_value(p: int, factors, label) -> int:
+    """zeta_value by deals: factors (phi, chi), label pairs (k, base class)."""
+    class_idx = sn_space(p).index
+
+    def term(groups) -> int:
+        out = 1
+        for (phi, chi), group in zip(factors, groups):
+            tau = _cycle_type(group)
+            out *= sum(c * character_value(mu, tau) for mu, c in chi.items())
+            for _, c in group:
+                out *= phi[class_idx[c]]
+        return out
+
+    caps = [sum(next(iter(chi))) for _, chi in factors]
+    return induced_value(label, [k for k, _ in label], caps, term)

@@ -11,9 +11,10 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
 
+from deal_reference import reference_induced_mn
+
 from blockiso.abacus import contains_p, p_quotient, p_sign
 from blockiso.isometry import (
-    _young_induced_value,
     verify_centp,
     verify_diagram,
     verify_heights,
@@ -260,15 +261,6 @@ def _order_eight_table():
     assert implemented == set(linears) | {big}
 
 
-def _skew_factor_value(pair):
-    lam_i, mu_i = pair
-
-    def fn(tau):
-        return mn_value(lam_i, mu_i, tau)
-
-    return sum(lam_i) - sum(mu_i), fn
-
-
 def _farahat_shrink(p, t_max):
     # full strip evaluation: the stretched class value factors through the
     # strip quotients with the bead move sign, and dies without full strips
@@ -286,10 +278,11 @@ def _farahat_shrink(p, t_max):
                             assert lhs == 0, (p, lam, mu, tau)
                             continue
                         factors = [
-                            _skew_factor_value(pair)
-                            for pair in zip(p_quotient(lam, p), p_quotient(mu, p))
+                            ((1,), lam_i, mu_i)
+                            for lam_i, mu_i in zip(p_quotient(lam, p), p_quotient(mu, p))
                         ]
-                        rhs = p_sign(lam, mu, p) * _young_induced_value(factors, tau)
+                        label = [(k, 0) for k in tau]
+                        rhs = p_sign(lam, mu, p) * reference_induced_mn(factors, label)
                         assert lhs == rhs, (p, lam, mu, tau)
 
 

@@ -1,9 +1,9 @@
 """End to end runs of the command line front end.
 
-Frozen byte-level outputs pin the wire formats; exit codes cover the four
-documented outcomes.  The only mocked piece is a deliberately failing
-verification used to exercise the nonzero exit path, since every real
-check currently passes.
+Frozen byte-level outputs pin the wire formats; exit codes cover the five
+documented outcomes.  Deliberately failing or broken verifications are
+mocked in to exercise exit codes 1 and 4, since every real check currently
+passes.
 """
 
 import csv
@@ -12,8 +12,10 @@ import json
 import re
 from pathlib import Path
 
+import pytest
+
 import blockiso.cli as cli
-from blockiso import isometry, modular
+from blockiso import isometry
 from blockiso.reporting import Report
 
 
@@ -228,29 +230,48 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("ran before the arguments were checked")
 
-    for module, name in (
-        (isometry, "verify_val"),
-        (isometry, "verify_main"),
-        (isometry, "compute_W"),
-        (modular, "verify_orth"),
-        (isometry, "enumerate_partitions"),
-    ):
-        monkeypatch.setattr(module, name, never)
-    for argv in (
+    monkeypatch.setattr(isometry, "enumerate_partitions", never)
+    # verify_lemma_f keeps its own w check; the CLI rejects w=0 before reaching it.
+    with pytest.raises(ValueError, match="w=0"):
+        isometry.verify_lemma_f(2, 0)
+    for verb, (prime, _, keys) in list(cli.VERIFY.items()):
+        monkeypatch.setitem(cli.VERIFY, verb, (prime, never, keys))
+    weight_zero = [("verify", verb, "--p", "2", "--w", "0") for verb in cli.VERIFY_VERBS]
+    for argv in [
         ("verify", "orth", "--p", "3", "--w", "1", "--core", "3"),
         ("verify", "centp", "--p", "2", "--w", "2", "--core", "2"),
         ("verify", "val", "--p", "2", "--w", "1", "--core", "2"),
         ("verify", "main", "--p", "7", "--w", "1", "--core", "7"),
         ("isometry", "--p", "2", "--w", "1", "--core", "2"),
-        ("verify", "lemmaf", "--p", "2", "--w", "0"),
-    ):
+    ] + weight_zero:
         rc = cli.main(list(argv))
         captured = capsys.readouterr()
         assert rc == 2, argv
         assert captured.out == "", argv
         assert captured.err.startswith("invalid arguments: "), argv
         assert captured.err.count("\n") == 1, argv
-    assert "lemmaf" in captured.err and "w=0" in captured.err
+        if argv in weight_zero:
+            assert f"verify {argv[1]} " in captured.err and "w=0" in captured.err, argv
+
+
+def test_internal_errors_exit_four(capsys, monkeypatch):
+    def broken(p, w):
+        raise RuntimeError("forced for the exit path")
+
+    def empty(p, w, rho):
+        return Report("main", {"p": p, "w": w})
+
+    monkeypatch.setattr(isometry, "verify_val", broken)
+    monkeypatch.setattr(isometry, "verify_main", empty)
+    for verb, message in (
+        ("val", "RuntimeError: forced for the exit path"),
+        ("main", "RuntimeError: verify main produced no records"),
+    ):
+        rc = cli.main(["verify", verb, "--p", "2", "--w", "2"])
+        captured = capsys.readouterr()
+        assert rc == 4, verb
+        assert captured.out == "", verb
+        assert captured.err == f"internal error: {message}\n", verb
 
 
 def test_report_records_carry_the_run_parameters():

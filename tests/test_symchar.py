@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from deal_reference import reference_induced_mn
 
 from blockiso.partitions import (
     GuardExceeded,
@@ -21,10 +22,12 @@ from blockiso.symchar import (
     degree,
     height_by_tower,
     height_by_valuation,
+    induced_mn,
     inner_product,
     irr_class_function,
     irr_in_block,
     skew_class_function,
+    strips,
     tilde_pi_rho,
 )
 
@@ -125,6 +128,41 @@ def test_pushdown_equals_skew_on_irreducibles():
                 down = tilde_pi_rho(irr_class_function(lam), rho)
                 skew = skew_class_function(lam, rho)
                 assert down.values == skew.values, (lam, rho)
+
+
+def test_strips_frozen():
+    assert strips((3, 1), 2) == (((1, 1), 1),)
+    assert strips((2, 2), 2) == (((1, 1), -1), ((2,), 1))
+    assert strips((2, 2), 3) == (((1,), -1),)
+    assert strips((), 1) == ()
+
+
+def test_induced_mn_matches_deal_reference():
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        w = data.draw(st.integers(0, 4))
+        n_classes = data.draw(st.integers(1, 3))
+        cycles = data.draw(st.sampled_from(enumerate_partitions(w)))
+        label = [(k, data.draw(st.integers(0, n_classes - 1))) for k in cycles]
+        label = data.draw(st.permutations(label))
+        cuts = sorted(data.draw(st.lists(st.integers(0, w), max_size=2)))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [w])]
+        factors = []
+        for size in sizes:
+            mu = data.draw(st.sampled_from(((), (1,))))
+            lam = data.draw(st.sampled_from(enumerate_partitions(size + sum(mu))))
+            row = data.draw(st.lists(st.integers(-3, 3), min_size=n_classes, max_size=n_classes))
+            factors.append((tuple(row), lam, mu))
+        assert induced_mn(factors, label) == reference_induced_mn(factors, label)
+
+    check()
+    with pytest.raises(ValueError):
+        induced_mn([((1,), (2,), ())], [(1, 0)])
+    assert induced_mn([((1,), (2,), (1, 1))], []) == 0
 
 
 def test_d_alpha_spot_values():

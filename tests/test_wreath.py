@@ -6,7 +6,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from deal_reference import reference_zeta_value
 
+from blockiso.modular import brauer_labels, brauer_values, enumerate_gibr, projective_values
 from blockiso.partitions import (
     GuardExceeded,
     enumerate_partitions,
@@ -21,9 +23,11 @@ from blockiso.wreath import (
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    factors_from_pmap,
     identity_label,
     in_K_s,
     in_U_s,
+    induction_factors,
     irr_base_values,
     lambda_psi,
     omega_lambda,
@@ -37,6 +41,7 @@ from blockiso.wreath import (
     wreath_inner_product,
     zeta_class_function,
     zeta_irr,
+    zeta_value,
 )
 
 SMALL = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
@@ -396,6 +401,22 @@ def test_shrink_of_sign_top():
     lhs = shr_m(xi, 2)
     rhs = zeta_class_function(2, 1, [(phi, {(1,): 1})])
     assert lhs.values == tuple(-v for v in rhs.values)
+
+
+def test_zeta_value_matches_deal_reference():
+    # every irreducible, Brauer and projective factor list, at every class
+    for p, w in ((2, 3), (2, 4), (3, 3), (3, 4), (5, 2)):
+        factor_lists = [factors_from_pmap(phi, p) for phi in enumerate_irr_wreath(p, w)]
+        for value_fn in (brauer_values, projective_values):
+            rows = [value_fn(label, p) for label in brauer_labels(p)]
+            factor_lists += [induction_factors(rows, psi) for psi in enumerate_gibr(p, w)]
+        for factors in factor_lists:
+            for lbl in enumerate_wreath_classes(p, w):
+                assert zeta_value(p, factors, lbl) == reference_zeta_value(p, factors, lbl), (
+                    p, w, factors, lbl,
+                )
+    with pytest.raises(ValueError):
+        zeta_value(2, [(irr_base_values((2,), 2), {(1,): 1})], identity_label(2, 2))
 
 
 def test_tilde_power_matches_trivial_top():
