@@ -15,7 +15,7 @@ from blockiso.isometry import (
     pushdown_to_wreath,
 )
 from blockiso.partitions import format_partition
-from blockiso.wreath import enumerate_wreath_classes, in_U_s
+from blockiso.wreath import labels_in_U_s
 
 p, w, rho = 2, 2, ()
 n = p * w + sum(rho)
@@ -26,7 +26,7 @@ for lam, sign, psi in build_isometry(p, w, rho):
     print(f"  {format_partition(lam):>8}  ->  sign {sign:+d}  legs ({pretty})")
 
 # spot check the agreement on the classes with at least w base p-cycles
-heavy = [lbl for lbl in enumerate_wreath_classes(p, w) if in_U_s(lbl, p, w)]
+heavy = labels_in_U_s(p, w, w)
 print("heavy classes:", heavy)
 for lam in partitions_with_core(n, rho, p):
     image = isometry_image(lam, rho, p)

@@ -40,8 +40,8 @@ print("bicharacter matrix for p=2, w=1 over the principal block:")
 for row in build_mu(2, 1, ()):
     print("  ", row)
 
-# the valuation probe reports rather than asserts: perfectness holds
-# exactly while the weight stays below p
+# perfectness holds exactly while the weight stays below p: there the
+# valuation probe asserts it, and from w = p on it only reports
 for p, w in ((2, 1), (3, 2), (2, 2)):
     rep = perfectness_probe(p, w, ())
     print(f"probe p={p} w={w}: perfect={probe_is_perfect(rep)}")

@@ -42,11 +42,13 @@ from .symchar import (
     d_alpha,
     decompose,
     character_value,
+    degree,
     height_by_tower,
     height_by_valuation,
     induced_mn,
     irr_class_function,
     irr_in_block,
+    mn_value,
     tilde_pi_rho,
 )
 from .wreath import (
@@ -60,9 +62,8 @@ from .wreath import (
     enumerate_wreath_classes,
     factors_from_pmap,
     format_class_label,
-    identity_label,
-    in_K_s,
     in_U_s,
+    labels_in_U_s,
     lambda_psi,
     principal_block_filter,
     restrict_from_sn,
@@ -120,6 +121,13 @@ def isometry_image(lam: Partition, rho: Partition, p: int) -> ClassFunction:
     return zeta_irr(p, w, lambda_psi(psi, p)).scaled(sign)
 
 
+def _image_factors(lam: Partition, rho: Partition, p: int):
+    """The sign and wreath factors of lam's image, for pointwise evaluation:
+    the image at a label is sign * zeta_value(p, factors, label)."""
+    sign, psi = isometry_row(lam, rho, p)
+    return sign, factors_from_pmap(lambda_psi(psi, p), p)
+
+
 def build_isometry(p: int, w: int, rho: Partition):
     """Rows (lam, sign, psi) over the block, with bijectivity checks."""
     if not is_core(rho, p):
@@ -142,44 +150,46 @@ def _integer_values(xi: ClassFunction) -> ClassFunction:
 
 
 def pushdown_to_wreath(lam: Partition, rho: Partition, p: int, w: int) -> ClassFunction:
-    """Restrict, push down by rho, and pull back along the wreath embedding."""
+    """Restrict, push down by rho, and pull back along the wreath embedding.
+    Its value at a label is the skew character lam/rho at the label's cycle
+    type, which the verify verbs evaluate directly with `mn_value`."""
     pushed = _integer_values(tilde_pi_rho(irr_class_function(lam), rho))
     return restrict_from_sn(pushed, p, w)
 
 
 def verify_main(p: int, w: int, rho: Partition) -> Report:
     """Image minus pushdown vanishes on w base p-cycles, and on w-1 when
-    the runner ranks rotate the identity."""
+    the runner ranks rotate the identity.  Both sides are evaluated only at
+    the labels in U_s: the image by the wreath Murnaghan-Nakayama rule, the
+    pushdown as the skew character lam/rho."""
     rep = Report("main", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     start = circularly_nondecreasing(rho, p)
     levels = [w] if start is None else [w, w - 1]
+    labels = labels_in_U_s(p, w, min(levels))
     for lam in irr_in_block(n, p, rho):
-        delta = isometry_image(lam, rho, p) - pushdown_to_wreath(lam, rho, p, w)
+        sign, factors = _image_factors(lam, rho, p)
+        delta = [
+            sign * zeta_value(p, factors, lbl) - mn_value(lam, rho, embed_to_sn(lbl))
+            for lbl in labels
+        ]
         for s in levels:
-            ok = in_K_s(delta, s)
+            bad = [(lbl, d) for lbl, d in zip(labels, delta) if d and in_U_s(lbl, p, s)]
             witness = None
-            if not ok:
-                bad = next(
-                    lbl
-                    for lbl, v in zip(enumerate_wreath_classes(p, w), delta.values)
-                    if in_U_s(lbl, p, s) and v
-                )
-                witness = {"label": format_class_label(bad), "difference": str(delta.value(bad))}
-            rep.add({"lambda": format_partition(lam), "level": s}, ok, witness)
+            if bad:
+                witness = {"label": format_class_label(bad[0][0]), "difference": str(bad[0][1])}
+            rep.add({"lambda": format_partition(lam), "level": s}, not bad, witness)
     return rep
 
 
 def verify_val(p: int, w: int) -> Report:
     """Exact value agreement on classes with at least w-1 base p-cycles."""
     rep = Report("val", {"p": p, "w": w})
-    labels = [
-        lbl for lbl in enumerate_wreath_classes(p, w) if in_U_s(lbl, p, w - 1)
-    ]
+    labels = labels_in_U_s(p, w, w - 1)
     for lam in irr_in_block(p * w, p, ()):
-        image = isometry_image(lam, (), p)
+        sign, factors = _image_factors(lam, (), p)
         for lbl in labels:
-            lhs = image.value(lbl)
+            lhs = sign * zeta_value(p, factors, lbl)
             rhs = character_value(lam, embed_to_sn(lbl))
             rep.add(
                 {"lambda": format_partition(lam), "label": format_class_label(lbl)},
@@ -190,7 +200,15 @@ def verify_val(p: int, w: int) -> Report:
 
 
 def wreath_irr_degree(p: int, w: int, phi_label) -> int:
-    return zeta_value(p, factors_from_pmap(phi_label, p), identity_label(p, w))
+    """Degree of the wreath irreducible labelled by phi, by Clifford theory:
+    w! / prod |mu_k|! * prod deg(kappa_k)^|mu_k| * deg(mu_k)."""
+    if sum(sum(mu) for mu in phi_label) != w:
+        raise ValueError("assignment sizes must sum to w")
+    out = factorial(w)
+    for kappa, mu in zip(enumerate_partitions(p), phi_label):
+        m = sum(mu)
+        out = out // factorial(m) * degree(kappa) ** m * degree(mu)
+    return out
 
 
 def verify_heights(p: int, w: int, rho: Partition) -> Report:
@@ -215,17 +233,18 @@ def verify_heights(p: int, w: int, rho: Partition) -> Report:
 
 
 def verify_uniqueness(p: int, w: int) -> Report:
-    """Signed sums of distinct restricted block characters stay detectable."""
+    """Signed sums of distinct restricted block characters stay detectable.
+    The restrictions are evaluated only at the labels in U_{w-1}."""
     rep = Report("unique", {"p": p, "w": w})
     block = irr_in_block(p * w, p, ())
-    restricted = {
-        lam: restrict_from_sn(irr_class_function(lam), p, w) for lam in block
-    }
+    labels = labels_in_U_s(p, w, w - 1)
+    taus = [embed_to_sn(lbl) for lbl in labels]
+    top = [in_U_s(lbl, p, w) for lbl in labels]
+    restricted = {lam: [character_value(lam, tau) for tau in taus] for lam in block}
     for a in range(len(block)):
         for b in range(a + 1, len(block)):
             for sign in (1, -1):
-                xi = restricted[block[a]] - restricted[block[b]].scaled(sign)
-                ok = not in_K_s(xi, w - 1)
+                ok = any(x - sign * y for x, y in zip(restricted[block[a]], restricted[block[b]]))
                 rep.add(
                     {
                         "lambda1": format_partition(block[a]),
@@ -235,7 +254,8 @@ def verify_uniqueness(p: int, w: int) -> Report:
                     ok,
                 )
     for lam in block:
-        rep.add({"lambda": format_partition(lam), "single": True}, not in_K_s(restricted[lam], w))
+        ok = any(v for v, t in zip(restricted[lam], top) if t)
+        rep.add({"lambda": format_partition(lam), "single": True}, ok)
     return rep
 
 
@@ -412,13 +432,14 @@ def verify_diagram(p: int, w: int, rho: Partition) -> Report:
     return rep
 
 
-def f_tensor(xi: ClassFunction, p: int) -> dict:
-    """Values of xi at one p-multiplied type joined with one type of p."""
-    w = xi.n // p
+def f_tensor(lam: Partition, p: int) -> dict:
+    """Values of the character of lam at one p-multiplied type joined with
+    one type of p."""
+    w = sum(lam) // p
     out = {}
     for alpha in enumerate_partitions(w - 1):
         for beta in enumerate_partitions(p):
-            out[(alpha, beta)] = xi.value(sqcup(scale(p, alpha), beta))
+            out[(alpha, beta)] = character_value(lam, sqcup(scale(p, alpha), beta))
     return out
 
 
@@ -430,7 +451,7 @@ def verify_lemma_f(p: int, w: int) -> Report:
     for lam in irr_in_block(p * w, p, ()):
         quot = p_quotient(lam, p)
         eps = p_sign(lam, (), p)
-        lhs = f_tensor(irr_class_function(lam), p)
+        lhs = f_tensor(lam, p)
         ok = True
         witness = None
         for (alpha, beta), val in lhs.items():

@@ -100,6 +100,11 @@ def in_U_s(label: ClassLabel, p: int, s: int) -> bool:
     return sum(tp_wr(label, p)) >= s
 
 
+def labels_in_U_s(p: int, w: int, s: int) -> tuple[ClassLabel, ...]:
+    """The labels of the wreath product that lie in U_s, canonical order."""
+    return tuple(lbl for lbl in enumerate_wreath_classes(p, w) if in_U_s(lbl, p, s))
+
+
 def identity_label(p: int, w: int) -> ClassLabel:
     return canonical_label(((1, (1,) * p),) * w)
 
@@ -256,11 +261,7 @@ def delta_alpha(xi: ClassFunction, alpha: Partition) -> ClassFunction:
 
 def in_K_s(xi: ClassFunction, s: int) -> bool:
     """Whether xi vanishes on every class with at least s base p-cycles."""
-    return all(
-        v == 0
-        for lbl, v in zip(enumerate_wreath_classes(xi.p, xi.w), xi.values)
-        if in_U_s(lbl, xi.p, s)
-    )
+    return not any(xi.value(lbl) for lbl in labels_in_U_s(xi.p, xi.w, s))
 
 
 def span_generators(p: int, w: int, base_list: list[tuple]) -> list[ClassFunction]:

@@ -2,11 +2,14 @@
 
 `bench/expected.json` holds the exit code and stdout SHA-256 of every CLI
 invocation the benchmark can run.  This test replays the ones that finish
-in well under a second (p*w <= 9) through `blockiso.cli.main` and compares
-the bytes, so a refactor that changes any output fails tier-1 without
-running the benchmark.  The brute-force `verify centp` scans are left to
-the benchmark: one of them walks all 9! permutations per class.  The file
-is only read here; `bench/record.py` is what rewrites it.
+in well under a second through `blockiso.cli.main` and compares the bytes,
+so a refactor that changes any output fails tier-1 without running the
+benchmark.  That is every invocation with p*w <= 9, and every recorded
+`verify main|val|unique|lemmaf` whatever its size: those verbs evaluate
+only the classes they check, so even their largest recorded cases (p = 5,
+w = 3) take a fraction of a second.  The brute-force `verify centp` scans
+are left to the benchmark: one of them walks all 9! permutations per class.
+The file is only read here; `bench/record.py` is what rewrites it.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ from pathlib import Path
 import blockiso.cli as cli
 
 EXPECTED = Path(__file__).resolve().parent.parent / "bench" / "expected.json"
+POINTWISE_VERBS = ("main", "val", "unique", "lemmaf")
 
 
 def _option(argv: list[str], name: str):
@@ -26,6 +30,8 @@ def _small(argv: list[str]) -> bool:
     p, w = _option(argv, "--p"), _option(argv, "--w")
     if argv[:2] == ["verify", "centp"]:
         return False
+    if argv[0] == "verify" and argv[1] in POINTWISE_VERBS:
+        return True
     return p is None or w is None or p * w <= 9
 
 
@@ -37,6 +43,19 @@ def test_recorded_outputs_are_byte_identical(capsys):
     # Every subcommand and every verify verb but centp stays covered.
     assert verbs >= set(cli.VERIFY_VERBS) - {"centp"}
     assert verbs >= {"core", "quotient", "sign", "gamma", "char", "table", "wchar", "isometry", "decomp", "mu"}
+    # The largest recorded outputs of the pointwise verbs are replayed too.
+    large = {
+        " ".join(argv)
+        for argv, _ in cases
+        if (_option(argv, "--p") or 0) * (_option(argv, "--w") or 0) > 9
+    }
+    assert large >= {
+        "verify main --p 5 --w 3",
+        "verify main --p 5 --w 3 --core 2",
+        "verify val --p 5 --w 3",
+        "verify unique --p 5 --w 3",
+        "verify lemmaf --p 5 --w 3",
+    }
     mismatches = []
     for argv, want in cases:
         rc = cli.main(argv)

@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from blockiso.abacus import partitions_with_core
+from blockiso.abacus import circularly_nondecreasing, is_core, partitions_with_core
 from blockiso import isometry
 from blockiso.isometry import (
     _centralizer_scan,
@@ -28,16 +28,21 @@ from blockiso.isometry import (
     verify_val,
     wreath_irr_degree,
 )
-from blockiso.partitions import GuardExceeded
-from blockiso.symchar import centralizer_order_sn
+from blockiso.partitions import GuardExceeded, enumerate_partitions, format_partition
+from blockiso.reporting import record
+from blockiso.symchar import centralizer_order_sn, mn_value
 from blockiso.wreath import (
+    embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    factors_from_pmap,
+    format_class_label,
     identity_label,
-    in_U_s,
+    labels_in_U_s,
     lambda_psi,
     wreath_inner_product,
     zeta_irr,
+    zeta_value,
 )
 
 
@@ -114,15 +119,87 @@ def test_pushdown_matches_image_on_heavy_classes():
     # at least w base p cycles; away from those classes they may differ
     for p, w, rho in ((2, 2, ()), (2, 1, (1,)), (3, 1, (1, 1)), (3, 2, ())):
         n = p * w + sum(rho)
-        heavy = [
-            lbl for lbl in enumerate_wreath_classes(p, w) if in_U_s(lbl, p, w)
-        ]
+        heavy = labels_in_U_s(p, w, w)
         assert heavy
         for lam in partitions_with_core(n, rho, p):
             down = pushdown_to_wreath(lam, rho, p, w)
             img = isometry_image(lam, rho, p)
             for lbl in heavy:
                 assert down.value(lbl) == img.value(lbl), (p, w, rho, lam, lbl)
+
+
+REAL_EPSILON_SIGN = isometry.epsilon_sign
+
+
+def _small_cores(p: int):
+    return [rho for e in range(4) for rho in enumerate_partitions(e) if is_core(rho, p)]
+
+
+def test_pointwise_pushdown_and_image_match_whole_rows():
+    # The verify verbs evaluate the pushdown as the skew character lam/rho
+    # and the image by the wreath MN rule, one label at a time; the whole-row
+    # maps (tilde_pi_rho of the irreducible row, the cached zeta_irr row)
+    # are the reference.
+    grid = [(2, w) for w in range(1, 5)] + [(3, w) for w in range(1, 4)] + [(5, 1), (5, 2)]
+    for p, w in grid:
+        labels = enumerate_wreath_classes(p, w)
+        for rho in _small_cores(p):
+            for lam in partitions_with_core(p * w + sum(rho), rho, p):
+                down = pushdown_to_wreath(lam, rho, p, w)
+                img = isometry_image(lam, rho, p)
+                sign, factors = isometry._image_factors(lam, rho, p)
+                for lbl in labels:
+                    assert mn_value(lam, rho, embed_to_sn(lbl)) == down.value(lbl), (p, w, rho, lam, lbl)
+                    assert sign * zeta_value(p, factors, lbl) == img.value(lbl), (p, w, rho, lam, lbl)
+
+
+def _flip_one_sign(monkeypatch, flipped):
+    def epsilon_sign(lam, rho, p):
+        return -REAL_EPSILON_SIGN(lam, rho, p) if lam == flipped else REAL_EPSILON_SIGN(lam, rho, p)
+
+    monkeypatch.setattr(isometry, "epsilon_sign", epsilon_sign)
+
+
+def test_failing_records_keep_whole_row_witnesses(monkeypatch):
+    # With one sign flipped, main and val fail; each failing record and its
+    # witness must be the one read off the whole rows: the first label in
+    # class order within U_s where image and pushdown differ.
+    for p, w, rho in ((2, 2, ()), (2, 3, ()), (3, 2, ()), (2, 2, (1,)), (3, 1, (2,)), (2, 3, (2, 1))):
+        block = partitions_with_core(p * w + sum(rho), rho, p)
+        _flip_one_sign(monkeypatch, block[0])
+        levels = [w] if circularly_nondecreasing(rho, p) is None else [w, w - 1]
+        run = {"p": p, "w": w, "core": format_partition(rho)}
+        want = []
+        for lam in block:
+            delta = isometry_image(lam, rho, p) - pushdown_to_wreath(lam, rho, p, w)
+            for s in levels:
+                bad = [lbl for lbl in labels_in_U_s(p, w, s) if delta.value(lbl)]
+                if bad:
+                    diff = delta.value(bad[0])
+                    witness = {"label": format_class_label(bad[0]), "difference": str(diff)}
+                    params = dict(run, **{"lambda": format_partition(lam), "level": s})
+                    want.append(record("main", params, False, witness))
+        assert want, (p, w, rho)
+        assert verify_main(p, w, rho).failures() == want
+
+        if rho:
+            continue
+        want = []
+        for lam in block:
+            image = isometry_image(lam, (), p)
+            down = pushdown_to_wreath(lam, (), p, w)
+            for lbl in labels_in_U_s(p, w, w - 1):
+                if image.value(lbl) != down.value(lbl):
+                    witness = {"image": str(image.value(lbl)), "restricted": str(down.value(lbl))}
+                    params = {
+                        "p": p,
+                        "w": w,
+                        "lambda": format_partition(lam),
+                        "label": format_class_label(lbl),
+                    }
+                    want.append(record("val", params, False, witness))
+        assert want, (p, w)
+        assert verify_val(p, w).failures() == want
 
 
 def test_verify_main_suites():
@@ -275,9 +352,13 @@ def test_central_count_fails_when_the_scan_stops_early(monkeypatch):
 
 
 def test_wreath_irr_degree_is_the_identity_value():
-    for p, w in ((2, 4), (3, 3), (5, 2)):
+    # the closed form against the character value at the identity class
+    for p, w in ((2, 4), (3, 3), (3, 4), (5, 2), (5, 3)):
+        ident = identity_label(p, w)
         for phi in enumerate_irr_wreath(p, w):
-            assert wreath_irr_degree(p, w, phi) == zeta_irr(p, w, phi).value(identity_label(p, w))
+            assert wreath_irr_degree(p, w, phi) == zeta_value(p, factors_from_pmap(phi, p), ident)
+    with pytest.raises(ValueError):
+        wreath_irr_degree(2, 2, ((1,), ()))
 
 
 def test_epsilon_spot_values():

@@ -1,5 +1,6 @@
 """Transfer, separation, and lattice behaviour of the signed bijection."""
 
+from blockiso import perfect
 from blockiso.isometry import isometry_image
 from blockiso.partitions import enumerate_partitions, sqcup
 from blockiso.perfect import (
@@ -107,5 +108,25 @@ def test_perfectness_probe_grid():
     for (p, w), want in expected.items():
         rep = perfectness_probe(p, w, ())
         assert probe_is_perfect(rep) == want, (p, w)
-        # the probe itself never fails; it reports the valuation pattern
+        # real data violates the criteria only at w >= p, where the records
+        # are informational, so the probe passes everywhere on this grid
         assert rep.ok
+
+
+def test_probe_fails_on_a_violation_only_below_p(monkeypatch):
+    real_build_mu = build_mu
+
+    def injected(p, w, rho):
+        # one entry at the identity class and the first (p-singular) label
+        # breaks regularity, and divisibility since v_p(1) = 0
+        rows = real_build_mu(p, w, rho)
+        rows[-1][0] += 1
+        return rows
+
+    monkeypatch.setattr(perfect, "build_mu", injected)
+    for p, w, fails in ((3, 2, True), (5, 1, True), (2, 2, False), (3, 3, False)):
+        rep = perfectness_probe(p, w, ())
+        counts = {r["parameters"]["criterion"]: r["parameters"]["violations"] for r in rep.records}
+        assert counts["regularity"] >= 1 and counts["divisibility"] >= 1, (p, w)
+        statuses = [r["status"] for r in rep.records]
+        assert statuses == (["fail", "fail"] if fails else ["pass", "pass"]), (p, w)
