@@ -126,31 +126,19 @@ def contains_p(lam: Partition, mu: Partition, p: int) -> bool:
 def p_sign(lam: Partition, mu: Partition, p: int) -> int:
     """Sign of the bead renumbering permutation from lam down to mu.
 
-    Beads of lam are numbered 1..N in increasing slot order, then moved up
-    one step at a time (carrying their numbers) until the abacus shows mu;
-    the result is the parity of the final number sequence read in slot
-    order.  Independent of the move order and of the admissible N.
+    Beads of lam are numbered in increasing slot order and moved up their
+    runners, carrying their numbers, until the abacus shows mu.  Beads never
+    pass each other on a runner, so the j-th bead of runner i of lam ends as
+    the j-th bead of runner i of mu; the sign is the parity of lam's bead
+    slots read in mu's slot order.  Independent of the admissible N.
     """
     if not contains_p(lam, mu, p):
         raise ValueError("mu is not reachable from lam by upward bead moves")
     n_beads = default_bead_count(lam, p)
-    start = sorted(beta_set(lam, n_beads))
-    number = {slot: i + 1 for i, slot in enumerate(start)}
-    occupied = set(start)
-    targets = runner_rows(mu, p, n_beads)
-    moved = True
-    while moved:
-        moved = False
-        for i in range(p):
-            cur = sorted(s for s in occupied if s % p == i)
-            for row_now, row_want in zip((s // p for s in cur), targets[i]):
-                s = row_now * p + i
-                if row_now > row_want and (s - p) not in occupied:
-                    occupied.remove(s)
-                    occupied.add(s - p)
-                    number[s - p] = number.pop(s)
-                    moved = True
-    seq = [number[s] for s in sorted(occupied)]
+    rows_l = runner_rows(lam, p, n_beads)
+    rows_m = runner_rows(mu, p, n_beads)
+    pairs = sorted((m * p + i, l * p + i) for i in range(p) for l, m in zip(rows_l[i], rows_m[i]))
+    seq = [s for _, s in pairs]
     inversions = sum(
         1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
     )

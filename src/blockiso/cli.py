@@ -13,12 +13,13 @@ or JSON Lines.  Verification commands print a JSON Lines report: a meta
 line carrying the guard limits and the canonical orderings used, then one
 record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
-invalid arguments (including --p below 2, a negative --w or --e, a --w
-below 1 for a verify verb, and a --core that is not a --p-core, which are
-rejected before any work), 3 a guard limit was exceeded (every verify verb
-checks the wreath guard before any work), 4 an internal error (any other
-exception, or a verification that produced no records), reported as one
-stderr line.  A ValueError raised inside the library also exits 2.
+invalid arguments (including --p below 2, a negative --n, --w or --e, a
+--w below 1 for a verify verb, and a --core that is not a --p-core, which
+are rejected before any work), 3 a guard limit was exceeded (every verify
+verb checks the wreath guard before any work), 4 an internal error (any
+other exception, or a verification that produced no records), reported as
+one stderr line.  Only the ArgumentError of an argument check exits 2; any
+other ValueError raised inside the library is an internal error, exit 4.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -37,6 +38,7 @@ from fractions import Fraction
 
 from . import abacus, isometry, modular, partitions, perfect, symchar, wreath
 from .partitions import (
+    ArgumentError,
     GuardExceeded,
     Partition,
     enumerate_partitions,
@@ -47,7 +49,7 @@ from .partitions import (
 from .reporting import Report
 
 # Smallest accepted value of each integer option, checked right after parsing.
-MINIMUM = {"p": 2, "w": 0, "e": 0}
+MINIMUM = {"p": 2, "w": 0, "e": 0, "n": 0}
 
 
 def _plain(obj):
@@ -93,19 +95,19 @@ def _check_ranges(args) -> None:
     for name, low in MINIMUM.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
-            raise ValueError(f"--{name}={value} must be >= {low}")
+            raise ArgumentError(f"--{name}={value} must be >= {low}")
 
 
 def _require_prime(p: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"p={p} must be prime for this command")
+        raise ArgumentError(f"p={p} must be prime for this command")
 
 
 def _core(args) -> Partition:
     """The parsed --core, checked to be a --p-core."""
     rho = parse_partition(args.core)
     if not abacus.is_core(rho, args.p):
-        raise ValueError(f"{args.core!r} is not a {args.p}-core")
+        raise ArgumentError(f"{args.core!r} is not a {args.p}-core")
     return rho
 
 
@@ -113,6 +115,13 @@ def parse_class_label(text: str, p: int, w: int) -> wreath.ClassLabel:
     """Parse `k1:c1,k2:c2,...`; the empty string means the identity."""
     if text == "":
         return wreath.identity_label(p, w)
+
+    def number(token: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ArgumentError(f"bad integer {token!r} in label {text!r}") from None
+
     pairs: list[tuple[int, Partition]] = []
     k: int | None = None
     parts: list[int] = []
@@ -121,20 +130,20 @@ def parse_class_label(text: str, p: int, w: int) -> wreath.ClassLabel:
             if k is not None:
                 pairs.append((k, tuple(parts)))
             head, tail = token.split(":", 1)
-            k = int(head)
-            parts = [int(tail)] if tail else []
+            k = number(head)
+            parts = [number(tail)] if tail else []
         else:
             if k is None:
-                raise ValueError(f"label must start with 'k:part': {text!r}")
-            parts.append(int(token))
+                raise ArgumentError(f"label must start with 'k:part': {text!r}")
+            parts.append(number(token))
     if k is not None:
         pairs.append((k, tuple(parts)))
     label = wreath.canonical_label(pairs)
     for kk, c in label:
         if kk < 1 or sum(c) != p or any(c[i] < c[i + 1] for i in range(len(c) - 1)) or min(c) < 1:
-            raise ValueError(f"bad pair ({kk}, {c}) in label {text!r}")
+            raise ArgumentError(f"bad pair ({kk}, {c}) in label {text!r}")
     if sum(kk for kk, _ in label) != w:
-        raise ValueError(f"label top lengths must sum to w={w}: {text!r}")
+        raise ArgumentError(f"label top lengths must sum to w={w}: {text!r}")
     return label
 
 
@@ -145,17 +154,17 @@ def parse_pmap(text: str, p: int, w: int) -> wreath.PMapLabel:
     if text:
         for item in text.split(";"):
             if ":" not in item:
-                raise ValueError(f"assignment item needs 'kappa:mu': {item!r}")
+                raise ArgumentError(f"assignment item needs 'kappa:mu': {item!r}")
             head, tail = item.split(":", 1)
             kappa = parse_partition(head)
             if sum(kappa) != p:
-                raise ValueError(f"base label {head!r} is not a partition of {p}")
+                raise ArgumentError(f"base label {head!r} is not a partition of {p}")
             if kappa in spot:
-                raise ValueError(f"base label repeated: {head!r}")
+                raise ArgumentError(f"base label repeated: {head!r}")
             spot[kappa] = parse_partition(tail)
     phi = tuple(spot.get(kappa, ()) for kappa in kappas)
     if sum(sum(mu) for mu in phi) != w:
-        raise ValueError(f"assignment sizes must sum to w={w}: {text!r}")
+        raise ArgumentError(f"assignment sizes must sum to w={w}: {text!r}")
     return phi
 
 
@@ -232,7 +241,7 @@ def cmd_sign(args) -> int:
     lam = parse_partition(args.partition)
     mu = parse_partition(args.over) if args.over is not None else abacus.p_core(lam, args.p)
     if not abacus.contains_p(lam, mu, args.p):
-        raise ValueError("the first partition must p-contain the second")
+        raise ArgumentError("the first partition must p-contain the second")
     out = {
         "p": args.p,
         "partition": format_partition(lam),
@@ -260,7 +269,9 @@ def cmd_char(args) -> int:
     mu = parse_partition(args.mu) if args.mu is not None else ()
     tau = parse_partition(args.cls)
     if sum(lam) != args.n:
-        raise ValueError(f"--lambda must be a partition of n={args.n}")
+        raise ArgumentError(f"--lambda must be a partition of n={args.n}")
+    if sum(tau) != args.n - sum(mu):
+        raise ArgumentError(f"--class must be a partition of n - |mu| = {args.n - sum(mu)}")
     out = {
         "n": args.n,
         "lambda": format_partition(lam),
@@ -281,7 +292,7 @@ def cmd_table(args) -> int:
         _require_prime(args.p)
         rho = _core(args)
         if (n - sum(rho)) % args.p:
-            raise ValueError("n minus the core size must be divisible by p")
+            raise ArgumentError("n minus the core size must be divisible by p")
         keep = set(abacus.partitions_with_core(n, rho, args.p))
     names = [format_partition(t) for t in classes]
     rows = [(name, vals) for lam, name, vals in zip(classes, names, table) if lam in keep]
@@ -397,7 +408,7 @@ VERIFY_VERBS = tuple(VERIFY)
 def cmd_verify(args) -> int:
     prime, runner, keys = VERIFY[args.what]
     if args.w < 1:
-        raise ValueError(f"verify {args.what} needs w >= 1, got w={args.w}")
+        raise ArgumentError(f"verify {args.what} needs w >= 1, got w={args.w}")
     if prime:
         _require_prime(args.p)
     rho = _core(args)
@@ -516,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except ArgumentError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

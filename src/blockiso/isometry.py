@@ -74,34 +74,23 @@ from .wreath import (
 MAX_GROUP_ORDER = 50000
 
 
-def _rank_to_runner(rho: Partition, p: int) -> dict[int, int]:
+def isometry_row(lam: Partition, rho: Partition, p: int) -> tuple[int, tuple[Partition, ...]]:
+    """The sign and leg-indexed components psi of lam's image.  The runner
+    of rank p - 1 - i gives component i, conjugated at odd legs i; the sign
+    is the bead-move sign of lam over rho times (-1)^|component| at each
+    odd leg."""
     gamma = runner_permutation(rho, p)
-    return {g: i for i, g in enumerate(gamma)}
-
-
-def psi_p(lam: Partition, rho: Partition, p: int) -> tuple[Partition, ...]:
-    """Leg-indexed quotient components, conjugated at odd legs."""
-    inv = _rank_to_runner(rho, p)
-    quot = p_quotient(lam, p)
-    out = []
-    for i in range(p):
-        comp = quot[inv[p - i - 1]]
-        out.append(comp if i % 2 == 0 else conjugate(comp))
-    return tuple(out)
-
-
-def epsilon_sign(lam: Partition, rho: Partition, p: int) -> int:
-    """Bead-move sign of lam over rho, corrected at odd leg lengths."""
-    inv = _rank_to_runner(rho, p)
     quot = p_quotient(lam, p)
     sign = p_sign(lam, rho, p)
-    for i in range(1, p, 2):
-        sign *= (-1) ** sum(quot[inv[p - i - 1]])
-    return sign
-
-
-def isometry_row(lam: Partition, rho: Partition, p: int) -> tuple[int, tuple[Partition, ...]]:
-    return epsilon_sign(lam, rho, p), psi_p(lam, rho, p)
+    psi: list[Partition] = [()] * p
+    for runner, rank in enumerate(gamma):
+        i = p - 1 - rank
+        comp = quot[runner]
+        if i % 2:
+            sign *= (-1) ** sum(comp)
+            comp = conjugate(comp)
+        psi[i] = comp
+    return sign, tuple(psi)
 
 
 def isometry_inverse(psi: tuple[Partition, ...], rho: Partition, p: int) -> Partition:

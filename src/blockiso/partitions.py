@@ -21,6 +21,10 @@ class GuardExceeded(Exception):
     """A size guard was hit; the request is out of desk-scale range."""
 
 
+class ArgumentError(ValueError):
+    """A command-line argument is malformed or out of range."""
+
+
 def partition(parts) -> Partition:
     """Validate and normalize an iterable of parts (trailing zeros dropped)."""
     out = []
@@ -46,13 +50,12 @@ def parse_partition(text: str) -> Partition:
     try:
         parts = [int(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"bad partition literal {text!r}") from exc
+        raise ArgumentError(f"bad partition literal {text!r}") from exc
     if any(x <= 0 for x in parts):
-        raise ValueError(f"parts must be positive in {text!r}")
-    lam = tuple(parts)
-    if partition(lam) != lam:
-        raise ValueError(f"parts must be weakly decreasing in {text!r}")
-    return lam
+        raise ArgumentError(f"parts must be positive in {text!r}")
+    if any(a < b for a, b in zip(parts, parts[1:])):
+        raise ArgumentError(f"parts must be weakly decreasing in {text!r}")
+    return tuple(parts)
 
 
 def format_partition(lam: Partition) -> str:
@@ -116,32 +119,6 @@ def multipartitions(k: int, w: int) -> tuple[tuple[Partition, ...], ...]:
         return ((),) if w == 0 else ()
     heads = sorted((mu for m in range(w + 1) for mu in enumerate_partitions(m)), reverse=True)
     return tuple((mu,) + rest for mu in heads for rest in multipartitions(k - 1, w - sum(mu)))
-
-
-def compare_dominance(lam: Partition, mu: Partition) -> str:
-    """Dominance comparison of equal-size partitions.
-
-    Returns one of 'equal', 'greater', 'less', 'incomparable'.
-    """
-    if sum(lam) != sum(mu):
-        raise ValueError("dominance needs equal sizes")
-    if lam == mu:
-        return "equal"
-    k = max(len(lam), len(mu))
-    ge = le = True
-    a = b = 0
-    for i in range(k):
-        a += lam[i] if i < len(lam) else 0
-        b += mu[i] if i < len(mu) else 0
-        if a < b:
-            ge = False
-        if a > b:
-            le = False
-    if ge:
-        return "greater"
-    if le:
-        return "less"
-    return "incomparable"
 
 
 def is_prime(p: int) -> bool:

@@ -24,6 +24,7 @@ from blockiso.abacus import (
     partition_from_beta,
     partitions_with_core,
     runner_permutation,
+    runner_rows,
 )
 from blockiso.partitions import conjugate, enumerate_partitions, partition
 
@@ -224,6 +225,70 @@ def test_p_sign_multiplicative_along_chains():
                         assert p_sign(lam, rho, p) == p_sign(lam, mid, p) * p_sign(
                             mid, rho, p
                         )
+
+
+def simulated_p_sign(lam, mu, p, n_beads):
+    """Reference oracle for p_sign, for mu p-contained in lam: number the
+    n_beads beads of lam in increasing slot order, move them up one step at
+    a time (carrying their numbers) until the abacus shows mu, and take the
+    parity of the final number sequence read in slot order."""
+    start = sorted(beta_set(lam, n_beads))
+    number = {slot: i + 1 for i, slot in enumerate(start)}
+    occupied = set(start)
+    targets = runner_rows(mu, p, n_beads)
+    moved = True
+    while moved:
+        moved = False
+        for i in range(p):
+            cur = sorted(s for s in occupied if s % p == i)
+            for row_now, row_want in zip((s // p for s in cur), targets[i]):
+                s = row_now * p + i
+                if row_now > row_want and (s - p) not in occupied:
+                    occupied.remove(s)
+                    occupied.add(s - p)
+                    number[s - p] = number.pop(s)
+                    moved = True
+    seq = [number[s] for s in sorted(occupied)]
+    inversions = sum(
+        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def p_contained(lam, p):
+    """Every partition that lam p-contains."""
+    n = sum(lam)
+    return [mu for m in range(n % p, n + 1, p) for mu in enumerate_partitions(m) if contains_p(lam, mu, p)]
+
+
+def test_p_sign_matches_bead_moves_on_the_grid():
+    pairs = 0
+    for p in (2, 3, 4, 5):
+        for n in range(11):
+            for lam in enumerate_partitions(n):
+                for mu in p_contained(lam, p):
+                    want = simulated_p_sign(lam, mu, p, default_bead_count(lam, p))
+                    assert p_sign(lam, mu, p) == want, (lam, mu, p)
+                    pairs += 1
+    assert pairs == 1999
+
+
+def test_p_sign_matches_bead_moves_at_any_bead_count():
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from((2, 3, 4, 5)))
+        lam = data.draw(st.sampled_from(enumerate_partitions(data.draw(st.integers(0, 14)))))
+        mu = data.draw(st.sampled_from(p_contained(lam, p)))
+        sign = p_sign(lam, mu, p)
+        base = default_bead_count(lam, p)
+        for n_beads in (base, base + p, base + 2 * p):
+            assert simulated_p_sign(lam, mu, p, n_beads) == sign, (lam, mu, p, n_beads)
+
+    check()
 
 
 def test_runner_permutation_frozen():

@@ -184,6 +184,8 @@ def test_invalid_arguments_exit_two(capsys):
         ("wchar", "--p", "2", "--w", "1", "--phi", "2:1", "--class", "1:3"),
         ("sign", "--partition", "3,1", "--p", "2", "--over", "3"),
         ("verify", "main", "--p", "2", "--w", "1", "--jobs", "2"),
+        ("wchar", "--p", "2", "--w", "1", "--phi", "2:1", "--class", "1:x"),
+        ("char", "--n", "3", "--lambda", "2,1", "--mu", "1", "--class", "1"),
     ):
         rc, _ = run(capsys, *argv)
         assert rc == 2, argv
@@ -195,6 +197,7 @@ def test_out_of_range_integers_exit_two(capsys):
         ("verify", "main", "--p", "3", "--w", "-1"),
         ("decomp", "--p", "3", "--w", "-1"),
         ("core", "--partition", "2", "--p", "1"),
+        ("table", "--n", "-1"),
     ):
         rc = cli.main(list(argv))
         captured = capsys.readouterr()
@@ -261,11 +264,17 @@ def test_internal_errors_exit_four(capsys, monkeypatch):
     def empty(p, w, rho):
         return Report("main", {"p": p, "w": w})
 
+    def library_value_error(p, w, rho):
+        # only an argument check's ArgumentError means invalid arguments
+        raise ValueError("forced for the exit path")
+
     monkeypatch.setattr(isometry, "verify_val", broken)
     monkeypatch.setattr(isometry, "verify_main", empty)
+    monkeypatch.setattr(isometry, "verify_heights", library_value_error)
     for verb, message in (
         ("val", "RuntimeError: forced for the exit path"),
         ("main", "RuntimeError: verify main produced no records"),
+        ("heights", "ValueError: forced for the exit path"),
     ):
         rc = cli.main(["verify", verb, "--p", "2", "--w", "2"])
         captured = capsys.readouterr()

@@ -5,19 +5,17 @@ from math import lcm
 
 import pytest
 
-from blockiso.abacus import circularly_nondecreasing, is_core, partitions_with_core
+from blockiso.abacus import circularly_nondecreasing, is_core, p_sign, partitions_with_core
 from blockiso import isometry
 from blockiso.isometry import (
     _centralizer_scan,
     build_isometry,
     compute_W,
-    epsilon_sign,
     isometry_image,
     isometry_inverse,
     isometry_row,
     label_representative,
     p_part_perm,
-    psi_p,
     pushdown_to_wreath,
     verify_centp,
     verify_diagram,
@@ -71,8 +69,7 @@ def test_rows_with_nonempty_core():
         sign, psi = isometry_row(lam, (1,), 2)
         assert sum(sum(q) for q in psi) == 2
         assert isometry_inverse(psi, (1,), 2) == lam
-        assert sign in (1, -1)
-        assert epsilon_sign(lam, (1,), 2) == sign
+        assert sign == p_sign(lam, (1,), 2) * (-1) ** sum(psi[1])
 
 
 def test_inverse_round_trip():
@@ -84,12 +81,28 @@ def test_inverse_round_trip():
             assert sign * sign == 1
 
 
+def test_inverse_round_trip_property():
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from((2, 3, 5)))
+        rho = data.draw(st.sampled_from(_small_cores(p, 6)))
+        w = data.draw(st.integers(0, 3))
+        lam = data.draw(st.sampled_from(partitions_with_core(p * w + sum(rho), rho, p)))
+        assert isometry_inverse(isometry_row(lam, rho, p)[1], rho, p) == lam
+
+    check()
+
+
 def test_psi_components_partition_weight():
     for p, w, rho in ((2, 3, ()), (3, 2, (1,)), (5, 1, ())):
         n = p * w + sum(rho)
         seen = set()
         for lam in partitions_with_core(n, rho, p):
-            psi = psi_p(lam, rho, p)
+            _, psi = isometry_row(lam, rho, p)
             assert len(psi) == p
             assert sum(sum(q) for q in psi) == w
             assert psi not in seen
@@ -128,11 +141,11 @@ def test_pushdown_matches_image_on_heavy_classes():
                 assert down.value(lbl) == img.value(lbl), (p, w, rho, lam, lbl)
 
 
-REAL_EPSILON_SIGN = isometry.epsilon_sign
+REAL_ISOMETRY_ROW = isometry.isometry_row
 
 
-def _small_cores(p: int):
-    return [rho for e in range(4) for rho in enumerate_partitions(e) if is_core(rho, p)]
+def _small_cores(p: int, size: int = 3):
+    return [rho for e in range(size + 1) for rho in enumerate_partitions(e) if is_core(rho, p)]
 
 
 def test_pointwise_pushdown_and_image_match_whole_rows():
@@ -154,10 +167,11 @@ def test_pointwise_pushdown_and_image_match_whole_rows():
 
 
 def _flip_one_sign(monkeypatch, flipped):
-    def epsilon_sign(lam, rho, p):
-        return -REAL_EPSILON_SIGN(lam, rho, p) if lam == flipped else REAL_EPSILON_SIGN(lam, rho, p)
+    def isometry_row(lam, rho, p):
+        sign, psi = REAL_ISOMETRY_ROW(lam, rho, p)
+        return (-sign if lam == flipped else sign), psi
 
-    monkeypatch.setattr(isometry, "epsilon_sign", epsilon_sign)
+    monkeypatch.setattr(isometry, "isometry_row", isometry_row)
 
 
 def test_failing_records_keep_whole_row_witnesses(monkeypatch):
@@ -362,8 +376,5 @@ def test_wreath_irr_degree_is_the_identity_value():
 
 
 def test_epsilon_spot_values():
-    assert epsilon_sign((4,), (), 2) == 1
-    assert epsilon_sign((3, 1), (), 2) == -1
-    assert epsilon_sign((2, 2), (), 2) == -1
-    assert epsilon_sign((2, 1, 1), (), 2) == -1
-    assert epsilon_sign((1, 1, 1, 1), (), 2) == 1
+    for lam, sign in (((4,), 1), ((3, 1), -1), ((2, 2), -1), ((2, 1, 1), -1), ((1, 1, 1, 1), 1)):
+        assert isometry_row(lam, (), 2)[0] == sign

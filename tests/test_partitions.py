@@ -7,7 +7,6 @@ import pytest
 
 from blockiso.partitions import (
     GuardExceeded,
-    compare_dominance,
     conjugate,
     contains,
     enumerate_partitions,
@@ -101,27 +100,6 @@ def test_sqcup_scale_contains():
     assert contains((3, 2), (2, 2))
     assert not contains((3, 2), (1, 1, 1))
     assert contains((3, 2), ())
-
-
-def test_dominance_chain_and_incomparable():
-    chain = [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-    for a, b in zip(chain, chain[1:]):
-        assert compare_dominance(a, b) == "greater"
-        assert compare_dominance(b, a) == "less"
-    assert compare_dominance((3, 1, 1, 1), (2, 2, 2)) == "incomparable"
-    assert compare_dominance((3, 3), (3, 3)) == "equal"
-    with pytest.raises(ValueError):
-        compare_dominance((2,), (1,))
-
-
-def test_dominance_respects_conjugation():
-    # conjugation reverses the dominance order
-    flip = {"greater": "less", "less": "greater"}
-    for a in enumerate_partitions(6):
-        for b in enumerate_partitions(6):
-            rel = compare_dominance(a, b)
-            conj = compare_dominance(conjugate(a), conjugate(b))
-            assert conj == flip.get(rel, rel)
 
 
 def test_multipartitions_match_product_filter():
