@@ -10,7 +10,6 @@ real, so no complex conjugation is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -58,12 +57,33 @@ class ClassSpace:
         return tuple(Fraction(x, den) for x in out)
 
 
-@dataclass(frozen=True)
 class ClassFunction:
-    """Dense class function over a space, in the space's label order."""
+    """Dense class function over a space, in the space's label order.
+    Immutable; equal when the space is the same object and the values are
+    equal."""
 
-    space: ClassSpace
-    values: tuple
+    __slots__ = ("space", "values")
+
+    def __init__(self, space: ClassSpace, values: tuple):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ClassFunction is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ClassFunction is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not ClassFunction:
+            return NotImplemented
+        return self.space is other.space and self.values == other.values
+
+    def __hash__(self):
+        return hash((self.space, self.values))
+
+    def __repr__(self):
+        return f"ClassFunction(space={self.space!r}, values={self.values!r})"
 
     @property
     def n(self):

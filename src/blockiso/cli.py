@@ -14,8 +14,8 @@ line carrying the guard limits and the canonical orderings used, then one
 record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
 invalid arguments (including --p below 2, a negative --n, --w or --e, a
---w below 1 for a verify verb, and a --core that is not a --p-core, which
-are rejected before any work), 3 a guard limit was exceeded (every verify
+--max-group-order below 1, a --w below 1 for a verify verb, and a --core
+that is not a --p-core, which are rejected before any work), 3 a guard limit was exceeded (every verify
 verb checks the wreath guard before any work), 4 an internal error (any
 other exception, or a verification that produced no records), reported as
 one stderr line.  Only the ArgumentError of an argument check exits 2; any
@@ -35,9 +35,11 @@ import io
 import json
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-from . import abacus, isometry, modular, partitions, perfect, symchar, wreath
+from . import abacus, partitions
 from .partitions import (
+    MAX_GROUP_ORDER,
     ArgumentError,
     GuardExceeded,
     Partition,
@@ -49,7 +51,13 @@ from .partitions import (
 from .reporting import Report
 
 # Smallest accepted value of each integer option, checked right after parsing.
-MINIMUM = {"p": 2, "w": 0, "e": 0, "n": 0}
+MINIMUM = {"p": 2, "w": 0, "e": 0, "n": 0, "max_group_order": 1}
+
+
+def _lib(name: str):
+    """The library module `name`, imported when a command first needs it:
+    a fresh process loads only the modules its subcommand runs."""
+    return import_module(f".{name}", __package__)
 
 
 def _plain(obj):
@@ -95,7 +103,8 @@ def _check_ranges(args) -> None:
     for name, low in MINIMUM.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
-            raise ArgumentError(f"--{name}={value} must be >= {low}")
+            option = name.replace("_", "-")
+            raise ArgumentError(f"--{option}={value} must be >= {low}")
 
 
 def _require_prime(p: int) -> None:
@@ -111,8 +120,10 @@ def _core(args) -> Partition:
     return rho
 
 
-def parse_class_label(text: str, p: int, w: int) -> wreath.ClassLabel:
-    """Parse `k1:c1,k2:c2,...`; the empty string means the identity."""
+def parse_class_label(text: str, p: int, w: int) -> tuple:
+    """Parse `k1:c1,k2:c2,...` into a canonical wreath class label; the empty
+    string means the identity."""
+    wreath = _lib("wreath")
     if text == "":
         return wreath.identity_label(p, w)
 
@@ -147,7 +158,7 @@ def parse_class_label(text: str, p: int, w: int) -> wreath.ClassLabel:
     return label
 
 
-def parse_pmap(text: str, p: int, w: int) -> wreath.PMapLabel:
+def parse_pmap(text: str, p: int, w: int) -> tuple[Partition, ...]:
     """Parse `kappa:mu;...` into the dense assignment tuple."""
     kappas = enumerate_partitions(p)
     spot: dict[Partition, Partition] = {}
@@ -168,7 +179,7 @@ def parse_pmap(text: str, p: int, w: int) -> wreath.PMapLabel:
     return phi
 
 
-def format_pmap(phi: wreath.PMapLabel, p: int) -> str:
+def format_pmap(phi: tuple[Partition, ...], p: int) -> str:
     kappas = enumerate_partitions(p)
     return ";".join(
         f"{format_partition(kappa)}:{format_partition(mu)}"
@@ -179,7 +190,7 @@ def format_pmap(phi: wreath.PMapLabel, p: int) -> str:
 
 def _gibr_col_text(psi, p: int) -> str:
     items = []
-    for label, mu in zip(modular.brauer_labels(p), psi):
+    for label, mu in zip(_lib("modular").brauer_labels(p), psi):
         if not mu:
             continue
         kind, data = label
@@ -189,9 +200,10 @@ def _gibr_col_text(psi, p: int) -> str:
 
 
 def _guards(max_group_order: int) -> dict:
+    wreath = _lib("wreath")
     return {
         "max_enum_n": partitions.MAX_ENUM_N,
-        "max_table_n": symchar.MAX_TABLE_N,
+        "max_table_n": _lib("symchar").MAX_TABLE_N,
         "max_wreath_p": wreath.MAX_P,
         "max_wreath_w": wreath.MAX_W,
         "max_group_order": max_group_order,
@@ -277,7 +289,7 @@ def cmd_char(args) -> int:
         "lambda": format_partition(lam),
         "mu": format_partition(mu),
         "class": format_partition(tau),
-        "value": symchar.mn_value(lam, mu, tau),
+        "value": _lib("symchar").mn_value(lam, mu, tau),
     }
     _emit(_json_line(out) + "\n", args.out)
     return 0
@@ -285,7 +297,7 @@ def cmd_char(args) -> int:
 
 def cmd_table(args) -> int:
     n = args.n
-    table = symchar.char_table(n)
+    table = _lib("symchar").char_table(n)
     classes = enumerate_partitions(n)
     keep = set(classes)
     if args.p is not None:
@@ -304,6 +316,7 @@ def cmd_wchar(args) -> int:
     _require_prime(args.p)
     phi = parse_pmap(args.phi, args.p, args.w)
     label = parse_class_label(args.cls, args.p, args.w)
+    wreath = _lib("wreath")
     xi = wreath.zeta_irr(args.p, args.w, phi)
     out = {
         "p": args.p,
@@ -318,7 +331,7 @@ def cmd_wchar(args) -> int:
 
 def cmd_isometry(args) -> int:
     rho = _core(args)
-    rows = isometry.build_isometry(args.p, args.w, rho)
+    rows = _lib("isometry").build_isometry(args.p, args.w, rho)
     lines = [
         _json_line(
             {
@@ -335,6 +348,7 @@ def cmd_isometry(args) -> int:
 
 def cmd_decomp(args) -> int:
     _require_prime(args.p)
+    modular, wreath = _lib("modular"), _lib("wreath")
     gibr = modular.enumerate_gibr(args.p, args.w)
     matrix = modular.decomposition_matrix(args.p, args.w)
     all_irr = wreath.enumerate_irr_wreath(args.p, args.w)
@@ -348,7 +362,8 @@ def cmd_decomp(args) -> int:
 def cmd_mu(args) -> int:
     _require_prime(args.p)
     rho = _core(args)
-    matrix = perfect.build_mu(args.p, args.w, rho)
+    matrix = _lib("perfect").build_mu(args.p, args.w, rho)
+    wreath = _lib("wreath")
     classes = [format_partition(t) for t in enumerate_partitions(args.p * args.w + sum(rho))]
     labels = [wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(args.p, args.w)]
     meta = {"p": args.p, "w": args.w, "core": format_partition(rho), "classes": classes, "labels": labels}
@@ -358,15 +373,16 @@ def cmd_mu(args) -> int:
 
 def _verify_orderings(keys, p: int, w: int, rho: Partition) -> dict:
     n = p * w + sum(rho)
+    symchar, wreath = _lib("symchar"), _lib("wreath")
     build = {
         "block": lambda: [format_partition(lam) for lam in symchar.irr_in_block(n, p, rho)],
         "sn_classes": lambda: [format_partition(t) for t in enumerate_partitions(n)],
         "wreath_classes": lambda: [
             wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(p, w)
         ],
-        "gibr": lambda: [_gibr_col_text(psi, p) for psi in modular.enumerate_gibr(p, w)],
+        "gibr": lambda: [_gibr_col_text(psi, p) for psi in _lib("modular").enumerate_gibr(p, w)],
         "regular_classes": lambda: [
-            wreath.format_class_label(l) for l in modular.regular_wreath_classes(p, w)
+            wreath.format_class_label(l) for l in _lib("modular").regular_wreath_classes(p, w)
         ],
     }
     return {key: build[key]() for key in keys}
@@ -380,27 +396,27 @@ _BLOCK_SN_WREATH = ("block", "sn_classes", "wreath_classes")
 # the orderings its meta line carries.  Runners look the library function
 # up when called, so a wrapper later bound on its module is the one run.
 VERIFY = {
-    "main": (False, lambda a, rho: isometry.verify_main(a.p, a.w, rho), _BLOCK_WREATH),
-    "val": (True, lambda a, rho: isometry.verify_val(a.p, a.w), _BLOCK_WREATH),
-    "heights": (True, lambda a, rho: isometry.verify_heights(a.p, a.w, rho), ("block",)),
-    "unique": (True, lambda a, rho: isometry.verify_uniqueness(a.p, a.w), _BLOCK_WREATH),
+    "main": (False, lambda a, rho: _lib("isometry").verify_main(a.p, a.w, rho), _BLOCK_WREATH),
+    "val": (True, lambda a, rho: _lib("isometry").verify_val(a.p, a.w), _BLOCK_WREATH),
+    "heights": (True, lambda a, rho: _lib("isometry").verify_heights(a.p, a.w, rho), ("block",)),
+    "unique": (True, lambda a, rho: _lib("isometry").verify_uniqueness(a.p, a.w), _BLOCK_WREATH),
     "centp": (
         True,
-        lambda a, rho: isometry.verify_centp(a.p, a.w, a.e, a.max_group_order),
+        lambda a, rho: _lib("isometry").verify_centp(a.p, a.w, a.e, a.max_group_order),
         ("wreath_classes",),
     ),
-    "diagram": (True, lambda a, rho: isometry.verify_diagram(a.p, a.w, rho), _BLOCK_WREATH),
-    "lemmaf": (True, lambda a, rho: isometry.verify_lemma_f(a.p, a.w), _BLOCK_WREATH),
-    "sep": (True, lambda a, rho: perfect.verify_sep(a.p, a.w, rho), _BLOCK_SN_WREATH),
-    "type": (True, lambda a, rho: perfect.verify_type(a.p, a.w, rho), _BLOCK_SN_WREATH),
-    "perfproj": (True, lambda a, rho: perfect.verify_perfproj(a.p, a.w, rho), _BLOCK_SN_WREATH),
-    "probe": (True, lambda a, rho: perfect.perfectness_probe(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "diagram": (True, lambda a, rho: _lib("isometry").verify_diagram(a.p, a.w, rho), _BLOCK_WREATH),
+    "lemmaf": (True, lambda a, rho: _lib("isometry").verify_lemma_f(a.p, a.w), _BLOCK_WREATH),
+    "sep": (True, lambda a, rho: _lib("perfect").verify_sep(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "type": (True, lambda a, rho: _lib("perfect").verify_type(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "perfproj": (True, lambda a, rho: _lib("perfect").verify_perfproj(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "probe": (True, lambda a, rho: _lib("perfect").perfectness_probe(a.p, a.w, rho), _BLOCK_SN_WREATH),
     "orth": (
         True,
-        lambda a, rho: modular.verify_orth(a.p, a.w),
+        lambda a, rho: _lib("modular").verify_orth(a.p, a.w),
         ("wreath_classes", "gibr", "regular_classes"),
     ),
-    "transfer": (True, lambda a, rho: perfect.verify_transfer(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "transfer": (True, lambda a, rho: _lib("perfect").verify_transfer(a.p, a.w, rho), _BLOCK_SN_WREATH),
 }
 VERIFY_VERBS = tuple(VERIFY)
 
@@ -412,7 +428,7 @@ def cmd_verify(args) -> int:
     if prime:
         _require_prime(args.p)
     rho = _core(args)
-    wreath.enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
+    _lib("wreath").enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
     rep = runner(args, rho)
     if not rep.records:
         raise RuntimeError(f"verify {args.what} produced no records")
@@ -498,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--max-group-order",
         type=int,
-        default=isometry.MAX_GROUP_ORDER,
+        default=MAX_GROUP_ORDER,
         help="brute-force guard for permutation scans",
     )
     s.set_defaults(func=cmd_verify)

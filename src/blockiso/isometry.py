@@ -10,7 +10,6 @@ force centralizer characterisation on explicit permutations.
 
 from __future__ import annotations
 
-import itertools
 from functools import cache
 from math import factorial
 
@@ -26,6 +25,7 @@ from .abacus import (
 )
 from .classfn import ClassFunction
 from .partitions import (
+    MAX_GROUP_ORDER,
     GuardExceeded,
     Partition,
     conjugate,
@@ -70,8 +70,6 @@ from .wreath import (
     zeta_irr,
     zeta_value,
 )
-
-MAX_GROUP_ORDER = 50000
 
 
 def isometry_row(lam: Partition, rho: Partition, p: int) -> tuple[int, tuple[Partition, ...]]:
@@ -316,20 +314,48 @@ def _in_wreath_times_tail(g, p: int, w: int) -> bool:
 
 @cache
 def _centralizer_scan(hp, p: int, w: int) -> tuple[bool, int | None]:
-    """Scan S_n for the centralizer of the permutation hp: whether it stays
-    inside the block subgroup times the tail, and its order (None once an
-    element outside is found and the scan stops)."""
+    """Walk the centralizer of the permutation hp: whether it stays inside
+    the block subgroup times the tail, and its order (None once an element
+    outside is found and the walk stops).  A permutation g commutes with hp
+    exactly when g(hp^t(i)) = hp^t(g(i)) for all i and t, so choosing
+    g(i) = v fixes g along i's whole cycle; a choice that meets a point
+    already taken, or does not close up after one turn of the cycle, is
+    pruned.  The leaves are exactly the elements of the centralizer."""
     n = len(hp)
-    count = 0
-    for g in itertools.permutations(range(n)):
-        for i in range(n):
-            if g[hp[i]] != hp[g[i]]:
-                break
-        else:
-            if not _in_wreath_times_tail(g, p, w):
-                return False, None
-            count += 1
-    return True, count
+    g: list[int | None] = [None] * n
+    taken = [False] * n
+
+    def walk(i: int) -> int | None:
+        # The number of centralizer elements extending g, which is fixed
+        # on every point below i; None once one lies outside.
+        while i < n and g[i] is not None:
+            i += 1
+        if i == n:
+            return 1 if _in_wreath_times_tail(g, p, w) else None
+        count = 0
+        for v in range(n):
+            if taken[v]:
+                continue
+            orbit = []
+            x, y = i, v
+            while not taken[y]:
+                g[x], taken[y] = y, True
+                orbit.append(x)
+                x, y = hp[x], hp[y]
+                if x == i:
+                    break
+            if x == i and y == v:
+                below = walk(i + 1)
+                if below is None:
+                    return None
+                count += below
+            for x in orbit:
+                taken[g[x]] = False
+                g[x] = None
+        return count
+
+    count = walk(0)
+    return count is not None, count
 
 
 def compute_W(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER) -> dict:

@@ -15,6 +15,9 @@ Partition = tuple[int, ...]
 # Enumeration guard: partition counts grow fast enough that anything past
 # this is a mistake at desk scale.
 MAX_ENUM_N = 64
+# Guard on n! for the centralizer scans of `verify centp` (its
+# --max-group-order default).
+MAX_GROUP_ORDER = 50000
 
 
 class GuardExceeded(Exception):

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 
 def record(check: str, parameters: dict, ok: bool, witness=None) -> dict:
     return {
@@ -14,14 +12,16 @@ def record(check: str, parameters: dict, ok: bool, witness=None) -> dict:
     }
 
 
-@dataclass
 class Report:
     """The records of one check.  `run` holds the parameters every record of
     the run shares; `add` merges them into each record's own."""
 
-    check: str
-    run: dict = field(default_factory=dict)
-    records: list[dict] = field(default_factory=list)
+    __slots__ = ("check", "run", "records")
+
+    def __init__(self, check: str, run: dict | None = None):
+        self.check = check
+        self.run = {} if run is None else run
+        self.records = []
 
     def add(self, parameters: dict, ok: bool, witness=None) -> None:
         self.records.append(record(self.check, {**self.run, **parameters}, ok, witness))

@@ -198,6 +198,10 @@ def test_out_of_range_integers_exit_two(capsys):
         ("decomp", "--p", "3", "--w", "-1"),
         ("core", "--partition", "2", "--p", "1"),
         ("table", "--n", "-1"),
+        ("verify", "centp", "--p", "2", "--w", "2", "--max-group-order", "-5"),
+        ("verify", "centp", "--p", "2", "--w", "2", "--max-group-order", "0"),
+        ("verify", "main", "--p", "2", "--w", "1", "--max-group-order", "-5"),
+        ("verify", "main", "--p", "2", "--w", "1", "--max-group-order", "0"),
     ):
         rc = cli.main(list(argv))
         captured = capsys.readouterr()
@@ -205,6 +209,8 @@ def test_out_of_range_integers_exit_two(capsys):
         assert captured.out == "", argv
         assert captured.err.startswith("invalid arguments: "), argv
         assert captured.err.count("\n") == 1, argv
+        if "--max-group-order" in argv:
+            assert "--max-group-order=" in captured.err, argv
 
 
 def test_guard_exit_three(capsys):

@@ -7,9 +7,9 @@ so a refactor that changes any output fails tier-1 without running the
 benchmark.  That is every invocation with p*w <= 9, and every recorded
 `verify main|val|unique|lemmaf` whatever its size: those verbs evaluate
 only the classes they check, so even their largest recorded cases (p = 5,
-w = 3) take a fraction of a second.  The brute-force `verify centp` scans
-are left to the benchmark: one of them walks all 9! permutations per class.
-The file is only read here; `bench/record.py` is what rewrites it.
+w = 3) take a fraction of a second.  The recorded `verify centp` scans are
+replayed too: they walk only each centralizer, not all of S_n.  The file is
+only read here; `bench/record.py` is what rewrites it.
 """
 
 import hashlib
@@ -28,8 +28,6 @@ def _option(argv: list[str], name: str):
 
 def _small(argv: list[str]) -> bool:
     p, w = _option(argv, "--p"), _option(argv, "--w")
-    if argv[:2] == ["verify", "centp"]:
-        return False
     if argv[0] == "verify" and argv[1] in POINTWISE_VERBS:
         return True
     return p is None or w is None or p * w <= 9
@@ -40,8 +38,8 @@ def test_recorded_outputs_are_byte_identical(capsys):
     cases = [(json.loads(key), want) for key, want in expected.items()]
     cases = [(argv, want) for argv, want in cases if _small(argv)]
     verbs = {argv[1] if argv[0] == "verify" else argv[0] for argv, _ in cases}
-    # Every subcommand and every verify verb but centp stays covered.
-    assert verbs >= set(cli.VERIFY_VERBS) - {"centp"}
+    # Every subcommand and every verify verb stays covered.
+    assert verbs >= set(cli.VERIFY_VERBS)
     assert verbs >= {"core", "quotient", "sign", "gamma", "char", "table", "wchar", "isometry", "decomp", "mu"}
     # The largest recorded outputs of the pointwise verbs are replayed too.
     large = {

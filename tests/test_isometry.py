@@ -1,7 +1,7 @@
 """The signed bijection between block characters and wreath characters."""
 
 import itertools
-from math import lcm
+from math import factorial, lcm
 
 import pytest
 
@@ -9,6 +9,7 @@ from blockiso.abacus import circularly_nondecreasing, is_core, p_sign, partition
 from blockiso import isometry
 from blockiso.isometry import (
     _centralizer_scan,
+    _in_wreath_times_tail,
     build_isometry,
     compute_W,
     isometry_image,
@@ -256,9 +257,14 @@ def test_verify_lemma_f_suites():
 
 
 def test_verify_centp_small():
-    for p, w, e in ((2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1), (3, 1, 0), (3, 1, 1)):
-        rep = verify_centp(p, w, e)
-        assert rep.ok, rep.failures()
+    cases = (
+        (2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1), (3, 1, 0), (3, 1, 1),
+        (2, 4, 1), (3, 3, 1), (3, 4, 0), (5, 2, 0), (5, 2, 1),
+    )
+    for p, w, e in cases:
+        n = p * w + e
+        rep = verify_centp(p, w, e, max_group_order=factorial(n))
+        assert rep.ok, (p, w, e, rep.failures())
 
 
 def test_compute_W_small_and_guard():
@@ -282,6 +288,23 @@ def cycle_type(g):
     return tuple(sorted(parts, reverse=True))
 
 
+def reference_centralizer_scan(hp, p: int, w: int):
+    """Scan all of S_n for the centralizer of hp, stopping at the first
+    element outside the block subgroup times the tail (the scan that the
+    centralizer walk replaced)."""
+    n = len(hp)
+    count = 0
+    for g in itertools.permutations(range(n)):
+        for i in range(n):
+            if g[hp[i]] != hp[g[i]]:
+                break
+        else:
+            if not _in_wreath_times_tail(g, p, w):
+                return False, None
+            count += 1
+    return True, count
+
+
 def test_centralizer_scan_counts_the_centralizer():
     for p, w in ((2, 3), (3, 2)):
         for e in range(3):
@@ -289,11 +312,10 @@ def test_centralizer_scan_counts_the_centralizer():
             for label in enumerate_wreath_classes(p, w):
                 hp = p_part_perm(label_representative(label, p, w, e), p)
                 inside, count = _centralizer_scan(hp, p, w)
+                assert (inside, count) == reference_centralizer_scan(hp, p, w), (p, w, e, label)
                 if inside:
                     insides += 1
                     assert count == centralizer_order_sn(cycle_type(hp))
-                else:
-                    assert count is None
             assert insides
 
 

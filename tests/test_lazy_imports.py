@@ -1,0 +1,104 @@
+"""A fresh process loads only the modules its subcommand runs.
+
+Each check runs in a new interpreter, since this test process has long
+since imported every submodule.  Nothing here is timed: the checks read
+`sys.modules` only.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import blockiso
+
+SRC = str(Path(blockiso.__file__).resolve().parent.parent)
+# What `import blockiso.cli` and a parser build may load.
+LIGHT = {f"blockiso.{m}" for m in ("cli", "partitions", "abacus", "reporting")}
+
+PRELUDE = """
+import contextlib, io, json, sys
+start = set(sys.modules)
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("blockiso."))
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(argv)
+"""
+
+
+def fresh(code: str) -> dict:
+    """Run PRELUDE + code in a new interpreter; it prints one JSON object."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + code],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_parser_build_loads_no_library_module():
+    got = fresh(
+        "from blockiso.cli import build_parser, main\n"
+        "build_parser()\n"
+        "print(json.dumps({'loaded': loaded(),"
+        " 'dataclasses': 'dataclasses' in sys.modules and 'dataclasses' not in start}))\n"
+    )
+    assert set(got["loaded"]) <= LIGHT, got
+    assert not got["dataclasses"]
+
+
+def test_core_adds_at_most_abacus():
+    got = fresh(
+        "from blockiso.cli import build_parser, main\n"
+        "build_parser()\n"
+        "before = loaded()\n"
+        "rc = run(['core', '--p', '3', '--partition', '4,2,1'])\n"
+        "print(json.dumps({'rc': rc, 'added': sorted(set(loaded()) - set(before))}))\n"
+    )
+    assert got["rc"] == 0
+    assert set(got["added"]) <= {"blockiso.abacus"}, got
+
+
+def test_verify_main_skips_perfect_and_modular():
+    got = fresh(
+        "from blockiso.cli import main\n"
+        "rc = run(['verify', 'main', '--p', '2', '--w', '2'])\n"
+        "print(json.dumps({'rc': rc, 'loaded': loaded()}))\n"
+    )
+    assert got["rc"] == 0
+    assert "blockiso.isometry" in got["loaded"]
+    assert not {"blockiso.perfect", "blockiso.modular"} & set(got["loaded"]), got
+
+
+def test_public_names_resolve_to_their_home_objects():
+    got = fresh(
+        "import importlib\n"
+        "import blockiso\n"
+        "bare = loaded()\n"
+        "names = [n for n in blockiso.__all__ if n != '__version__']\n"
+        "same = {n: getattr(blockiso, n) is getattr("
+        "importlib.import_module('blockiso.' + blockiso._HOME[n]), n) for n in names}\n"
+        "print(json.dumps({'bare': bare, 'same': same, 'version': blockiso.__version__}))\n"
+    )
+    assert got["bare"] == []
+    assert got["version"] == blockiso.__version__
+    assert got["same"] and all(got["same"].values()), got["same"]
+    assert set(got["same"]) == set(blockiso.__all__) - {"__version__"}
+
+
+def test_no_module_imports_dataclasses():
+    got = fresh(
+        "import importlib, pkgutil\n"
+        "import blockiso\n"
+        "names = [info.name for info in pkgutil.iter_modules(blockiso.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module('blockiso.' + name)\n"
+        "print(json.dumps({'names': names,"
+        " 'dataclasses': 'dataclasses' in sys.modules and 'dataclasses' not in start}))\n"
+    )
+    assert {"cli", "classfn", "reporting", "perfect"} <= set(got["names"])
+    assert not got["dataclasses"]
