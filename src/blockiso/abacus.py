@@ -13,12 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import (
-    Partition,
-    contains,
-    enumerate_partitions,
-    partition,
-)
+from .partitions import Partition, contains, enumerate_partitions
 
 
 def default_bead_count(lam: Partition, p: int) -> int:
@@ -36,10 +31,13 @@ def beta_set(lam: Partition, n_beads: int) -> tuple[int, ...]:
 
 
 def partition_from_beta(beta) -> Partition:
-    """Inverse of beta_set; beta is any iterable of distinct slots."""
+    """Inverse of beta_set; beta is any iterable of distinct slots.
+
+    Distinct slots in decreasing order give weakly decreasing parts, so the
+    tuple is built directly; the zero parts, all at the end, are dropped."""
     slots = sorted(beta, reverse=True)
     n = len(slots)
-    return partition(slots[i] - (n - 1 - i) for i in range(n))
+    return tuple(part for part in (s - (n - 1 - i) for i, s in enumerate(slots)) if part)
 
 
 def _check_beads(lam: Partition, p: int, n_beads: int | None) -> int:
@@ -91,6 +89,8 @@ def from_core_and_quotient(rho: Partition, quot: tuple[Partition, ...], p: int) 
         raise ValueError("quotient must have p components")
     if not is_core(rho, p):
         raise ValueError(f"{rho} is not a p-core for p={p}")
+    if any(q[i] < q[i + 1] for q in quot for i in range(len(q) - 1)):
+        raise ValueError(f"quotient components must be partitions: {quot}")
     n_beads = default_bead_count(rho, p) + p * sum(sum(q) for q in quot)
     base = runner_rows(rho, p, n_beads)
     slots = []

@@ -13,13 +13,17 @@ or JSON Lines.  Verification commands print a JSON Lines report: a meta
 line carrying the guard limits and the canonical orderings used, then one
 record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
-invalid arguments (including --p below 2, a negative --n, --w or --e, a
---max-group-order below 1, a --w below 1 for a verify verb, and a --core
-that is not a --p-core, which are rejected before any work), 3 a guard limit was exceeded (every verify
-verb checks the wreath guard before any work), 4 an internal error (any
-other exception, or a verification that produced no records), reported as
-one stderr line.  Only the ArgumentError of an argument check exits 2; any
+invalid arguments, 3 a guard limit was exceeded (every verify verb checks
+the wreath guard before any work), 4 an internal error (any other
+exception, or a verification that produced no records), reported as one
+stderr line.  Only the ArgumentError of an argument check exits 2; any
 other ValueError raised inside the library is an internal error, exit 4.
+
+Every subcommand is one row of COMMANDS, and one check (`_check`) runs
+right after parsing, before any work.  In order: each integer option
+against MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
+verify verb's --w >= 1, --p prime where the command needs it, and --core a
+--p-core wherever the command takes --core and --p is given.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -88,36 +92,14 @@ def _csv_text(header: list, rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _emit_table(args, meta: dict, row_key: str, values_key: str, columns: list, rows) -> None:
-    """Write (name, values) rows as JSON Lines, a meta line first, or as CSV
-    under a header of row_key and the column names."""
-    if args.format == "json":
+def _table_text(fmt: str, meta: dict, row_key: str, values_key: str, columns: list, rows) -> str:
+    """(name, values) rows as JSON Lines, a meta line first, or as CSV under
+    a header of row_key and the column names."""
+    if fmt == "json":
         lines = [_json_line(meta)]
         lines.extend(_json_line({row_key: name, values_key: vals}) for name, vals in rows)
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(_csv_text([row_key] + columns, [[name] + vals for name, vals in rows]), args.out)
-
-
-def _check_ranges(args) -> None:
-    for name, low in MINIMUM.items():
-        value = getattr(args, name, None)
-        if value is not None and value < low:
-            option = name.replace("_", "-")
-            raise ArgumentError(f"--{option}={value} must be >= {low}")
-
-
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ArgumentError(f"p={p} must be prime for this command")
-
-
-def _core(args) -> Partition:
-    """The parsed --core, checked to be a --p-core."""
-    rho = parse_partition(args.core)
-    if not abacus.is_core(rho, args.p):
-        raise ArgumentError(f"{args.core!r} is not a {args.p}-core")
-    return rho
+        return "\n".join(lines) + "\n"
+    return _csv_text([row_key] + columns, [[name] + vals for name, vals in rows])
 
 
 def parse_class_label(text: str, p: int, w: int) -> tuple:
@@ -223,9 +205,12 @@ def _report_text(rep: Report, params: dict, orderings: dict, max_group_order: in
 
 
 # ---------------------------------------------------------------- commands
+#
+# Each command takes the parsed arguments and the core `_check` returned,
+# and gives back its output text and exit code.
 
 
-def cmd_core(args) -> int:
+def cmd_core(args, _rho) -> tuple[str, int]:
     lam = parse_partition(args.partition)
     out = {
         "p": args.p,
@@ -233,11 +218,10 @@ def cmd_core(args) -> int:
         "core": format_partition(abacus.p_core(lam, args.p)),
         "weight": abacus.block_weight(lam, args.p),
     }
-    _emit(_json_line(out) + "\n", args.out)
-    return 0
+    return _json_line(out) + "\n", 0
 
 
-def cmd_quotient(args) -> int:
+def cmd_quotient(args, _rho) -> tuple[str, int]:
     lam = parse_partition(args.partition)
     quot = abacus.p_quotient(lam, args.p)
     out = {
@@ -245,11 +229,10 @@ def cmd_quotient(args) -> int:
         "partition": format_partition(lam),
         "quotient": [format_partition(q) for q in quot],
     }
-    _emit(_json_line(out) + "\n", args.out)
-    return 0
+    return _json_line(out) + "\n", 0
 
 
-def cmd_sign(args) -> int:
+def cmd_sign(args, _rho) -> tuple[str, int]:
     lam = parse_partition(args.partition)
     mu = parse_partition(args.over) if args.over is not None else abacus.p_core(lam, args.p)
     if not abacus.contains_p(lam, mu, args.p):
@@ -260,23 +243,20 @@ def cmd_sign(args) -> int:
         "over": format_partition(mu),
         "sign": abacus.p_sign(lam, mu, args.p),
     }
-    _emit(_json_line(out) + "\n", args.out)
-    return 0
+    return _json_line(out) + "\n", 0
 
 
-def cmd_gamma(args) -> int:
-    rho = _core(args)
+def cmd_gamma(args, rho) -> tuple[str, int]:
     out = {
         "p": args.p,
         "core": format_partition(rho),
         "gamma": list(abacus.runner_permutation(rho, args.p)),
         "circular_start": abacus.circularly_nondecreasing(rho, args.p),
     }
-    _emit(_json_line(out) + "\n", args.out)
-    return 0
+    return _json_line(out) + "\n", 0
 
 
-def cmd_char(args) -> int:
+def cmd_char(args, _rho) -> tuple[str, int]:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu) if args.mu is not None else ()
     tau = parse_partition(args.cls)
@@ -291,29 +271,22 @@ def cmd_char(args) -> int:
         "class": format_partition(tau),
         "value": _lib("symchar").mn_value(lam, mu, tau),
     }
-    _emit(_json_line(out) + "\n", args.out)
-    return 0
+    return _json_line(out) + "\n", 0
 
 
-def cmd_table(args) -> int:
+def cmd_table(args, rho) -> tuple[str, int]:
     n = args.n
-    table = _lib("symchar").char_table(n)
+    if args.p is not None and (n - sum(rho)) % args.p:
+        raise ArgumentError("n minus the core size must be divisible by p")
+    table = _lib("symchar").char_table(n)  # the table guard, before any enumeration
     classes = enumerate_partitions(n)
-    keep = set(classes)
-    if args.p is not None:
-        _require_prime(args.p)
-        rho = _core(args)
-        if (n - sum(rho)) % args.p:
-            raise ArgumentError("n minus the core size must be divisible by p")
-        keep = set(abacus.partitions_with_core(n, rho, args.p))
+    keep = set(classes) if args.p is None else set(abacus.partitions_with_core(n, rho, args.p))
     names = [format_partition(t) for t in classes]
     rows = [(name, vals) for lam, name, vals in zip(classes, names, table) if lam in keep]
-    _emit_table(args, {"n": n, "classes": names}, "lambda", "values", names, rows)
-    return 0
+    return _table_text(args.format, {"n": n, "classes": names}, "lambda", "values", names, rows), 0
 
 
-def cmd_wchar(args) -> int:
-    _require_prime(args.p)
+def cmd_wchar(args, _rho) -> tuple[str, int]:
     phi = parse_pmap(args.phi, args.p, args.w)
     label = parse_class_label(args.cls, args.p, args.w)
     wreath = _lib("wreath")
@@ -325,12 +298,10 @@ def cmd_wchar(args) -> int:
         "class": wreath.format_class_label(label),
         "value": xi.value(label),
     }
-    _emit(_json_line(out) + "\n", args.out)
-    return 0
+    return _json_line(out) + "\n", 0
 
 
-def cmd_isometry(args) -> int:
-    rho = _core(args)
+def cmd_isometry(args, rho) -> tuple[str, int]:
     rows = _lib("isometry").build_isometry(args.p, args.w, rho)
     lines = [
         _json_line(
@@ -342,12 +313,10 @@ def cmd_isometry(args) -> int:
         )
         for lam, sign, psi in rows
     ]
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n", 0
 
 
-def cmd_decomp(args) -> int:
-    _require_prime(args.p)
+def cmd_decomp(args, _rho) -> tuple[str, int]:
     modular, wreath = _lib("modular"), _lib("wreath")
     gibr = modular.enumerate_gibr(args.p, args.w)
     matrix = modular.decomposition_matrix(args.p, args.w)
@@ -355,20 +324,17 @@ def cmd_decomp(args) -> int:
     principal = set(wreath.principal_block_filter(all_irr, args.p))
     cols = [_gibr_col_text(psi, args.p) for psi in gibr]
     rows = [(format_pmap(phi, args.p), row) for phi, row in zip(all_irr, matrix) if phi in principal]
-    _emit_table(args, {"p": args.p, "w": args.w, "gibr": cols}, "phi", "numbers", cols, rows)
-    return 0
+    meta = {"p": args.p, "w": args.w, "gibr": cols}
+    return _table_text(args.format, meta, "phi", "numbers", cols, rows), 0
 
 
-def cmd_mu(args) -> int:
-    _require_prime(args.p)
-    rho = _core(args)
+def cmd_mu(args, rho) -> tuple[str, int]:
     matrix = _lib("perfect").build_mu(args.p, args.w, rho)
     wreath = _lib("wreath")
     classes = [format_partition(t) for t in enumerate_partitions(args.p * args.w + sum(rho))]
     labels = [wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(args.p, args.w)]
     meta = {"p": args.p, "w": args.w, "core": format_partition(rho), "classes": classes, "labels": labels}
-    _emit_table(args, meta, "class", "values", labels, zip(classes, matrix))
-    return 0
+    return _table_text(args.format, meta, "class", "values", labels, zip(classes, matrix)), 0
 
 
 def _verify_orderings(keys, p: int, w: int, rho: Partition) -> dict:
@@ -421,35 +387,62 @@ VERIFY = {
 VERIFY_VERBS = tuple(VERIFY)
 
 
-def cmd_verify(args) -> int:
-    prime, runner, keys = VERIFY[args.what]
-    if args.w < 1:
-        raise ArgumentError(f"verify {args.what} needs w >= 1, got w={args.w}")
-    if prime:
-        _require_prime(args.p)
-    rho = _core(args)
+def cmd_verify(args, rho) -> tuple[str, int]:
+    _, runner, keys = VERIFY[args.what]
     _lib("wreath").enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
     rep = runner(args, rho)
     if not rep.records:
         raise RuntimeError(f"verify {args.what} produced no records")
     params = {"p": args.p, "w": args.w, "e": args.e, "core": format_partition(rho)}
     orderings = _verify_orderings(keys, args.p, args.w, rho)
-    _emit(_report_text(rep, params, orderings, args.max_group_order), args.out)
-    return 0 if rep.ok else 1
+    return _report_text(rep, params, orderings, args.max_group_order), 0 if rep.ok else 1
 
 
 # ------------------------------------------------------------------ parser
 
+# The flag and add_argument spec of every option, by name.  A command that
+# spells an option its own way has its own entry under "<command> <name>".
+_OPTIONS = {
+    "what": ("what", dict(choices=VERIFY_VERBS)),
+    "p": ("--p", dict(type=int, required=True, help="base cycle length / characteristic")),
+    "w": ("--w", dict(type=int, required=True, help="top degree / block weight")),
+    "n": ("--n", dict(type=int, required=True)),
+    "e": ("--e", dict(type=int, default=0, help="extra points fixed by the top group")),
+    "core": ("--core", dict(default="", help="block core")),
+    "partition": ("--partition", dict(required=True)),
+    "over": ("--over", dict(help="inner partition (default: the p-core)")),
+    "lambda": ("--lambda", dict(dest="lam", required=True)),
+    "mu": ("--mu", dict(dest="mu")),
+    "class": ("--class", dict(dest="cls", required=True)),
+    "phi": ("--phi", dict(required=True, help="assignment kappa:mu;... over base labels")),
+    "max-group-order": (
+        "--max-group-order",
+        dict(type=int, default=MAX_GROUP_ORDER, help="brute-force guard for permutation scans"),
+    ),
+    "out": ("--out", dict(help="write output to this file instead of stdout")),
+    "format": ("--format", dict(choices=("csv", "json"), default="csv")),
+    "core partition": ("--partition", dict(required=True, help="partition wire format")),
+    "gamma core": ("--core", dict(required=True)),
+    "table p": ("--p", dict(type=int, help="restrict rows to the block of --core")),
+    "table core": ("--core", dict(default="", help="block core (with --p)")),
+    "wchar class": ("--class", dict(dest="cls", required=True, help="label k1:c1,k2:c2,...")),
+}
 
-def _add_common(sub, *names):
-    if "p" in names:
-        sub.add_argument("--p", type=int, required=True, help="base cycle length / characteristic")
-    if "w" in names:
-        sub.add_argument("--w", type=int, required=True, help="top degree / block weight")
-    if "out" in names:
-        sub.add_argument("--out", help="write output to this file instead of stdout")
-    if "format" in names:
-        sub.add_argument("--format", choices=("csv", "json"), default="csv")
+# Every subcommand, in help order: its help line, its command, whether --p
+# must be prime (None: as VERIFY says for the verb), and its options.
+COMMANDS = {
+    "core": ("p-core of a partition", cmd_core, False, "p out partition"),
+    "quotient": ("p-quotient of a partition", cmd_quotient, False, "p out partition"),
+    "sign": ("bead-push sign between p-compatible partitions", cmd_sign, False, "p out partition over"),
+    "gamma": ("runner permutation of a p-core", cmd_gamma, False, "p out core"),
+    "char": ("one symmetric-group (skew) character value", cmd_char, False, "n lambda mu class out"),
+    "table": ("symmetric-group character table, optionally one block", cmd_table, True, "n p core out format"),
+    "wchar": ("one wreath-product irreducible character value", cmd_wchar, True, "p w out phi class"),
+    "isometry": ("signed bijection table for one block", cmd_isometry, False, "p w out core"),
+    "verify": ("run one verification suite", cmd_verify, None, "what p w out e core max-group-order"),
+    "decomp": ("decomposition matrix of the wreath principal block", cmd_decomp, True, "p w out format"),
+    "mu": ("bicharacter matrix of the block bijection", cmd_mu, True, "p w out format core"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,77 +451,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact block/wreath character computations and verifications.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("core", help="p-core of a partition")
-    _add_common(s, "p", "out")
-    s.add_argument("--partition", required=True, help="partition wire format")
-    s.set_defaults(func=cmd_core)
-
-    s = subs.add_parser("quotient", help="p-quotient of a partition")
-    _add_common(s, "p", "out")
-    s.add_argument("--partition", required=True)
-    s.set_defaults(func=cmd_quotient)
-
-    s = subs.add_parser("sign", help="bead-push sign between p-compatible partitions")
-    _add_common(s, "p", "out")
-    s.add_argument("--partition", required=True)
-    s.add_argument("--over", help="inner partition (default: the p-core)")
-    s.set_defaults(func=cmd_sign)
-
-    s = subs.add_parser("gamma", help="runner permutation of a p-core")
-    _add_common(s, "p", "out")
-    s.add_argument("--core", required=True)
-    s.set_defaults(func=cmd_gamma)
-
-    s = subs.add_parser("char", help="one symmetric-group (skew) character value")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--lambda", dest="lam", required=True)
-    s.add_argument("--mu", dest="mu")
-    s.add_argument("--class", dest="cls", required=True)
-    _add_common(s, "out")
-    s.set_defaults(func=cmd_char)
-
-    s = subs.add_parser("table", help="symmetric-group character table, optionally one block")
-    s.add_argument("--n", type=int, required=True)
-    s.add_argument("--p", type=int, help="restrict rows to the block of --core")
-    s.add_argument("--core", default="", help="block core (with --p)")
-    _add_common(s, "out", "format")
-    s.set_defaults(func=cmd_table)
-
-    s = subs.add_parser("wchar", help="one wreath-product irreducible character value")
-    _add_common(s, "p", "w", "out")
-    s.add_argument("--phi", required=True, help="assignment kappa:mu;... over base labels")
-    s.add_argument("--class", dest="cls", required=True, help="label k1:c1,k2:c2,...")
-    s.set_defaults(func=cmd_wchar)
-
-    s = subs.add_parser("isometry", help="signed bijection table for one block")
-    _add_common(s, "p", "w", "out")
-    s.add_argument("--core", default="", help="block core")
-    s.set_defaults(func=cmd_isometry)
-
-    s = subs.add_parser("verify", help="run one verification suite")
-    s.add_argument("what", choices=VERIFY_VERBS)
-    _add_common(s, "p", "w", "out")
-    s.add_argument("--e", type=int, default=0, help="extra points fixed by the top group")
-    s.add_argument("--core", default="", help="block core")
-    s.add_argument(
-        "--max-group-order",
-        type=int,
-        default=MAX_GROUP_ORDER,
-        help="brute-force guard for permutation scans",
-    )
-    s.set_defaults(func=cmd_verify)
-
-    s = subs.add_parser("decomp", help="decomposition matrix of the wreath principal block")
-    _add_common(s, "p", "w", "out", "format")
-    s.set_defaults(func=cmd_decomp)
-
-    s = subs.add_parser("mu", help="bicharacter matrix of the block bijection")
-    _add_common(s, "p", "w", "out", "format")
-    s.add_argument("--core", default="", help="block core")
-    s.set_defaults(func=cmd_mu)
-
+    for command, (help_text, _, _, options) in COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for name in options.split():
+            flag, spec = _OPTIONS.get(f"{command} {name}", _OPTIONS[name])
+            sub.add_argument(flag, **spec)
     return parser
+
+
+def _check(args) -> Partition | None:
+    """Every argument check, in the documented order, before any work.
+
+    Returns the parsed --core, or None where the command takes no --core or
+    --p is not given."""
+    for name, low in MINIMUM.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            option = name.replace("_", "-")
+            raise ArgumentError(f"--{option}={value} must be >= {low}")
+    prime = COMMANDS[args.command][2]
+    if args.command == "verify":
+        if args.w < 1:
+            raise ArgumentError(f"verify {args.what} needs w >= 1, got w={args.w}")
+        prime = VERIFY[args.what][0]
+    p = getattr(args, "p", None)
+    if p is None:
+        return None
+    if prime and not is_prime(p):
+        raise ArgumentError(f"p={p} must be prime for this command")
+    if not hasattr(args, "core"):
+        return None
+    rho = parse_partition(args.core)
+    if not abacus.is_core(rho, p):
+        raise ArgumentError(f"{args.core!r} is not a {p}-core")
+    return rho
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -538,8 +494,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _check_ranges(args)
-        return args.func(args)
+        text, code = COMMANDS[args.command][1](args, _check(args))
+        _emit(text, args.out)
+        return code
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return 3

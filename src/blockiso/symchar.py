@@ -43,6 +43,8 @@ def mn_value(lam: Partition, mu: Partition, tau: Partition) -> int:
     """
     if sum(tau) != sum(lam) - sum(mu):
         raise ValueError("cycle type size mismatch")
+    if not contains(lam, mu):
+        return 0
     return _mn(lam, mu, tuple(sorted(tau, reverse=True)))
 
 
@@ -62,8 +64,7 @@ def strips(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
 
 @cache
 def _mn(lam: Partition, mu: Partition, tau: Partition) -> int:
-    if not contains(lam, mu):
-        return 0
+    # lam contains mu: mn_value checks it on entry, and each strip kept below keeps it
     if not tau:
         return 1
     return sum(sign * _mn(nu, mu, tau[1:]) for nu, sign in strips(lam, tau[0]) if contains(nu, mu))

@@ -145,6 +145,9 @@ def test_weight_and_reconstruction():
                 assert from_core_and_quotient(rho, quot, p) == lam
                 assert is_core(rho, p)
                 assert is_core(lam, p) == (w == 0)
+    # a quotient component that is not a partition is rejected, not rebuilt into a non-partition
+    with pytest.raises(ValueError, match="quotient components"):
+        from_core_and_quotient((), ((1, 2), ()), 2)
 
 
 def test_conjugate_exchanges_quotient_components():

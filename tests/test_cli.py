@@ -6,6 +6,7 @@ mocked in to exercise exit codes 1 and 4, since every real check currently
 passes.
 """
 
+import argparse
 import csv
 import io
 import json
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import blockiso.cli as cli
-from blockiso import isometry
+from blockiso import isometry, symchar
 from blockiso.reporting import Report
 
 
@@ -243,6 +244,7 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
     # verify_lemma_f keeps its own w check; the CLI rejects w=0 before reaching it.
     with pytest.raises(ValueError, match="w=0"):
         isometry.verify_lemma_f(2, 0)
+    monkeypatch.setattr(symchar, "char_table", never)
     for verb, (prime, _, keys) in list(cli.VERIFY.items()):
         monkeypatch.setitem(cli.VERIFY, verb, (prime, never, keys))
     weight_zero = [("verify", verb, "--p", "2", "--w", "0") for verb in cli.VERIFY_VERBS]
@@ -252,6 +254,9 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
         ("verify", "val", "--p", "2", "--w", "1", "--core", "2"),
         ("verify", "main", "--p", "7", "--w", "1", "--core", "7"),
         ("isometry", "--p", "2", "--w", "1", "--core", "2"),
+        ("table", "--n", "5", "--p", "4"),
+        ("table", "--n", "5", "--p", "2", "--core", "2"),
+        ("table", "--n", "5", "--p", "3", "--core", "1"),
     ] + weight_zero:
         rc = cli.main(list(argv))
         captured = capsys.readouterr()
@@ -356,3 +361,65 @@ def test_verify_verbs_match_readme():
     sentence = re.search(r"Verify\s+verbs:(.*?)\.\n", text, re.S).group(1)
     assert cli.VERIFY_VERBS == tuple(re.findall(r"`(\w+)`", sentence))
     assert len(cli.VERIFY_VERBS) == 13
+
+
+# The parser surface recorded before the subcommands moved into one table:
+# for each subcommand, in order, its (option strings, dest, required,
+# default, choices, type).
+_OUT = (("--out",), "out", False, None, None, None)
+_P = (("--p",), "p", True, None, None, int)
+_W = (("--w",), "w", True, None, None, int)
+_CORE = (("--core",), "core", False, "", None, None)
+_FORMAT = (("--format",), "format", False, "csv", ("csv", "json"), None)
+_PARTITION = (("--partition",), "partition", True, None, None, None)
+_CLASS = (("--class",), "cls", True, None, None, None)
+_VERBS = (
+    "main", "val", "heights", "unique", "centp", "diagram", "lemmaf",
+    "sep", "type", "perfproj", "probe", "orth", "transfer",
+)
+PARSER_SURFACE = {
+    "core": {_P, _OUT, _PARTITION},
+    "quotient": {_P, _OUT, _PARTITION},
+    "sign": {_P, _OUT, _PARTITION, (("--over",), "over", False, None, None, None)},
+    "gamma": {_P, _OUT, (("--core",), "core", True, None, None, None)},
+    "char": {
+        (("--n",), "n", True, None, None, int),
+        (("--lambda",), "lam", True, None, None, None),
+        (("--mu",), "mu", False, None, None, None),
+        _CLASS,
+        _OUT,
+    },
+    "table": {
+        (("--n",), "n", True, None, None, int),
+        (("--p",), "p", False, None, None, int),
+        _CORE,
+        _OUT,
+        _FORMAT,
+    },
+    "wchar": {_P, _W, _OUT, (("--phi",), "phi", True, None, None, None), _CLASS},
+    "isometry": {_P, _W, _OUT, _CORE},
+    "verify": {
+        ((), "what", True, None, _VERBS, None),
+        _P,
+        _W,
+        _OUT,
+        (("--e",), "e", False, 0, None, int),
+        _CORE,
+        (("--max-group-order",), "max_group_order", False, 50000, None, int),
+    },
+    "decomp": {_P, _W, _OUT, _FORMAT},
+    "mu": {_P, _W, _OUT, _FORMAT, _CORE},
+}
+
+
+def test_parser_surface_frozen():
+    parser = cli.build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subs.choices) == list(PARSER_SURFACE)
+    for name, sub in subs.choices.items():
+        surface = {
+            (tuple(a.option_strings), a.dest, a.required, a.default, a.choices, a.type)
+            for a in sub._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert surface == PARSER_SURFACE[name], name

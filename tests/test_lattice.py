@@ -150,3 +150,71 @@ def test_saturation():
     assert not is_saturated([[2, 0], [0, 1]])
     assert is_saturated([[1, 0], [0, 1]])
     assert is_saturated([])
+
+
+def _sympy_columns(rows, dim):
+    """rows (a list of integer vectors of length dim) as sympy columns."""
+    from sympy import Matrix
+
+    return Matrix.hstack(*[Matrix(r) for r in rows]) if rows else Matrix.zeros(dim, 0)
+
+
+def _in_column_lattice(basis, vec) -> bool:
+    """Whether vec is an integer combination of the independent columns of basis."""
+    if basis.cols == 0:
+        return not any(vec)
+    try:
+        coeffs, free = basis.gauss_jordan_solve(vec)
+    except ValueError:  # no rational solution
+        return False
+    assert free.rows == 0, "basis columns must be independent"
+    return all(c.is_integer for c in coeffs)
+
+
+def test_hnf_lattice_matches_sympy_oracle():
+    """hnf_basis spans the same lattice as sympy's Hermite normal form.
+
+    sympy's form is column-style, so the forms are not compared entry by
+    entry: each basis must lie in the other's lattice."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    from blockiso.perfect import block_projective_lattice
+
+    rng = random.Random(31)
+    cases = [
+        [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
+        for ncols in (rng.randint(1, 5) for _ in range(60))
+    ]
+    cases += [block_projective_lattice(2, 2, ()), block_projective_lattice(3, 2, ())]
+    for rows in cases:
+        dim = len(rows[0])
+        ours = _sympy_columns(hnf_basis(rows), dim)
+        theirs = hermite_normal_form(Matrix(rows).T)
+        assert ours.cols == theirs.cols == Matrix(rows).rank(), rows
+        assert all(_in_column_lattice(theirs, ours[:, j]) for j in range(ours.cols)), rows
+        assert all(_in_column_lattice(ours, theirs[:, j]) for j in range(theirs.cols)), rows
+
+
+def test_block_projective_lattice_is_the_saturated_kernel():
+    """At 2/2 and 3/2 the lattice is the whole integer kernel of the block's
+    values on p-singular classes: it has the kernel's rank, each row is in
+    the kernel, and sympy's Smith form of its rows has only unit invariants."""
+    pytest.importorskip("sympy")
+    from sympy import Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    from blockiso.partitions import enumerate_partitions
+    from blockiso.perfect import block_projective_lattice
+    from blockiso.symchar import character_value, irr_in_block
+
+    for p, w in ((2, 2), (3, 2)):
+        n = p * w
+        singular = [tau for tau in enumerate_partitions(n) if any(part % p == 0 for part in tau)]
+        values = Matrix([[character_value(lam, tau) for tau in singular] for lam in irr_in_block(n, p, ())])
+        lattice = Matrix(block_projective_lattice(p, w, ()))
+        assert lattice.rows == values.rows - values.rank()
+        assert lattice * values == Matrix.zeros(lattice.rows, values.cols)
+        snf = smith_normal_form(lattice)
+        assert [abs(snf[i, i]) for i in range(lattice.rows)] == [1] * lattice.rows
