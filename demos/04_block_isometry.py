@@ -8,14 +8,10 @@ pushed-down block character on every class rich in base p-cycles.
 """
 
 from blockiso.abacus import partitions_with_core
-from blockiso.isometry import (
-    build_isometry,
-    isometry_image,
-    isometry_row,
-    pushdown_to_wreath,
-)
+from blockiso.isometry import build_isometry, isometry_image, isometry_row
 from blockiso.partitions import format_partition
-from blockiso.wreath import labels_in_U_s
+from blockiso.symchar import mn_value
+from blockiso.wreath import embed_to_sn, labels_in_U_s
 
 p, w, rho = 2, 2, ()
 n = p * w + sum(rho)
@@ -30,8 +26,7 @@ heavy = labels_in_U_s(p, w, w)
 print("heavy classes:", heavy)
 for lam in partitions_with_core(n, rho, p):
     image = isometry_image(lam, rho, p)
-    down = pushdown_to_wreath(lam, rho, p, w)
-    agree = all(image.value(lbl) == down.value(lbl) for lbl in heavy)
+    agree = all(image.value(lbl) == mn_value(lam, rho, embed_to_sn(lbl)) for lbl in heavy)
     print(f"  {format_partition(lam):>8}: agreement on heavy classes: {agree}")
 
 # a block with nonempty core works the same way

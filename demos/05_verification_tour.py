@@ -15,7 +15,7 @@ from blockiso.isometry import (
     verify_val,
 )
 from blockiso.modular import decomposition_matrix, verify_orth
-from blockiso.perfect import build_mu, perfectness_probe, probe_is_perfect, verify_sep
+from blockiso.perfect import build_mu, perfectness_probe, verify_sep
 
 
 def show(name, rep):
@@ -44,4 +44,5 @@ for row in build_mu(2, 1, ()):
 # valuation probe asserts it, and from w = p on it only reports
 for p, w in ((2, 1), (3, 2), (2, 2)):
     rep = perfectness_probe(p, w, ())
-    print(f"probe p={p} w={w}: perfect={probe_is_perfect(rep)}")
+    perfect = all(r["parameters"]["violations"] == 0 for r in rep.records)
+    print(f"probe p={p} w={w}: perfect={perfect}")

@@ -13,8 +13,8 @@ or JSON Lines.  Verification commands print a JSON Lines report: a meta
 line carrying the guard limits and the canonical orderings used, then one
 record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
-invalid arguments, 3 a guard limit was exceeded (every verify verb checks
-the wreath guard before any work), 4 an internal error (any other
+invalid arguments, 3 a guard limit was exceeded (wchar and every verify
+verb check the wreath guard before any work), 4 an internal error (any other
 exception, or a verification that produced no records), reported as one
 stderr line.  Only the ArgumentError of an argument check exits 2; any
 other ValueError raised inside the library is an internal error, exit 4.
@@ -23,7 +23,8 @@ Every subcommand is one row of COMMANDS, and one check (`_check`) runs
 right after parsing, before any work.  In order: each integer option
 against MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
 verify verb's --w >= 1, --p prime where the command needs it, and --core a
---p-core wherever the command takes --core and --p is given.
+--p-core wherever the command takes --core; --core without --p (possible
+only for table) is rejected.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -290,13 +291,13 @@ def cmd_wchar(args, _rho) -> tuple[str, int]:
     phi = parse_pmap(args.phi, args.p, args.w)
     label = parse_class_label(args.cls, args.p, args.w)
     wreath = _lib("wreath")
-    xi = wreath.zeta_irr(args.p, args.w, phi)
+    wreath.enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
     out = {
         "p": args.p,
         "w": args.w,
         "phi": format_pmap(phi, args.p),
         "class": wreath.format_class_label(label),
-        "value": xi.value(label),
+        "value": wreath.zeta_value(args.p, wreath.factors_from_pmap(phi, args.p), label),
     }
     return _json_line(out) + "\n", 0
 
@@ -476,6 +477,8 @@ def _check(args) -> Partition | None:
         prime = VERIFY[args.what][0]
     p = getattr(args, "p", None)
     if p is None:
+        if getattr(args, "core", ""):
+            raise ArgumentError("--core needs --p")
         return None
     if prime and not is_prime(p):
         raise ArgumentError(f"p={p} must be prime for this command")

@@ -38,7 +38,6 @@ from .partitions import (
 )
 from .reporting import Report
 from .symchar import (
-    SnClassFunction,
     d_alpha,
     decompose,
     character_value,
@@ -66,7 +65,6 @@ from .wreath import (
     labels_in_U_s,
     lambda_psi,
     principal_block_filter,
-    restrict_from_sn,
     zeta_irr,
     zeta_value,
 )
@@ -128,20 +126,6 @@ def build_isometry(p: int, w: int, rho: Partition):
         if isometry_inverse(psi, rho, p) != lam:
             raise AssertionError("inverse failed to recover the block label")
     return rows
-
-
-def _integer_values(xi: ClassFunction) -> ClassFunction:
-    if any(v.denominator != 1 for v in xi.values):
-        raise AssertionError("expected integral class function values")
-    return SnClassFunction(xi.n, (int(v) for v in xi.values))
-
-
-def pushdown_to_wreath(lam: Partition, rho: Partition, p: int, w: int) -> ClassFunction:
-    """Restrict, push down by rho, and pull back along the wreath embedding.
-    Its value at a label is the skew character lam/rho at the label's cycle
-    type, which the verify verbs evaluate directly with `mn_value`."""
-    pushed = _integer_values(tilde_pi_rho(irr_class_function(lam), rho))
-    return restrict_from_sn(pushed, p, w)
 
 
 def verify_main(p: int, w: int, rho: Partition) -> Report:

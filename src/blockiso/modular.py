@@ -25,7 +25,6 @@ from .partitions import (
 from .reporting import Report
 from .symchar import character_value, sn_space
 from .wreath import (
-    Factor,
     WreathClassFunction,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
@@ -114,7 +113,7 @@ def principal_gibr_filter(assignments, p: int) -> tuple[GIBrLabel, ...]:
     )
 
 
-def _factors(psi: GIBrLabel, p: int, value_fn) -> list[Factor]:
+def _factors(psi: GIBrLabel, p: int, value_fn) -> list:
     return induction_factors((value_fn(label, p) for label in brauer_labels(p)), psi)
 
 

@@ -28,23 +28,6 @@ class ArgumentError(ValueError):
     """A command-line argument is malformed or out of range."""
 
 
-def partition(parts) -> Partition:
-    """Validate and normalize an iterable of parts (trailing zeros dropped)."""
-    out = []
-    prev = None
-    for x in parts:
-        x = int(x)
-        if x < 0:
-            raise ValueError(f"negative part {x}")
-        if x == 0:
-            continue
-        if prev is not None and x > prev:
-            raise ValueError(f"parts not weakly decreasing: {tuple(parts)}")
-        out.append(x)
-        prev = x
-    return tuple(out)
-
-
 def parse_partition(text: str) -> Partition:
     """Parse the wire format: comma-separated decreasing ints, '' is empty."""
     text = text.strip()
@@ -160,20 +143,3 @@ def p_adic_digits(n: int, p: int) -> list[int]:
         n, r = divmod(n, p)
         digits.append(r)
     return digits
-
-
-def multinomial_valuation(w: int, parts: tuple[int, ...], p: int) -> int:
-    """p-valuation of the multinomial coefficient (w; parts).
-
-    Computed from carry counts: (sum of digits of the parts minus digits
-    of w) / (p - 1).
-    """
-    if sum(parts) != w:
-        raise ValueError("parts must sum to w")
-    if any(x < 0 for x in parts):
-        raise ValueError("parts must be >= 0")
-    total = sum(sum(p_adic_digits(u, p)) for u in parts) - sum(p_adic_digits(w, p))
-    q, r = divmod(total, p - 1)
-    if r:
-        raise ValueError("digit sum mismatch; not a valid multinomial")
-    return q

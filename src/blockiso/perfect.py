@@ -45,7 +45,6 @@ from .wreath import (
     lambda_psi,
     principal_block_filter,
     tp_wr,
-    wreath_inner_product,
     zeta_irr,
 )
 
@@ -232,18 +231,14 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
 
     proj_rows = []
     principal = principal_gibr_filter(enumerate_gibr(p, w), p)
+    irr_rows = [zeta_irr(p, w, phi).values for phi in irr_wr]
     for psi in principal:
         hat = zeta_projective(p, w, psi)
-        vec = []
-        ok_support = True
-        for phi in irr_wr:
-            c = wreath_inner_product(hat, zeta_irr(p, w, phi))
-            if c.denominator != 1:
-                raise AssertionError("projective tuple has fractional coefficients")
-            c = int(c)
-            if c and phi not in principal_wr:
-                ok_support = False
-            vec.append(c)
+        coeffs = hat.space.pairings(hat.values, irr_rows)
+        if any(c.denominator != 1 for c in coeffs):
+            raise AssertionError("projective tuple has fractional coefficients")
+        vec = [int(c) for c in coeffs]
+        ok_support = all(phi in principal_wr for phi, c in zip(irr_wr, vec) if c)
         rep.add({"psi": format_multipartition(psi), "support": "principal"}, ok_support)
         proj_rows.append(vec)
 
@@ -295,10 +290,6 @@ def perfectness_probe(p: int, w: int, rho: Partition) -> Report:
         {"examples": [_pair_text(x) for x in divisibility_bad[:3]]} if divisibility_bad else None,
     )
     return rep
-
-
-def probe_is_perfect(rep: Report) -> bool:
-    return all(r["parameters"]["violations"] == 0 for r in rep.records)
 
 
 def _pair_text(pair) -> dict:

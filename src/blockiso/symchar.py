@@ -159,17 +159,6 @@ def irr_class_function(lam: Partition) -> ClassFunction:
     return SnClassFunction(n, (character_value(lam, tau) for tau in enumerate_partitions(n)))
 
 
-def skew_class_function(lam: Partition, mu: Partition) -> ClassFunction:
-    n = sum(lam) - sum(mu)
-    return SnClassFunction(n, (mn_value(lam, mu, tau) for tau in enumerate_partitions(n)))
-
-
-def inner_product(xi: ClassFunction, theta: ClassFunction) -> Fraction:
-    """Class-weighted inner product; all classes here are self-inverse."""
-    xi._match(theta)
-    return xi.space.inner(xi.values, theta.values)
-
-
 def decompose(xi: ClassFunction) -> dict[Partition, Fraction]:
     """Coefficients of xi on the irreducible basis."""
     labels = enumerate_partitions(xi.n)

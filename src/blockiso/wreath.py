@@ -2,20 +2,19 @@
 
 Conjugacy classes of the wreath of S_p by S_w are labelled by multisets of
 pairs (k, c): a top cycle of length k whose cycle product lies in the base
-class c (a partition of p), with the k summing to w.  A tuple of factors
-(phi_i, chi_i) with the chi_i virtual characters of smaller top groups
-induces up to a class function.  Its value at a label comes from the wreath
-Murnaghan-Nakayama rule (`symchar.induced_mn`): each pair (k, c) in turn is
-peeled as a k-border strip off one factor's top shape, weighted by the
-strip sign and that factor's base value phi_i at c.
+class c (a partition of p), with the k summing to w.  A list of factors
+(phi_i, mu_i, ()), each a row of base values and the irreducible mu_i of a
+smaller top group, induces up to a class function.  Its value at a label
+comes from the wreath Murnaghan-Nakayama rule (`symchar.induced_mn`): each
+pair (k, c) in turn is peeled as a k-border strip off one factor's top
+shape, weighted by the strip sign and that factor's base value phi_i at c.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial
 
 from .abacus import hook_partition, is_hook
 from .classfn import ClassFunction, ClassSpace
@@ -122,31 +121,13 @@ def WreathClassFunction(p: int, w: int, values) -> ClassFunction:
     return ClassFunction(wreath_space(p, w), tuple(values))
 
 
-def wreath_inner_product(xi: ClassFunction, theta: ClassFunction) -> Fraction:
-    xi._match(theta)
-    return xi.space.inner(xi.values, theta.values)
-
-
-# A factor is a pair (phi, chi): phi is a dense value tuple over the base
-# classes, chi a dict mapping top-group partitions to integer coefficients.
-# Every factor built in this package has chi = {mu: 1}; the multi-term chi
-# that zeta_value expands by linearity is used only by the shrink tests.
-Factor = tuple[tuple, dict[Partition, int]]
-
-
-def zeta_value(p: int, factors: list[Factor], label: ClassLabel):
-    """Value at label of the class function induced from the given factors,
-    expanded by linearity in each chi."""
+def zeta_value(p: int, factors: list, label: ClassLabel) -> int:
+    """Value at label of the class function induced from the given factors."""
     class_idx = sn_space(p).index
-    indexed = [(k, class_idx[c]) for k, c in label]
-    total = 0
-    for terms in itertools.product(*(chi.items() for _, chi in factors)):
-        young = [(phi, mu, ()) for (phi, _), (mu, _) in zip(factors, terms)]
-        total += prod(c for _, c in terms) * induced_mn(young, indexed)
-    return total
+    return induced_mn(factors, [(k, class_idx[c]) for k, c in label])
 
 
-def zeta_class_function(p: int, w: int, factors: list[Factor]) -> ClassFunction:
+def zeta_class_function(p: int, w: int, factors: list) -> ClassFunction:
     return WreathClassFunction(
         p, w, (zeta_value(p, factors, lbl) for lbl in enumerate_wreath_classes(p, w))
     )
@@ -157,12 +138,12 @@ def irr_base_values(kappa: Partition, p: int) -> tuple:
     return tuple(character_value(kappa, c) for c in enumerate_partitions(p))
 
 
-def induction_factors(rows, assignment) -> list[Factor]:
-    """The factor (row, {mu: 1}) of each nonempty mu of the assignment."""
-    return [(row, {mu: 1}) for row, mu in zip(rows, assignment) if mu]
+def induction_factors(rows, assignment) -> list:
+    """The factor (row, mu, ()) of each nonempty mu of the assignment."""
+    return [(row, mu, ()) for row, mu in zip(rows, assignment) if mu]
 
 
-def factors_from_pmap(phi_label: PMapLabel, p: int) -> list[Factor]:
+def factors_from_pmap(phi_label: PMapLabel, p: int) -> list:
     """Factors of the irreducible labelled by an assignment of partitions."""
     kappas = enumerate_partitions(p)
     if len(phi_label) != len(kappas):
@@ -213,15 +194,6 @@ def tilde_power(phi: tuple, p: int, w: int) -> ClassFunction:
             term *= phi[class_idx[c]]
         values.append(term)
     return WreathClassFunction(p, w, tuple(values))
-
-
-def restrict_from_sn(chi: ClassFunction, p: int, w: int) -> ClassFunction:
-    """Pull back a class function of the big symmetric group along embedding."""
-    if chi.n != p * w:
-        raise ValueError("degree mismatch")
-    return WreathClassFunction(
-        p, w, tuple(chi.value(embed_to_sn(lbl)) for lbl in enumerate_wreath_classes(p, w))
-    )
 
 
 def omega_lambda(xi: ClassFunction, lam: Partition) -> dict[tuple[Partition, ...], object]:

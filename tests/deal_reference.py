@@ -4,7 +4,7 @@ dealt.  `symchar.induced_mn` and `wreath.zeta_value` peel border strips
 instead and are checked against these.
 """
 
-from blockiso.symchar import character_value, mn_value, sn_space
+from blockiso.symchar import mn_value, sn_space
 
 
 def induced_value(items, sizes, caps, term):
@@ -57,17 +57,6 @@ def reference_induced_mn(factors, label) -> int:
 
 
 def reference_zeta_value(p: int, factors, label) -> int:
-    """zeta_value by deals: factors (phi, chi), label pairs (k, base class)."""
+    """zeta_value by deals: factors (row, mu, ()), label pairs (k, base class)."""
     class_idx = sn_space(p).index
-
-    def term(groups) -> int:
-        out = 1
-        for (phi, chi), group in zip(factors, groups):
-            tau = _cycle_type(group)
-            out *= sum(c * character_value(mu, tau) for mu, c in chi.items())
-            for _, c in group:
-                out *= phi[class_idx[c]]
-        return out
-
-    caps = [sum(next(iter(chi))) for _, chi in factors]
-    return induced_value(label, [k for k, _ in label], caps, term)
+    return reference_induced_mn(factors, [(k, class_idx[c]) for k, c in label])

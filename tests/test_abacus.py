@@ -26,7 +26,7 @@ from blockiso.abacus import (
     runner_permutation,
     runner_rows,
 )
-from blockiso.partitions import conjugate, enumerate_partitions, partition
+from blockiso.partitions import conjugate, enumerate_partitions
 
 
 def diagram_cells(lam):

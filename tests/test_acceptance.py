@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import factorial
 
 from deal_reference import reference_induced_mn
+from row_reference import combination_class_function
 
 from blockiso.abacus import contains_p, p_quotient, p_sign
 from blockiso.isometry import (
@@ -29,7 +30,6 @@ from blockiso.perfect import verify_perfproj, verify_sep
 from blockiso.symchar import (
     centralizer_order_sn,
     char_table,
-    inner_product,
     irr_class_function,
     mn_value,
 )
@@ -181,7 +181,7 @@ def _orthogonality_upto(n_max):
         fns = [irr_class_function(lam) for lam in parts]
         for i, f in enumerate(fns):
             for g in fns[i:]:
-                assert inner_product(f, g) == (1 if f is g else 0)
+                assert f.space.inner(f.values, g.values) == (1 if f is g else 0)
         table = char_table(n)
         for i in range(len(parts)):
             for j in range(len(parts)):
@@ -303,18 +303,18 @@ def _top_shrink(p, w_max):
             for kappa in enumerate_partitions(p):
                 phi = irr_base_values(kappa, p)
                 for mu in enumerate_partitions(w):
-                    xi = zeta_class_function(p, w, [(phi, {mu: 1})])
+                    xi = zeta_class_function(p, w, [(phi, mu, ())])
                     new_top = shrunk(mu, m)
                     got = shr_m(xi, m)
                     if new_top:
-                        want = zeta_class_function(p, w // m, [(phi, new_top)])
+                        want = combination_class_function(p, w // m, [(phi, new_top)])
                         assert got.values == want.values, (p, w, m, kappa, mu)
                     else:
                         assert all(v == 0 for v in got.values), (p, w, m, kappa, mu)
             # tops whose sizes the divisor misses shrink to zero
             phi1 = irr_base_values((p,), p)
             mixed = zeta_class_function(
-                p, w, [(phi1, {(1,): 1}), (phi1, {(w - 1,): 1})]
+                p, w, [(phi1, (1,), ()), (phi1, (w - 1,), ())]
             )
             if (w - 1) % m or 1 % m:
                 assert all(v == 0 for v in shr_m(mixed, m).values)
@@ -332,9 +332,9 @@ def _scalar_combination(p, w):
         for j in range(w + 1):
             factors = []
             if j:
-                factors.append((s1, {(j,): 1}))
+                factors.append((s1, (j,), ()))
             if w - j:
-                factors.append((s2, {(w - j,): 1}))
+                factors.append((s2, (w - j,), ()))
             term = zeta_class_function(p, w, factors)
             total = [t + v for t, v in zip(total, term.values)]
         assert tuple(total) == lhs.values, (a1, a2)

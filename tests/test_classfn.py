@@ -15,7 +15,6 @@ from blockiso.symchar import (
     SnClassFunction,
     block_projection,
     centralizer_order_sn,
-    inner_product,
     irr_class_function,
     irr_in_block,
     tilde_pi_rho,
@@ -25,7 +24,6 @@ from blockiso.wreath import (
     centralizer_order_wreath,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
-    wreath_inner_product,
     zeta_irr,
 )
 
@@ -56,7 +54,7 @@ def test_sn_orthonormality_matches_reference():
         for lam in parts:
             for mu in parts:
                 a, b = irr_class_function(lam), irr_class_function(mu)
-                got = inner_product(a, b)
+                got = a.space.inner(a.values, b.values)
                 assert got == sn_reference(a.values, b.values, n) == (lam == mu), (lam, mu)
 
 
@@ -67,7 +65,7 @@ def test_wreath_orthonormality_matches_reference():
             for phi in irr:
                 for psi in irr:
                     a, b = zeta_irr(p, w, phi), zeta_irr(p, w, psi)
-                    got = wreath_inner_product(a, b)
+                    got = a.space.inner(a.values, b.values)
                     assert got == wreath_reference(a.values, b.values, p, w) == (phi == psi)
 
 

@@ -171,10 +171,12 @@ def test_composite_p_rejected_elsewhere(capsys):
         ("verify", "heights", "--p", "4", "--w", "1", "--core", ""),
         ("table", "--n", "4", "--p", "4", "--core", ""),
         ("decomp", "--p", "4", "--w", "1"),
-        ("char", "--n", "4", "--lambda", "3,1", "--class", "5"),
+        ("wchar", "--p", "4", "--w", "1", "--phi", "4:1", "--class", "1:4"),
+        ("mu", "--p", "4", "--w", "1", "--core", ""),
     ):
-        rc, _ = run(capsys, *argv)
+        rc = cli.main(list(argv))
         assert rc == 2, argv
+        assert "must be prime" in capsys.readouterr().err, argv
 
 
 def test_invalid_arguments_exit_two(capsys):
@@ -219,6 +221,9 @@ def test_guard_exit_three(capsys):
     assert rc == 3
     rc, _ = run(capsys, "verify", "centp", "--p", "3", "--w", "2", "--e", "3")
     assert rc == 3
+    # wchar evaluates one value, so it checks the wreath guard itself
+    rc, _ = run(capsys, "wchar", "--p", "2", "--w", "5", "--phi", "2:5", "--class", "")
+    assert rc == 3
 
 
 def test_wreath_guard_before_any_work(capsys, monkeypatch):
@@ -257,6 +262,7 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
         ("table", "--n", "5", "--p", "4"),
         ("table", "--n", "5", "--p", "2", "--core", "2"),
         ("table", "--n", "5", "--p", "3", "--core", "1"),
+        ("table", "--n", "3", "--core", "junk"),
     ] + weight_zero:
         rc = cli.main(list(argv))
         captured = capsys.readouterr()

@@ -4,6 +4,7 @@ import itertools
 from math import factorial, lcm
 
 import pytest
+from row_reference import pushdown_to_wreath
 
 from blockiso.abacus import circularly_nondecreasing, is_core, p_sign, partitions_with_core
 from blockiso import isometry
@@ -17,7 +18,6 @@ from blockiso.isometry import (
     isometry_row,
     label_representative,
     p_part_perm,
-    pushdown_to_wreath,
     verify_centp,
     verify_diagram,
     verify_heights,
@@ -39,7 +39,6 @@ from blockiso.wreath import (
     identity_label,
     labels_in_U_s,
     lambda_psi,
-    wreath_inner_product,
     zeta_irr,
     zeta_value,
 )
@@ -116,7 +115,7 @@ def test_image_is_signed_irreducible():
         img = isometry_image(lam, (), 2)
         ref = zeta_irr(2, 2, lambda_psi(psi, 2)).scaled(sign)
         assert img.values == ref.values
-        assert wreath_inner_product(img, img) == 1
+        assert img.space.inner(img.values, img.values) == 1
 
 
 def test_build_isometry_consistent():

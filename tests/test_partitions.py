@@ -1,7 +1,6 @@
 """Partition arithmetic against independent counting and valuation oracles."""
 
 import itertools
-import math
 
 import pytest
 
@@ -12,11 +11,9 @@ from blockiso.partitions import (
     enumerate_partitions,
     format_partition,
     is_prime,
-    multinomial_valuation,
     multipartitions,
     p_adic_digits,
     parse_partition,
-    partition,
     scale,
     sqcup,
     v_p,
@@ -58,15 +55,6 @@ def test_enumeration_is_descending_lex():
 def test_enumeration_guard():
     with pytest.raises(GuardExceeded):
         enumerate_partitions(65)
-
-
-def test_partition_validation():
-    assert partition([3, 1, 0, 0]) == (3, 1)
-    assert partition(()) == ()
-    with pytest.raises(ValueError):
-        partition((1, 2))
-    with pytest.raises(ValueError):
-        partition((2, -1))
 
 
 def test_wire_format_round_trip():
@@ -133,26 +121,3 @@ def test_v_p_and_digits():
             digits = p_adic_digits(n, p)
             assert sum(d * p**i for i, d in enumerate(digits)) == n
             assert v_p(n, p) == next(i for i, d in enumerate(digits + [1]) if d)
-
-
-def legendre(n: int, p: int) -> int:
-    total = 0
-    q = p
-    while q <= n:
-        total += n // q
-        q *= p
-    return total
-
-
-def test_multinomial_valuation_against_legendre():
-    for p in (2, 3, 5):
-        for w in range(0, 13):
-            for parts in enumerate_partitions(w):
-                direct = legendre(w, p) - sum(legendre(u, p) for u in parts)
-                assert multinomial_valuation(w, parts, p) == direct
-                coeff = math.factorial(w)
-                for u in parts:
-                    coeff //= math.factorial(u)
-                assert v_p(coeff, p) == direct if coeff > 0 else True
-    with pytest.raises(ValueError):
-        multinomial_valuation(3, (2, 2), 2)

@@ -5,6 +5,7 @@ from math import factorial
 
 import pytest
 from deal_reference import reference_induced_mn
+from row_reference import skew_class_function
 
 from blockiso.partitions import (
     GuardExceeded,
@@ -23,10 +24,8 @@ from blockiso.symchar import (
     height_by_tower,
     height_by_valuation,
     induced_mn,
-    inner_product,
     irr_class_function,
     irr_in_block,
-    skew_class_function,
     strips,
     tilde_pi_rho,
 )
@@ -69,7 +68,8 @@ def test_first_orthogonality():
         parts = enumerate_partitions(n)
         for i, lam in enumerate(parts):
             for mu in parts[i:]:
-                got = inner_product(irr_class_function(lam), irr_class_function(mu))
+                a, b = irr_class_function(lam), irr_class_function(mu)
+                got = a.space.inner(a.values, b.values)
                 assert got == (1 if lam == mu else 0), (lam, mu)
 
 
