@@ -171,7 +171,6 @@ def circularly_nondecreasing(rho: Partition, p: int) -> int | None:
     return None
 
 
-@cache
 def core_tower_sizes(lam: Partition, p: int) -> tuple[int, ...]:
     """Row sums of the iterated core tower.
 

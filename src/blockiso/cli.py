@@ -13,10 +13,9 @@ or JSON Lines.  Verification commands print a JSON Lines report: a meta
 line carrying the guard limits and the canonical orderings used, then one
 record per checked identity with fields check / parameters / status /
 witness.  Exit codes: 0 all checks pass, 1 a verification failed, 2
-invalid arguments, 3 a guard limit was exceeded (wchar and every verify
-verb check the wreath guard before any work), 4 an internal error (any other
-exception, or a verification that produced no records), reported as one
-stderr line.  Only the ArgumentError of an argument check exits 2; any
+invalid arguments, 3 a guard limit was exceeded, 4 an internal error (any
+other exception, or a verification that produced no records), reported as
+one stderr line.  Only the ArgumentError of an argument check exits 2; any
 other ValueError raised inside the library is an internal error, exit 4.
 
 Every subcommand is one row of COMMANDS, and one check (`_check`) runs
@@ -24,7 +23,10 @@ right after parsing, before any work.  In order: each integer option
 against MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
 verify verb's --w >= 1, --p prime where the command needs it, and --core a
 --p-core wherever the command takes --core; --core without --p (possible
-only for table) is rejected.
+only for table) is rejected.  Last come the two limits a caller may lift,
+which the library leaves to its callers: the wreath guard (p <= MAX_P,
+w <= MAX_W) for every command that builds wreath classes, and
+(p*w + e)! <= --max-group-order for `verify centp`; beyond either, exit 3.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -38,13 +40,13 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from importlib import import_module
 
 from . import abacus, partitions
 from .partitions import (
-    MAX_GROUP_ORDER,
     ArgumentError,
     GuardExceeded,
     Partition,
@@ -57,6 +59,11 @@ from .reporting import Report
 
 # Smallest accepted value of each integer option, checked right after parsing.
 MINIMUM = {"p": 2, "w": 0, "e": 0, "n": 0, "max_group_order": 1}
+# The wreath guard: the largest p and w of a command that builds wreath classes.
+MAX_P = 5
+MAX_W = 4
+# The default bound on n! for the centralizer scans of `verify centp`.
+MAX_GROUP_ORDER = 50000
 
 
 def _lib(name: str):
@@ -105,38 +112,26 @@ def _table_text(fmt: str, meta: dict, row_key: str, values_key: str, columns: li
 
 def parse_class_label(text: str, p: int, w: int) -> tuple:
     """Parse `k1:c1,k2:c2,...` into a canonical wreath class label; the empty
-    string means the identity."""
+    string means the identity.  A pair starts at each comma whose next
+    token holds a colon, and its class c is read by parse_partition."""
     wreath = _lib("wreath")
     if text == "":
         return wreath.identity_label(p, w)
-
-    def number(token: str) -> int:
-        try:
-            return int(token)
-        except ValueError:
-            raise ArgumentError(f"bad integer {token!r} in label {text!r}") from None
-
     pairs: list[tuple[int, Partition]] = []
-    k: int | None = None
-    parts: list[int] = []
-    for token in text.split(","):
-        if ":" in token:
-            if k is not None:
-                pairs.append((k, tuple(parts)))
-            head, tail = token.split(":", 1)
-            k = number(head)
-            parts = [number(tail)] if tail else []
-        else:
-            if k is None:
-                raise ArgumentError(f"label must start with 'k:part': {text!r}")
-            parts.append(number(token))
-    if k is not None:
-        pairs.append((k, tuple(parts)))
+    for item in re.split(r",(?=[^,]*:)", text):
+        head, colon, tail = item.partition(":")
+        if not colon:
+            raise ArgumentError(f"label must start with 'k:part': {text!r}")
+        try:
+            k = int(head)
+        except ValueError:
+            raise ArgumentError(f"bad integer {head!r} in label {text!r}") from None
+        pairs.append((k, parse_partition(tail)))
     label = wreath.canonical_label(pairs)
-    for kk, c in label:
-        if kk < 1 or sum(c) != p or any(c[i] < c[i + 1] for i in range(len(c) - 1)) or min(c) < 1:
-            raise ArgumentError(f"bad pair ({kk}, {c}) in label {text!r}")
-    if sum(kk for kk, _ in label) != w:
+    for k, c in label:
+        if k < 1 or sum(c) != p:
+            raise ArgumentError(f"bad pair ({k}, {c}) in label {text!r}")
+    if sum(k for k, _ in label) != w:
         raise ArgumentError(f"label top lengths must sum to w={w}: {text!r}")
     return label
 
@@ -162,33 +157,32 @@ def parse_pmap(text: str, p: int, w: int) -> tuple[Partition, ...]:
     return phi
 
 
-def format_pmap(phi: tuple[Partition, ...], p: int) -> str:
-    kappas = enumerate_partitions(p)
-    return ";".join(
-        f"{format_partition(kappa)}:{format_partition(mu)}"
-        for kappa, mu in zip(kappas, phi)
-        if mu
-    )
+def format_assignment(names: list[str], phi: tuple[Partition, ...]) -> str:
+    """`name:mu;...` over the nonempty parts of phi, one name per base label."""
+    return ";".join(f"{name}:{format_partition(mu)}" for name, mu in zip(names, phi) if mu)
 
 
-def _gibr_col_text(psi, p: int) -> str:
-    items = []
-    for label, mu in zip(_lib("modular").brauer_labels(p), psi):
-        if not mu:
-            continue
-        kind, data = label
-        name = f"leg{data}" if kind == "leg" else f"d0[{format_partition(data)}]"
-        items.append(f"{name}:{format_partition(mu)}")
-    return ";".join(items)
+def _irr_names(p: int) -> list[str]:
+    """Base-label names of the irreducibles of S_p: their partitions."""
+    return [format_partition(kappa) for kappa in enumerate_partitions(p)]
+
+
+def _gibr_texts(p: int, w: int) -> list[str]:
+    """The Brauer tuples as `name:mu;...`, each Brauer label named `leg<i>`,
+    or `d0[kappa]` at a defect-zero kappa."""
+    modular = _lib("modular")
+    names = [
+        f"leg{d}" if kind == "leg" else f"d0[{format_partition(d)}]" for kind, d in modular.brauer_labels(p)
+    ]
+    return [format_assignment(names, psi) for psi in modular.enumerate_gibr(p, w)]
 
 
 def _guards(max_group_order: int) -> dict:
-    wreath = _lib("wreath")
     return {
         "max_enum_n": partitions.MAX_ENUM_N,
         "max_table_n": _lib("symchar").MAX_TABLE_N,
-        "max_wreath_p": wreath.MAX_P,
-        "max_wreath_w": wreath.MAX_W,
+        "max_wreath_p": MAX_P,
+        "max_wreath_w": MAX_W,
         "max_group_order": max_group_order,
     }
 
@@ -291,11 +285,10 @@ def cmd_wchar(args, _rho) -> tuple[str, int]:
     phi = parse_pmap(args.phi, args.p, args.w)
     label = parse_class_label(args.cls, args.p, args.w)
     wreath = _lib("wreath")
-    wreath.enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
     out = {
         "p": args.p,
         "w": args.w,
-        "phi": format_pmap(phi, args.p),
+        "phi": format_assignment(_irr_names(args.p), phi),
         "class": wreath.format_class_label(label),
         "value": wreath.zeta_value(args.p, wreath.factors_from_pmap(phi, args.p), label),
     }
@@ -319,12 +312,11 @@ def cmd_isometry(args, rho) -> tuple[str, int]:
 
 def cmd_decomp(args, _rho) -> tuple[str, int]:
     modular, wreath = _lib("modular"), _lib("wreath")
-    gibr = modular.enumerate_gibr(args.p, args.w)
     matrix = modular.decomposition_matrix(args.p, args.w)
     all_irr = wreath.enumerate_irr_wreath(args.p, args.w)
     principal = set(wreath.principal_block_filter(all_irr, args.p))
-    cols = [_gibr_col_text(psi, args.p) for psi in gibr]
-    rows = [(format_pmap(phi, args.p), row) for phi, row in zip(all_irr, matrix) if phi in principal]
+    cols, irr = _gibr_texts(args.p, args.w), _irr_names(args.p)
+    rows = [(format_assignment(irr, phi), row) for phi, row in zip(all_irr, matrix) if phi in principal]
     meta = {"p": args.p, "w": args.w, "gibr": cols}
     return _table_text(args.format, meta, "phi", "numbers", cols, rows), 0
 
@@ -347,7 +339,7 @@ def _verify_orderings(keys, p: int, w: int, rho: Partition) -> dict:
         "wreath_classes": lambda: [
             wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(p, w)
         ],
-        "gibr": lambda: [_gibr_col_text(psi, p) for psi in _lib("modular").enumerate_gibr(p, w)],
+        "gibr": lambda: _gibr_texts(p, w),
         "regular_classes": lambda: [
             wreath.format_class_label(l) for l in _lib("modular").regular_wreath_classes(p, w)
         ],
@@ -369,7 +361,7 @@ VERIFY = {
     "unique": (True, lambda a, rho: _lib("isometry").verify_uniqueness(a.p, a.w), _BLOCK_WREATH),
     "centp": (
         True,
-        lambda a, rho: _lib("isometry").verify_centp(a.p, a.w, a.e, a.max_group_order),
+        lambda a, rho: _lib("isometry").verify_centp(a.p, a.w, a.e),
         ("wreath_classes",),
     ),
     "diagram": (True, lambda a, rho: _lib("isometry").verify_diagram(a.p, a.w, rho), _BLOCK_WREATH),
@@ -390,7 +382,6 @@ VERIFY_VERBS = tuple(VERIFY)
 
 def cmd_verify(args, rho) -> tuple[str, int]:
     _, runner, keys = VERIFY[args.what]
-    _lib("wreath").enumerate_wreath_classes(args.p, args.w)  # the wreath guard, before any work
     rep = runner(args, rho)
     if not rep.records:
         raise RuntimeError(f"verify {args.what} produced no records")
@@ -430,19 +421,22 @@ _OPTIONS = {
 }
 
 # Every subcommand, in help order: its help line, its command, whether --p
-# must be prime (None: as VERIFY says for the verb), and its options.
+# must be prime (None: as VERIFY says for the verb), whether it builds wreath
+# classes (and so is held to the wreath guard), and its options.
 COMMANDS = {
-    "core": ("p-core of a partition", cmd_core, False, "p out partition"),
-    "quotient": ("p-quotient of a partition", cmd_quotient, False, "p out partition"),
-    "sign": ("bead-push sign between p-compatible partitions", cmd_sign, False, "p out partition over"),
-    "gamma": ("runner permutation of a p-core", cmd_gamma, False, "p out core"),
-    "char": ("one symmetric-group (skew) character value", cmd_char, False, "n lambda mu class out"),
-    "table": ("symmetric-group character table, optionally one block", cmd_table, True, "n p core out format"),
-    "wchar": ("one wreath-product irreducible character value", cmd_wchar, True, "p w out phi class"),
-    "isometry": ("signed bijection table for one block", cmd_isometry, False, "p w out core"),
-    "verify": ("run one verification suite", cmd_verify, None, "what p w out e core max-group-order"),
-    "decomp": ("decomposition matrix of the wreath principal block", cmd_decomp, True, "p w out format"),
-    "mu": ("bicharacter matrix of the block bijection", cmd_mu, True, "p w out format core"),
+    "core": ("p-core of a partition", cmd_core, False, False, "p out partition"),
+    "quotient": ("p-quotient of a partition", cmd_quotient, False, False, "p out partition"),
+    "sign": ("bead-push sign between p-compatible partitions", cmd_sign, False, False, "p out partition over"),
+    "gamma": ("runner permutation of a p-core", cmd_gamma, False, False, "p out core"),
+    "char": ("one symmetric-group (skew) character value", cmd_char, False, False, "n lambda mu class out"),
+    "table": (
+        "symmetric-group character table, optionally one block", cmd_table, True, False, "n p core out format"
+    ),
+    "wchar": ("one wreath-product irreducible character value", cmd_wchar, True, True, "p w out phi class"),
+    "isometry": ("signed bijection table for one block", cmd_isometry, False, False, "p w out core"),
+    "verify": ("run one verification suite", cmd_verify, None, True, "what p w out e core max-group-order"),
+    "decomp": ("decomposition matrix of the wreath principal block", cmd_decomp, True, True, "p w out format"),
+    "mu": ("bicharacter matrix of the block bijection", cmd_mu, True, True, "p w out format core"),
 }
 
 
@@ -452,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact block/wreath character computations and verifications.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, _, options) in COMMANDS.items():
+    for command, (help_text, _, _, _, options) in COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
         for name in options.split():
             flag, spec = _OPTIONS.get(f"{command} {name}", _OPTIONS[name])
@@ -461,7 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check(args) -> Partition | None:
-    """Every argument check, in the documented order, before any work.
+    """Every argument check, in the documented order, then the guards,
+    all before any work.
 
     Returns the parsed --core, or None where the command takes no --core or
     --p is not given."""
@@ -470,23 +465,31 @@ def _check(args) -> Partition | None:
         if value is not None and value < low:
             option = name.replace("_", "-")
             raise ArgumentError(f"--{option}={value} must be >= {low}")
-    prime = COMMANDS[args.command][2]
+    _, _, prime, wreath, _ = COMMANDS[args.command]
     if args.command == "verify":
         if args.w < 1:
             raise ArgumentError(f"verify {args.what} needs w >= 1, got w={args.w}")
         prime = VERIFY[args.what][0]
     p = getattr(args, "p", None)
+    rho = None
     if p is None:
         if getattr(args, "core", ""):
             raise ArgumentError("--core needs --p")
-        return None
-    if prime and not is_prime(p):
-        raise ArgumentError(f"p={p} must be prime for this command")
-    if not hasattr(args, "core"):
-        return None
-    rho = parse_partition(args.core)
-    if not abacus.is_core(rho, p):
-        raise ArgumentError(f"{args.core!r} is not a {p}-core")
+    else:
+        if prime and not is_prime(p):
+            raise ArgumentError(f"p={p} must be prime for this command")
+        if hasattr(args, "core"):
+            rho = parse_partition(args.core)
+            if not abacus.is_core(rho, p):
+                raise ArgumentError(f"{args.core!r} is not a {p}-core")
+    if wreath and (p > MAX_P or args.w > MAX_W):
+        raise GuardExceeded(f"wreath guard: p={p}, w={args.w} beyond ({MAX_P}, {MAX_W})")
+    if getattr(args, "what", None) == "centp":
+        n, order = p * args.w + args.e, 1
+        for k in range(2, n + 1):  # n!, built only until it passes the bound
+            order *= k
+            if order > args.max_group_order:
+                raise GuardExceeded(f"group order {n}! exceeds {args.max_group_order}")
     return rho
 
 

@@ -25,8 +25,6 @@ from .abacus import (
 )
 from .classfn import ClassFunction
 from .partitions import (
-    MAX_GROUP_ORDER,
-    GuardExceeded,
     Partition,
     conjugate,
     enumerate_partitions,
@@ -51,8 +49,6 @@ from .symchar import (
     tilde_pi_rho,
 )
 from .wreath import (
-    MAX_P,
-    MAX_W,
     WreathClassFunction,
     canonical_label,
     delta_alpha,
@@ -342,26 +338,22 @@ def _centralizer_scan(hp, p: int, w: int) -> tuple[bool, int | None]:
     return count is not None, count
 
 
-def compute_W(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER) -> dict:
+def compute_W(p: int, w: int, e: int) -> dict:
     """For each class label, whether the centralizer of the p-part of its
-    representative stays inside the block subgroup times the tail."""
-    n = p * w + e
-    if factorial(n) > max_group_order:
-        raise GuardExceeded(f"group order {factorial(n)} exceeds {max_group_order}")
-    # The factorial bound is the binding guard here, so lift the table caps.
-    # Classes whose representatives share a p-part share one scan.
+    representative stays inside the block subgroup times the tail.  Classes
+    whose representatives share a p-part share one scan."""
     return {
         label: _centralizer_scan(p_part_perm(label_representative(label, p, w, e), p), p, w)[0]
-        for label in enumerate_wreath_classes(p, w, max_p=max(p, MAX_P), max_w=max(w, MAX_W))
+        for label in enumerate_wreath_classes(p, w)
     }
 
 
-def verify_centp(p: int, w: int, e: int, max_group_order: int = MAX_GROUP_ORDER) -> Report:
+def verify_centp(p: int, w: int, e: int) -> Report:
     """Brute-force check that the centralizer condition cuts out exactly the
     classes with w (or w-1 when the tail is empty) base p-cycles."""
     rep = Report("centp", {"p": p, "w": w, "e": e})
     threshold = w - 1 if e == 0 else w
-    membership = compute_W(p, w, e, max_group_order)
+    membership = compute_W(p, w, e)
     for label, inside in membership.items():
         expected = in_U_s(label, p, threshold)
         rep.add(

@@ -21,6 +21,7 @@ from .partitions import (
     format_multipartition,
     is_prime,
     multipartitions,
+    supported_on,
 )
 from .reporting import Report
 from .symchar import character_value, sn_space
@@ -105,12 +106,7 @@ def enumerate_gibr(p: int, w: int) -> tuple[GIBrLabel, ...]:
 
 def principal_gibr_filter(assignments, p: int) -> tuple[GIBrLabel, ...]:
     """Keep assignments supported on the principal-block Brauer labels."""
-    labels = brauer_labels(p)
-    return tuple(
-        a
-        for a in assignments
-        if all(not mu or kind == "leg" for (kind, _), mu in zip(labels, a))
-    )
+    return supported_on(assignments, [kind == "leg" for kind, _ in brauer_labels(p)])
 
 
 def _factors(psi: GIBrLabel, p: int, value_fn) -> list:

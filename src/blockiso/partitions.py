@@ -15,9 +15,6 @@ Partition = tuple[int, ...]
 # Enumeration guard: partition counts grow fast enough that anything past
 # this is a mistake at desk scale.
 MAX_ENUM_N = 64
-# Guard on n! for the centralizer scans of `verify centp` (its
-# --max-group-order default).
-MAX_GROUP_ORDER = 50000
 
 
 class GuardExceeded(Exception):
@@ -105,6 +102,11 @@ def multipartitions(k: int, w: int) -> tuple[tuple[Partition, ...], ...]:
         return ((),) if w == 0 else ()
     heads = sorted((mu for m in range(w + 1) for mu in enumerate_partitions(m)), reverse=True)
     return tuple((mu,) + rest for mu in heads for rest in multipartitions(k - 1, w - sum(mu)))
+
+
+def supported_on(assignments, marked) -> tuple:
+    """Keep the assignments whose nonempty parts sit only where marked is true."""
+    return tuple(a for a in assignments if all(m or not mu for m, mu in zip(marked, a)))
 
 
 def is_prime(p: int) -> bool:

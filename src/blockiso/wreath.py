@@ -20,21 +20,18 @@ from .abacus import hook_partition, is_hook
 from .classfn import ClassFunction, ClassSpace
 from .lattice import hnf_basis, lattice_contains
 from .partitions import (
-    GuardExceeded,
     Partition,
     enumerate_partitions,
     format_partition,
     multipartitions,
     scale,
     sqcup,
+    supported_on,
 )
 from .symchar import centralizer_order_sn, character_value, induced_mn, sn_space
 
 ClassLabel = tuple[tuple[int, Partition], ...]
 PMapLabel = tuple[Partition, ...]
-
-MAX_P = 5
-MAX_W = 4
 
 
 def _pair_key(pair: tuple[int, Partition]):
@@ -52,11 +49,9 @@ def format_class_label(label: ClassLabel) -> str:
 
 
 @cache
-def enumerate_wreath_classes(p: int, w: int, max_p: int = MAX_P, max_w: int = MAX_W) -> tuple[ClassLabel, ...]:
+def enumerate_wreath_classes(p: int, w: int) -> tuple[ClassLabel, ...]:
     """All class labels of the wreath of S_p by S_w, canonical order.  Part k
     of component c of a multipartition is a top k-cycle over base class c."""
-    if p > max_p or w > max_w:
-        raise GuardExceeded(f"wreath guard: p={p}, w={w} beyond ({max_p}, {max_w})")
     bases = enumerate_partitions(p)
     labels = [
         canonical_label((k, c) for c, mu in zip(bases, mp) for k in mu)
@@ -161,18 +156,12 @@ def zeta_irr(p: int, w: int, phi_label: PMapLabel) -> ClassFunction:
 
 def enumerate_irr_wreath(p: int, w: int) -> tuple[PMapLabel, ...]:
     """Assignments of partitions to base irreducibles with total size w."""
-    enumerate_wreath_classes(p, w)  # shared guard
     return multipartitions(len(enumerate_partitions(p)), w)
 
 
 def principal_block_filter(labels, p: int) -> tuple[PMapLabel, ...]:
     """Keep the assignments concentrated on hook base irreducibles."""
-    kappas = enumerate_partitions(p)
-    return tuple(
-        lbl
-        for lbl in labels
-        if all(not mu or is_hook(kappa) for kappa, mu in zip(kappas, lbl))
-    )
+    return supported_on(labels, [is_hook(kappa) for kappa in enumerate_partitions(p)])
 
 
 def lambda_psi(psi: tuple[Partition, ...], p: int) -> PMapLabel:

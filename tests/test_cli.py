@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import blockiso.cli as cli
-from blockiso import isometry, symchar
+from blockiso import isometry, modular, perfect, symchar
 from blockiso.reporting import Report
 
 
@@ -194,6 +194,24 @@ def test_invalid_arguments_exit_two(capsys):
         assert rc == 2, argv
 
 
+def test_malformed_class_labels_exit_two(capsys):
+    # each class is read by parse_partition, so an empty part is malformed
+    # too: "1:,1,1" at w=1 was once read as 1:1,1
+    for w, label in [(1, "1:,1,1")] + [
+        (2, label)
+        for label in (
+            "1:x", "1:2:3", "2,1:2", ":2", "a:2", "0:2,1:1,1", "1:2,", "1:2,,1:1,1",
+            "1:1,1,2", "1:-1,3", "1:0,2", "1:3", "1:1", "1:2", "2:2,1:2", "1:2;1:1,1",
+        )
+    ]:
+        rc = cli.main(["wchar", "--p", "2", "--w", str(w), "--phi", f"2:{w}", "--class", label])
+        captured = capsys.readouterr()
+        assert rc == 2, label
+        assert captured.out == "", label
+        assert captured.err.startswith("invalid arguments: "), label
+        assert captured.err.count("\n") == 1, label
+
+
 def test_out_of_range_integers_exit_two(capsys):
     for argv in (
         ("verify", "centp", "--p", "2", "--w", "1", "--e", "-1"),
@@ -221,24 +239,40 @@ def test_guard_exit_three(capsys):
     assert rc == 3
     rc, _ = run(capsys, "verify", "centp", "--p", "3", "--w", "2", "--e", "3")
     assert rc == 3
-    # wchar evaluates one value, so it checks the wreath guard itself
     rc, _ = run(capsys, "wchar", "--p", "2", "--w", "5", "--phi", "2:5", "--class", "")
     assert rc == 3
 
 
 def test_wreath_guard_before_any_work(capsys, monkeypatch):
     def never(*args):
-        raise AssertionError("ran before the wreath guard")
+        raise AssertionError("ran before the guard")
 
     monkeypatch.setattr(isometry, "compute_W", never)
     monkeypatch.setattr(isometry, "verify_lemma_f", never)
-    for verb in ("centp", "lemmaf"):
-        rc = cli.main(["verify", verb, "--p", "7", "--w", "1"])
+    monkeypatch.setattr(modular, "enumerate_gibr", never)
+    monkeypatch.setattr(perfect, "build_mu", never)
+    monkeypatch.setattr(cli, "parse_pmap", never)
+    for argv in (
+        ("verify", "centp", "--p", "7", "--w", "1"),
+        ("verify", "lemmaf", "--p", "7", "--w", "1"),
+        ("decomp", "--p", "5", "--w", "16"),
+        ("mu", "--p", "5", "--w", "5"),
+        ("wchar", "--p", "47", "--w", "1", "--phi", "", "--class", ""),
+        # within the wreath guard, beyond the group-order guard (9! > 50000)
+        ("verify", "centp", "--p", "3", "--w", "2", "--e", "3"),
+    ):
+        rc = cli.main(list(argv))
         captured = capsys.readouterr()
-        assert rc == 3
-        assert captured.out == ""
-        assert captured.err.startswith("guard exceeded: ")
-        assert captured.err.count("\n") == 1
+        assert rc == 3, argv
+        assert captured.out == "", argv
+        assert captured.err.startswith("guard exceeded: "), argv
+        assert captured.err.count("\n") == 1, argv
+
+
+def test_group_order_guard_never_builds_the_factorial(capsys):
+    # (2 + 10**6)! would take minutes to build and cannot be printed
+    rc, _ = run(capsys, "verify", "centp", "--p", "2", "--w", "1", "--e", "1000000")
+    assert rc == 3
 
 
 def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """The signed bijection between block characters and wreath characters."""
 
 import itertools
-from math import factorial, lcm
+from math import lcm
 
 import pytest
 from row_reference import pushdown_to_wreath
@@ -27,7 +27,7 @@ from blockiso.isometry import (
     verify_val,
     wreath_irr_degree,
 )
-from blockiso.partitions import GuardExceeded, enumerate_partitions, format_partition
+from blockiso.partitions import enumerate_partitions, format_partition
 from blockiso.reporting import record
 from blockiso.symchar import centralizer_order_sn, mn_value
 from blockiso.wreath import (
@@ -37,6 +37,7 @@ from blockiso.wreath import (
     factors_from_pmap,
     format_class_label,
     identity_label,
+    in_U_s,
     labels_in_U_s,
     lambda_psi,
     zeta_irr,
@@ -261,14 +262,14 @@ def test_verify_centp_small():
         (2, 4, 1), (3, 3, 1), (3, 4, 0), (5, 2, 0), (5, 2, 1),
     )
     for p, w, e in cases:
-        n = p * w + e
-        rep = verify_centp(p, w, e, max_group_order=factorial(n))
+        rep = verify_centp(p, w, e)
         assert rep.ok, (p, w, e, rep.failures())
 
 
 def test_compute_W_small_and_guard():
-    with pytest.raises(GuardExceeded):
-        compute_W(3, 2, 3)
+    # The group-order guard is the CLI's (test_guard_exit_three); the
+    # library scans S_9 when asked.
+    assert compute_W(3, 2, 3) == {lbl: in_U_s(lbl, 3, 2) for lbl in enumerate_wreath_classes(3, 2)}
     assert compute_W(2, 1, 1) == {
         ((1, (1, 1)),): False,
         ((1, (2,)),): True,
@@ -399,3 +400,20 @@ def test_wreath_irr_degree_is_the_identity_value():
 def test_epsilon_spot_values():
     for lam, sign in (((4,), 1), ((3, 1), -1), ((2, 2), -1), ((2, 1, 1), -1), ((1, 1, 1, 1), 1)):
         assert isometry_row(lam, (), 2)[0] == sign
+
+
+@pytest.mark.parametrize("p, w", [(2, 6), (2, 8), (3, 5), (3, 6), (7, 2), (7, 3)])
+def test_pointwise_checks_past_the_cli_guard(p, w):
+    # The CLI refuses these requests (p <= 5, w <= 4); the library runs them.
+    # (2,6) to (3,6) sit in w >= p, (7,2) and (7,3) in the perfect range w < p.
+    reps = [
+        verify_main(p, w, ()),
+        verify_val(p, w),
+        verify_heights(p, w, ()),
+        verify_uniqueness(p, w),
+        verify_lemma_f(p, w),
+    ]
+    if (p, w) in ((2, 6), (3, 5), (7, 2)):
+        reps += [verify_main(p, w, (1,)), verify_heights(p, w, (1,))]
+    for rep in reps:
+        assert rep.records and rep.ok, (rep.check, rep.failures()[:1])

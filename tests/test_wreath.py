@@ -10,11 +10,7 @@ from deal_reference import reference_zeta_value
 from row_reference import combination_class_function, restrict_from_sn
 
 from blockiso.modular import brauer_labels, brauer_values, enumerate_gibr, projective_values
-from blockiso.partitions import (
-    GuardExceeded,
-    enumerate_partitions,
-    scale,
-)
+from blockiso.partitions import enumerate_partitions, scale
 from blockiso.symchar import SnClassFunction, character_value, decompose, irr_class_function
 from blockiso.wreath import (
     WreathClassFunction,
@@ -62,11 +58,10 @@ def test_class_counts_frozen():
 
 
 def test_table_guards():
-    with pytest.raises(GuardExceeded):
-        enumerate_wreath_classes(7, 1)
-    with pytest.raises(GuardExceeded):
-        enumerate_wreath_classes(2, 5)
-    assert len(enumerate_wreath_classes(7, 1, max_p=7)) == 15
+    # The wreath guard is the CLI's (test_guard_exit_three); the library
+    # enumerates past it: 15 partitions of 7, 36 bipartitions of 5.
+    assert len(enumerate_wreath_classes(7, 1)) == 15
+    assert len(enumerate_wreath_classes(2, 5)) == 36
 
 
 def pair_multiset_classes(p, w):
@@ -92,7 +87,7 @@ def test_classes_match_pair_multiset_reference():
     for p in range(2, 6):
         for w in range(5):
             assert enumerate_wreath_classes(p, w) == pair_multiset_classes(p, w)
-    assert enumerate_wreath_classes(7, 1, max_p=7) == pair_multiset_classes(7, 1)
+    assert enumerate_wreath_classes(7, 1) == pair_multiset_classes(7, 1)
 
 
 def test_class_equation():
