@@ -68,10 +68,9 @@ def p_core(lam: Partition, p: int) -> Partition:
     return partition_from_beta(slots)
 
 
-def p_quotient(lam: Partition, p: int, n_beads: int | None = None) -> tuple[Partition, ...]:
+def p_quotient(lam: Partition, p: int) -> tuple[Partition, ...]:
     """Tuple of p partitions, component i read off runner i."""
-    rows = runner_rows(lam, p, n_beads)
-    return tuple(partition_from_beta(col) for col in rows)
+    return tuple(partition_from_beta(col) for col in runner_rows(lam, p))
 
 
 def block_weight(lam: Partition, p: int) -> int:

@@ -4,8 +4,9 @@ A `ClassSpace` holds a finite group's class labels in canonical order, the
 index map, the group order |G| and the integer class sizes |G|/z_c.  Every
 inner product and transfer is then one integer dot product against those
 weights followed by a single division by |G| (times a common denominator
-when the values are Fractions).  All classes of the groups handled here are
-real, so no complex conjugation is needed.
+when the values are Fractions).  Every linear combination of rows is one
+`combine`.  All classes of the groups handled here are real, so no complex
+conjugation is needed.
 """
 
 from __future__ import annotations
@@ -44,17 +45,22 @@ class ClassSpace:
     def inner(self, a, b) -> Fraction:
         return self.pairings(a, (b,))[0]
 
+    def combine(self, coeffs, rows) -> list:
+        """The linear combination of the rows with the paired coefficients,
+        skipping zero coefficients; the zero row when there are none."""
+        out = [0] * len(self.labels)
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = [x + c * y for x, y in zip(out, row)]
+        return out
+
     def project(self, values, rows) -> tuple[Fraction, ...]:
         """Orthogonal projection of values onto the span of orthonormal
         integer rows."""
         u, d = self.weighted(values)
-        out = [0] * len(self.labels)
-        for row in rows:
-            c = sum(map(mul, u, row))
-            if c:
-                out = [x + c * y for x, y in zip(out, row)]
+        coeffs = [sum(map(mul, u, row)) for row in rows]
         den = self.order * d
-        return tuple(Fraction(x, den) for x in out)
+        return tuple(Fraction(x, den) for x in self.combine(coeffs, rows))
 
 
 class ClassFunction:
@@ -101,20 +107,8 @@ class ClassFunction:
         """The value at a label, which must be in its canonical form."""
         return self.values[self.space.index[label]]
 
-    def __add__(self, other: ClassFunction) -> ClassFunction:
-        self._match(other)
-        return ClassFunction(self.space, tuple(a + b for a, b in zip(self.values, other.values)))
-
-    def __sub__(self, other: ClassFunction) -> ClassFunction:
-        self._match(other)
-        return ClassFunction(self.space, tuple(a - b for a, b in zip(self.values, other.values)))
-
     def scaled(self, c) -> ClassFunction:
         return ClassFunction(self.space, tuple(c * a for a in self.values))
 
     def is_zero(self) -> bool:
         return not any(self.values)
-
-    def _match(self, other: ClassFunction) -> None:
-        if self.space is not other.space:
-            raise ValueError("mismatched class spaces")

@@ -26,10 +26,10 @@ from .partitions import (
 from .reporting import Report
 from .symchar import character_value, sn_space
 from .wreath import (
-    WreathClassFunction,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     induction_factors,
+    wreath_space,
     zeta_class_function,
     zeta_irr,
 )
@@ -169,21 +169,18 @@ def decomposition_matrix(p: int, w: int):
     """
     gibr = enumerate_gibr(p, w)
     proj = [zeta_projective(p, w, psi).values for psi in gibr]
-    brau = [zeta_brauer(p, w, psi) for psi in gibr]
-    regular = regular_wreath_classes(p, w)
+    brau = [zeta_brauer(p, w, psi).values for psi in gibr]
+    space = wreath_space(p, w)
+    regular = [space.index[lbl] for lbl in regular_wreath_classes(p, w)]
     rows = []
     for theta_label in enumerate_irr_wreath(p, w):
-        theta = zeta_irr(p, w, theta_label)
-        numbers = theta.space.pairings(theta.values, proj)
+        theta = zeta_irr(p, w, theta_label).values
+        numbers = space.pairings(theta, proj)
         if any(d.denominator != 1 for d in numbers):
             raise AssertionError("decomposition number is not an integer")
         row = [int(d) for d in numbers]
-        recon = WreathClassFunction(p, w, (0,) * len(theta.values))
-        for d, zb in zip(row, brau):
-            if d:
-                recon = recon + zb.scaled(d)
-        for lbl in regular:
-            if recon.value(lbl) != theta.value(lbl):
-                raise AssertionError("Brauer expansion fails on a regular class")
+        recon = space.combine(row, brau)
+        if any(recon[k] != theta[k] for k in regular):
+            raise AssertionError("Brauer expansion fails on a regular class")
         rows.append(row)
     return rows

@@ -12,8 +12,6 @@ reaches p.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .abacus import hook_partition
 from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row
@@ -45,6 +43,7 @@ from .wreath import (
     lambda_psi,
     principal_block_filter,
     tp_wr,
+    wreath_space,
     zeta_irr,
 )
 
@@ -60,16 +59,12 @@ def label_p_regular(label, p: int) -> bool:
 
 
 def build_mu(p: int, w: int, rho: Partition):
-    """Matrix of the bicharacter over (big class, wreath label)."""
-    n = p * w + sum(rho)
-    labels = enumerate_wreath_classes(p, w)
-    rows = [[0] * len(labels) for _ in enumerate_partitions(n)]
-    for lam in irr_in_block(n, p, rho):
-        image = isometry_image(lam, rho, p).values
-        for i, a in enumerate(irr_class_function(lam).values):
-            if a:
-                rows[i] = [x + a * y for x, y in zip(rows[i], image)]
-    return rows
+    """Matrix of the bicharacter over (big class, wreath label): row i sums
+    the block's wreath images, each weighted by its character at class i."""
+    block = irr_in_block(p * w + sum(rho), p, rho)
+    images = [isometry_image(lam, rho, p).values for lam in block]
+    chis = [irr_class_function(lam).values for lam in block]
+    return [wreath_space(p, w).combine(column, images) for column in zip(*chis)]
 
 
 def R_mu(mu_rows, xi: ClassFunction, p: int, w: int) -> ClassFunction:
@@ -84,21 +79,10 @@ def I_mu(mu_rows, theta: ClassFunction, n: int) -> ClassFunction:
     return SnClassFunction(n, theta.space.pairings(theta.values, mu_rows))
 
 
-def in_L_lambda_sn(xi: ClassFunction, lam: Partition, p: int) -> bool:
-    """Vanishing off the classes whose p-multiplied data equals lam."""
-    return all(
-        v == 0
-        for tau, v in zip(enumerate_partitions(xi.n), xi.values)
-        if tp_p(tau, p) != lam
-    )
-
-
-def in_L_lambda_wreath(theta: ClassFunction, lam: Partition) -> bool:
-    return all(
-        v == 0
-        for lbl, v in zip(enumerate_wreath_classes(theta.p, theta.w), theta.values)
-        if tp_wr(lbl, theta.p) != lam
-    )
+def in_L_lambda(values, types, lam: Partition) -> bool:
+    """Vanishing off the classes whose p-multiplied data (types, in class
+    order) equals lam."""
+    return all(v == 0 for t, v in zip(types, values) if t != lam)
 
 
 def wreath_block_projection(theta: ClassFunction) -> ClassFunction:
@@ -121,7 +105,7 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
         want = isometry_image(lam, rho, p)
         rep.add(
             {"lambda": format_partition(lam), "map": "forward"},
-            tuple(got.values) == tuple(Fraction(v) for v in want.values),
+            got.values == want.values,
         )
     for lam in enumerate_partitions(n):
         if lam in block:
@@ -136,7 +120,7 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
         want = irr_class_function(lam).scaled(isometry_row(lam, rho, p)[0])
         rep.add(
             {"phi": format_multipartition(phi), "map": "inverse"},
-            tuple(got.values) == tuple(Fraction(v) for v in want.values),
+            got.values == want.values,
         )
     return rep
 
@@ -146,18 +130,13 @@ def verify_sep(p: int, w: int, rho: Partition) -> Report:
     rep = Report("sep", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
-    classes = enumerate_partitions(n)
-    labels = enumerate_wreath_classes(p, w)
-    for i, tau in enumerate(classes):
-        for j, lbl in enumerate(labels):
-            if tp_p(tau, p) == tp_wr(lbl, p):
+    labels = [(tp_wr(lbl, p), format_class_label(lbl)) for lbl in enumerate_wreath_classes(p, w)]
+    for tau, row in zip(enumerate_partitions(n), mu_rows):
+        typ, text = tp_p(tau, p), format_partition(tau)
+        for (lbl_typ, lbl_text), m in zip(labels, row):
+            if typ == lbl_typ:
                 continue
-            ok = mu_rows[i][j] == 0
-            rep.add(
-                {"class": format_partition(tau), "label": format_class_label(lbl)},
-                ok,
-                None if ok else {"mu": mu_rows[i][j]},
-            )
+            rep.add({"class": text, "label": lbl_text}, m == 0, None if m == 0 else {"mu": m})
     return rep
 
 
@@ -168,24 +147,26 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
     mu_rows = build_mu(p, w, rho)
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
+    sn_types = [tp_p(tau, p) for tau in classes]
+    wr_types = [tp_wr(lbl, p) for lbl in labels]
     for m in range(w + 1):
         for lam in enumerate_partitions(m):
             typ = format_partition(lam)
             for i, tau in enumerate(classes):
-                if tp_p(tau, p) != lam:
+                if sn_types[i] != lam:
                     continue
                 indicator = SnClassFunction(
                     n, tuple(int(k == i) for k in range(len(classes)))
                 )
                 xi = block_projection(indicator, p, rho)
                 cls = {"type": typ, "class": format_partition(tau)}
-                if not in_L_lambda_sn(xi, lam, p):
+                if not in_L_lambda(xi.values, sn_types, lam):
                     rep.add(dict(cls, side="projection"), False)
                     continue
                 image = R_mu(mu_rows, xi, p, w)
-                rep.add(dict(cls, side="forward"), in_L_lambda_wreath(image, lam))
+                rep.add(dict(cls, side="forward"), in_L_lambda(image.values, wr_types, lam))
             for j, lbl in enumerate(labels):
-                if tp_wr(lbl, p) != lam:
+                if wr_types[j] != lam:
                     continue
                 indicator = WreathClassFunction(
                     p, w, tuple(int(k == j) for k in range(len(labels)))
@@ -194,7 +175,7 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
                 image = I_mu(mu_rows, theta, n)
                 rep.add(
                     {"type": typ, "label": format_class_label(lbl), "side": "backward"},
-                    in_L_lambda_sn(image, lam, p),
+                    in_L_lambda(image.values, sn_types, lam),
                 )
     return rep
 
@@ -220,13 +201,16 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     irr_wr = enumerate_irr_wreath(p, w)
     idx = {phi: i for i, phi in enumerate(irr_wr)}
     principal_wr = set(principal_block_filter(irr_wr, p))
+    targets = []
+    for lam in block:
+        sign, psi = isometry_row(lam, rho, p)
+        targets.append((sign, idx[lambda_psi(psi, p)]))
     image_rows = []
     for coeff_row in block_projective_lattice(p, w, rho):
         vec = [0] * len(irr_wr)
-        for c, lam in zip(coeff_row, block):
+        for c, (sign, k) in zip(coeff_row, targets):
             if c:
-                sign, psi = isometry_row(lam, rho, p)
-                vec[idx[lambda_psi(psi, p)]] += c * sign
+                vec[k] += c * sign
         image_rows.append(vec)
 
     proj_rows = []

@@ -6,14 +6,23 @@ whole-row maps below are the route it is checked against: the skew
 character as a row, restriction along the wreath embedding, and the
 pushdown built from `symchar.tilde_pi_rho`.  `combination_class_function`
 induces from factors whose top characters are integer combinations, by
-linearity over `wreath.zeta_class_function`.
+linearity over `wreath.zeta_class_function`.  `dense_mu` is the bicharacter
+accumulated block character by block character, each one's image added
+into every row where its character is nonzero.
 """
 
 import itertools
 from math import prod
 
+from blockiso.isometry import isometry_image
 from blockiso.partitions import enumerate_partitions
-from blockiso.symchar import SnClassFunction, irr_class_function, mn_value, tilde_pi_rho
+from blockiso.symchar import (
+    SnClassFunction,
+    irr_class_function,
+    irr_in_block,
+    mn_value,
+    tilde_pi_rho,
+)
 from blockiso.wreath import (
     WreathClassFunction,
     embed_to_sn,
@@ -52,9 +61,23 @@ def pushdown_to_wreath(lam, rho, p: int, w: int):
 def combination_class_function(p: int, w: int, factors):
     """The class function induced from factors (phi, {mu: coefficient}),
     expanded by linearity in each factor's top character."""
-    total = None
+    total = [0] * len(enumerate_wreath_classes(p, w))
     for terms in itertools.product(*(chi.items() for _, chi in factors)):
         young = [(phi, mu, ()) for (phi, _), (mu, _) in zip(factors, terms)]
-        term = zeta_class_function(p, w, young).scaled(prod(c for _, c in terms))
-        total = term if total is None else total + term
-    return total
+        c = prod(k for _, k in terms)
+        total = [x + c * y for x, y in zip(total, zeta_class_function(p, w, young).values)]
+    return WreathClassFunction(p, w, total)
+
+
+def dense_mu(p: int, w: int, rho):
+    """The bicharacter matrix over (big class, wreath label), one block
+    character at a time."""
+    n = p * w + sum(rho)
+    labels = enumerate_wreath_classes(p, w)
+    rows = [[0] * len(labels) for _ in enumerate_partitions(n)]
+    for lam in irr_in_block(n, p, rho):
+        image = isometry_image(lam, rho, p).values
+        for i, a in enumerate(irr_class_function(lam).values):
+            if a:
+                rows[i] = [x + a * y for x, y in zip(rows[i], image)]
+    return rows

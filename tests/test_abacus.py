@@ -128,9 +128,10 @@ def test_quotient_bead_count_invariance():
         for n in range(0, 9):
             for lam in enumerate_partitions(n):
                 base = default_bead_count(lam, p)
-                q0 = p_quotient(lam, p, base)
-                assert p_quotient(lam, p, base + p) == q0
-                assert p_quotient(lam, p, base + 3 * p) == q0
+                q0 = p_quotient(lam, p)
+                for n_beads in (base, base + p, base + 3 * p):
+                    rows = runner_rows(lam, p, n_beads)
+                    assert tuple(partition_from_beta(col) for col in rows) == q0
 
 
 def test_weight_and_reconstruction():

@@ -17,6 +17,7 @@ from blockiso.symchar import (
     centralizer_order_sn,
     irr_class_function,
     irr_in_block,
+    sn_space,
     tilde_pi_rho,
 )
 from blockiso.wreath import (
@@ -102,6 +103,26 @@ def test_block_projection_matches_reference():
         want = [x + c * y for x, y in zip(want, row)]
     got = block_projection(xi, p, rho)
     assert got.values == tuple(want)
+
+
+def test_combine_matches_per_entry_sums():
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    space = sn_space(4)
+    size = len(space.labels)
+    entries = st.integers(-50, 50) | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    terms = st.lists(st.tuples(entries | st.just(0), st.tuples(*[entries] * size)), max_size=6)
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(terms)
+    def check(terms):
+        coeffs, rows = [c for c, _ in terms], [row for _, row in terms]
+        want = [sum(c * row[k] for c, row in terms) for k in range(size)]
+        assert space.combine(coeffs, rows) == want
+
+    check()
+    assert space.combine([], []) == [0] * size
 
 
 def test_pushdown_by_empty_core_is_identity():

@@ -186,11 +186,11 @@ def test_failing_records_keep_whole_row_witnesses(monkeypatch):
         run = {"p": p, "w": w, "core": format_partition(rho)}
         want = []
         for lam in block:
-            delta = isometry_image(lam, rho, p) - pushdown_to_wreath(lam, rho, p, w)
+            image, pushed = isometry_image(lam, rho, p), pushdown_to_wreath(lam, rho, p, w)
             for s in levels:
-                bad = [lbl for lbl in labels_in_U_s(p, w, s) if delta.value(lbl)]
+                bad = [lbl for lbl in labels_in_U_s(p, w, s) if image.value(lbl) != pushed.value(lbl)]
                 if bad:
-                    diff = delta.value(bad[0])
+                    diff = image.value(bad[0]) - pushed.value(bad[0])
                     witness = {"label": format_class_label(bad[0]), "difference": str(diff)}
                     params = dict(run, **{"lambda": format_partition(lam), "level": s})
                     want.append(record("main", params, False, witness))

@@ -16,6 +16,7 @@ from blockiso.perfect import (
     verify_type,
 )
 from blockiso.symchar import irr_class_function
+from row_reference import dense_mu
 
 
 def test_tp_p_frozen():
@@ -46,6 +47,11 @@ def test_label_p_regular_frozen():
 
 def test_mu_matrix_frozen():
     assert build_mu(2, 1, ()) == [[2, 0], [0, 2]]
+
+
+def test_mu_matrix_matches_dense_reference():
+    for p, w, rho in ((2, 2, ()), (2, 3, (2, 1)), (3, 2, (1,)), (3, 3, (2,))):
+        assert build_mu(p, w, rho) == dense_mu(p, w, rho), (p, w, rho)
 
 
 def test_transform_recovers_images():
