@@ -290,7 +290,7 @@ def cmd_wchar(args, _rho) -> tuple[str, int]:
         "w": args.w,
         "phi": format_assignment(_irr_names(args.p), phi),
         "class": wreath.format_class_label(label),
-        "value": wreath.zeta_value(args.p, wreath.factors_from_pmap(phi, args.p), label),
+        "value": wreath.zeta_row(args.p, wreath.factors_from_pmap(phi, args.p), [label])[0],
     }
     return _json_line(out) + "\n", 0
 

@@ -42,7 +42,7 @@ from .symchar import (
     degree,
     height_by_tower,
     height_by_valuation,
-    induced_mn,
+    induced_row,
     irr_class_function,
     irr_in_block,
     mn_value,
@@ -62,7 +62,7 @@ from .wreath import (
     principal_block_filter,
     wreath_space,
     zeta_irr,
-    zeta_value,
+    zeta_row,
 )
 
 
@@ -103,8 +103,8 @@ def isometry_image(lam: Partition, rho: Partition, p: int) -> ClassFunction:
 
 
 def _image_factors(lam: Partition, rho: Partition, p: int):
-    """The sign and wreath factors of lam's image, for pointwise evaluation:
-    the image at a label is sign * zeta_value(p, factors, label)."""
+    """The sign and wreath factors of lam's image, for evaluation at chosen
+    labels: the image there is sign * zeta_row(p, factors, labels)."""
     sign, psi = isometry_row(lam, rho, p)
     return sign, factors_from_pmap(lambda_psi(psi, p), p)
 
@@ -134,12 +134,11 @@ def verify_main(p: int, w: int, rho: Partition) -> Report:
     start = circularly_nondecreasing(rho, p)
     levels = [w] if start is None else [w, w - 1]
     labels = labels_in_U_s(p, w, min(levels))
+    taus = [embed_to_sn(lbl) for lbl in labels]
     for lam in irr_in_block(n, p, rho):
         sign, factors = _image_factors(lam, rho, p)
-        delta = [
-            sign * zeta_value(p, factors, lbl) - mn_value(lam, rho, embed_to_sn(lbl))
-            for lbl in labels
-        ]
+        image = zip(zeta_row(p, factors, labels), taus)
+        delta = [sign * v - mn_value(lam, rho, tau) for v, tau in image]
         for s in levels:
             bad = [(lbl, d) for lbl, d in zip(labels, delta) if d and in_U_s(lbl, p, s)]
             witness = None
@@ -153,11 +152,11 @@ def verify_val(p: int, w: int) -> Report:
     """Exact value agreement on classes with at least w-1 base p-cycles."""
     rep = Report("val", {"p": p, "w": w})
     labels = labels_in_U_s(p, w, w - 1)
+    taus = [embed_to_sn(lbl) for lbl in labels]
     for lam in irr_in_block(p * w, p, ()):
         sign, factors = _image_factors(lam, (), p)
-        for lbl in labels:
-            lhs = sign * zeta_value(p, factors, lbl)
-            rhs = character_value(lam, embed_to_sn(lbl))
+        for lbl, tau, v in zip(labels, taus, zeta_row(p, factors, labels)):
+            lhs, rhs = sign * v, character_value(lam, tau)
             rep.add(
                 {"lambda": format_partition(lam), "label": format_class_label(lbl)},
                 lhs == rhs,
@@ -437,21 +436,19 @@ def verify_lemma_f(p: int, w: int) -> Report:
     if w < 1:
         raise ValueError(f"lemmaf needs w >= 1, got w={w}")
     rep = Report("lemma_f", {"p": p, "w": w})
+    alphas = enumerate_partitions(w - 1)
+    cycles = [[(k, 0) for k in alpha] for alpha in alphas]
     for lam in irr_in_block(p * w, p, ()):
         quot = p_quotient(lam, p)
         eps = p_sign(lam, (), p)
         legs = [j for j in range(p) if quot[j]]
-        skew: dict[Partition, list[int]] = {}
+        rows = [
+            induced_row([((1,), q, (1,) if i == j else ()) for i, q in enumerate(quot)], cycles)
+            for j in legs
+        ]
+        skew = dict(zip(alphas, zip(*rows)))
         witness = None
         for (alpha, beta), val in f_tensor(lam, p).items():
-            if alpha not in skew:
-                skew[alpha] = [
-                    induced_mn(
-                        [((1,), q, (1,) if i == j else ()) for i, q in enumerate(quot)],
-                        [(k, 0) for k in alpha],
-                    )
-                    for j in legs
-                ]
             rhs = eps * sum(
                 (-1) ** (p - j - 1) * term * character_value(hook_partition(p - j - 1, p), beta)
                 for j, term in zip(legs, skew[alpha])

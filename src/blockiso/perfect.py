@@ -15,7 +15,6 @@ from __future__ import annotations
 from .abacus import hook_partition
 from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row
-from .lattice import hnf_basis, kernel_lattice
 from .modular import principal_gibr_filter, enumerate_gibr, zeta_projective
 from .partitions import (
     Partition,
@@ -185,6 +184,7 @@ def block_projective_lattice(p: int, w: int, rho: Partition):
 
     Returned as coefficient rows over the block's canonical label list.
     """
+    from .lattice import kernel_lattice
     n = p * w + sum(rho)
     block = irr_in_block(n, p, rho)
     singular = [tau for tau in enumerate_partitions(n) if tp_p(tau, p) != ()]
@@ -195,6 +195,7 @@ def block_projective_lattice(p: int, w: int, rho: Partition):
 def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     """Transfer matches the block projective lattice with the span of the
     principal projective tuples, as lattices of wreath coefficients."""
+    from .lattice import hnf_basis
     rep = Report("perfproj", {"p": p, "w": w})
     n = p * w + sum(rho)
     block = irr_in_block(n, p, rho)

@@ -70,36 +70,39 @@ def _mn(lam: Partition, mu: Partition, tau: Partition) -> int:
     return sum(sign * _mn(nu, mu, tau[1:]) for nu, sign in strips(lam, tau[0]) if contains(nu, mu))
 
 
-def induced_mn(factors, label) -> int:
-    """Value at label of the character induced from a Young-type subgroup.
+def induced_row(factors, labels) -> list[int]:
+    """Values at each label of the character induced from a Young-type subgroup.
 
     A factor (row, lam, mu) is the skew character lam/mu of its top group,
     times the base values row; a label is a sequence of (k, c): a k-cycle
     over base class index c (always 0 for a symmetric group).  Each cycle
-    in turn is peeled as a k-border strip off one factor's shape and
-    weighted by that factor's row[c] (the Murnaghan-Nakayama rule of the
-    wreath product), memoised for this call on the shapes left and the
-    cycles peeled.
+    in turn is peeled as a k-border strip off one factor's shape, weighted
+    by that factor's row[c] (the wreath Murnaghan-Nakayama rule); all labels
+    share one memo on the shapes left and the cycles still to peel.
     """
-    if sum(sum(lam) - sum(mu) for _, lam, mu in factors) != sum(k for k, _ in label):
+    labels = [tuple(label) for label in labels]
+    size = sum(sum(lam) - sum(mu) for _, lam, mu in factors)
+    if any(sum(k for k, _ in label) != size for label in labels):
         raise ValueError("factor sizes do not sum to the label size")
     if not all(contains(lam, mu) for _, lam, mu in factors):
-        return 0
+        return [0] * len(labels)
+    shapes, memo = tuple(lam for _, lam, _ in factors), {}
+    return [_peel(factors, shapes, label, memo) for label in labels]
 
-    @cache
-    def rec(shapes: tuple, j: int) -> int:
-        if j == len(label):
-            return 1
-        k, c = label[j]
-        total = 0
-        for i, (row, _, mu) in enumerate(factors):
-            if row[c]:
-                for nu, sign in strips(shapes[i], k):
-                    if contains(nu, mu):
-                        total += row[c] * sign * rec(shapes[:i] + (nu,) + shapes[i + 1 :], j + 1)
-        return total
 
-    return rec(tuple(lam for _, lam, _ in factors), 0)
+def _peel(factors, shapes: tuple, rest: tuple, memo: dict) -> int:
+    # Not a closure: a recursive closure would keep the memo until a full collection.
+    if not rest:
+        return 1
+    total = memo.get((shapes, rest))
+    if total is None:
+        (k, c), tail = rest[0], rest[1:]
+        total = memo[shapes, rest] = sum(
+            row[c] * sign * _peel(factors, shapes[:i] + (nu,) + shapes[i + 1 :], tail, memo)
+            for i, (row, _, mu) in enumerate(factors) if row[c]
+            for nu, sign in strips(shapes[i], k) if contains(nu, mu)
+        )
+    return total
 
 
 def character_value(lam: Partition, tau: Partition) -> int:

@@ -5,9 +5,10 @@ pairs (k, c): a top cycle of length k whose cycle product lies in the base
 class c (a partition of p), with the k summing to w.  A list of factors
 (phi_i, mu_i, ()), each a row of base values and the irreducible mu_i of a
 smaller top group, induces up to a class function.  Its value at a label
-comes from the wreath Murnaghan-Nakayama rule (`symchar.induced_mn`): each
-pair (k, c) in turn is peeled as a k-border strip off one factor's top
-shape, weighted by the strip sign and that factor's base value phi_i at c.
+comes from the wreath Murnaghan-Nakayama rule: each pair (k, c) in turn is
+peeled as a k-border strip off one factor's top shape, weighted by the
+strip sign and that factor's base value phi_i at c.  `zeta_row` evaluates
+one factor list at many labels at once, by `symchar.induced_row`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from math import factorial
 
 from .abacus import hook_partition, is_hook
 from .classfn import ClassFunction, ClassSpace
-from .lattice import hnf_basis, lattice_contains
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -28,7 +28,7 @@ from .partitions import (
     sqcup,
     supported_on,
 )
-from .symchar import centralizer_order_sn, character_value, induced_mn, sn_space
+from .symchar import centralizer_order_sn, character_value, induced_row, sn_space
 
 ClassLabel = tuple[tuple[int, Partition], ...]
 PMapLabel = tuple[Partition, ...]
@@ -116,16 +116,14 @@ def WreathClassFunction(p: int, w: int, values) -> ClassFunction:
     return ClassFunction(wreath_space(p, w), tuple(values))
 
 
-def zeta_value(p: int, factors: list, label: ClassLabel) -> int:
-    """Value at label of the class function induced from the given factors."""
+def zeta_row(p: int, factors: list, labels) -> list[int]:
+    """Values at the labels of the class function induced from the factors."""
     class_idx = sn_space(p).index
-    return induced_mn(factors, [(k, class_idx[c]) for k, c in label])
+    return induced_row(factors, ([(k, class_idx[c]) for k, c in lbl] for lbl in labels))
 
 
 def zeta_class_function(p: int, w: int, factors: list) -> ClassFunction:
-    return WreathClassFunction(
-        p, w, (zeta_value(p, factors, lbl) for lbl in enumerate_wreath_classes(p, w))
-    )
+    return WreathClassFunction(p, w, zeta_row(p, factors, enumerate_wreath_classes(p, w)))
 
 
 def irr_base_values(kappa: Partition, p: int) -> tuple:
@@ -235,6 +233,7 @@ def span_generators(p: int, w: int, base_list: list[tuple]) -> list[ClassFunctio
 
 def span_membership(xi: ClassFunction, base_list: list[tuple]) -> bool:
     """Whether xi lies in the integer span of the induced generators."""
+    from .lattice import hnf_basis, lattice_contains
     if any(int(v) != v for v in xi.values):
         raise ValueError("membership asks for integer class functions")
     gens = span_generators(xi.p, xi.w, base_list)

@@ -1,7 +1,8 @@
 """Reference oracle for induced characters: enumerate every deal of a label's
 cycles to the factors, then evaluate each factor at the cycle type it was
-dealt.  `symchar.induced_mn` and `wreath.zeta_value` peel border strips
-instead and are checked against these.
+dealt.  `symchar.induced_row` and `wreath.zeta_row` peel border strips
+instead, a whole list of labels per call, and are checked against these
+one label at a time.
 """
 
 from blockiso.symchar import mn_value, sn_space
@@ -42,7 +43,7 @@ def _cycle_type(group) -> tuple:
 
 
 def reference_induced_mn(factors, label) -> int:
-    """induced_mn by deals: factors (row, lam, mu), label pairs (k, c)."""
+    """induced_row at one label, by deals: factors (row, lam, mu), label pairs (k, c)."""
 
     def term(groups) -> int:
         out = 1
@@ -57,6 +58,6 @@ def reference_induced_mn(factors, label) -> int:
 
 
 def reference_zeta_value(p: int, factors, label) -> int:
-    """zeta_value by deals: factors (row, mu, ()), label pairs (k, base class)."""
+    """zeta_row at one label, by deals: factors (row, mu, ()), label pairs (k, base class)."""
     class_idx = sn_space(p).index
     return reference_induced_mn(factors, [(k, class_idx[c]) for k, c in label])

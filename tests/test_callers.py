@@ -2,7 +2,7 @@
 
 Every public top-level function or class of `src/blockiso` must be read
 somewhere in the package outside its own definition, either by name or as
-an attribute (`wreath.zeta_value`, `_lib("symchar").mn_value`).  Attribute
+an attribute (`wreath.zeta_row`, `_lib("symchar").mn_value`).  Attribute
 reads on the parsed arguments (`args.partition`) name options, not
 functions, so they do not count.  The only exceptions are the helpers that
 state a definition of the paper, which the tests call directly.

@@ -41,7 +41,7 @@ from blockiso.wreath import (
     labels_in_U_s,
     lambda_psi,
     zeta_irr,
-    zeta_value,
+    zeta_row,
 )
 
 
@@ -151,9 +151,9 @@ def _small_cores(p: int, size: int = 3):
 
 def test_pointwise_pushdown_and_image_match_whole_rows():
     # The verify verbs evaluate the pushdown as the skew character lam/rho
-    # and the image by the wreath MN rule, one label at a time; the whole-row
-    # maps (tilde_pi_rho of the irreducible row, the cached zeta_irr row)
-    # are the reference.
+    # one label at a time, and the image by the wreath MN rule as one row
+    # over the labels they check; the whole-row maps (tilde_pi_rho of the
+    # irreducible row, the cached zeta_irr row) are the reference.
     grid = [(2, w) for w in range(1, 5)] + [(3, w) for w in range(1, 4)] + [(5, 1), (5, 2)]
     for p, w in grid:
         labels = enumerate_wreath_classes(p, w)
@@ -162,9 +162,9 @@ def test_pointwise_pushdown_and_image_match_whole_rows():
                 down = pushdown_to_wreath(lam, rho, p, w)
                 img = isometry_image(lam, rho, p)
                 sign, factors = isometry._image_factors(lam, rho, p)
-                for lbl in labels:
+                for lbl, value in zip(labels, zeta_row(p, factors, labels)):
                     assert mn_value(lam, rho, embed_to_sn(lbl)) == down.value(lbl), (p, w, rho, lam, lbl)
-                    assert sign * zeta_value(p, factors, lbl) == img.value(lbl), (p, w, rho, lam, lbl)
+                    assert sign * value == img.value(lbl), (p, w, rho, lam, lbl)
 
 
 def _flip_one_sign(monkeypatch, flipped):
@@ -392,7 +392,7 @@ def test_wreath_irr_degree_is_the_identity_value():
     for p, w in ((2, 4), (3, 3), (3, 4), (5, 2), (5, 3)):
         ident = identity_label(p, w)
         for phi in enumerate_irr_wreath(p, w):
-            assert wreath_irr_degree(p, w, phi) == zeta_value(p, factors_from_pmap(phi, p), ident)
+            assert [wreath_irr_degree(p, w, phi)] == zeta_row(p, factors_from_pmap(phi, p), [ident])
     with pytest.raises(ValueError):
         wreath_irr_degree(2, 2, ((1,), ()))
 

@@ -74,6 +74,21 @@ def test_verify_main_skips_perfect_and_modular():
     assert not {"blockiso.perfect", "blockiso.modular"} & set(got["loaded"]), got
 
 
+def test_lattice_loads_only_for_perfproj():
+    got = fresh(
+        "from blockiso.cli import main\n"
+        "rcs = [run(['verify', 'main', '--p', '2', '--w', '2']),"
+        " run(['decomp', '--p', '2', '--w', '2'])]\n"
+        "before = loaded()\n"
+        "rcs.append(run(['verify', 'perfproj', '--p', '2', '--w', '2']))\n"
+        "print(json.dumps({'rcs': rcs, 'before': before, 'after': loaded()}))\n"
+    )
+    assert got["rcs"] == [0, 0, 0]
+    assert {"blockiso.wreath", "blockiso.modular"} <= set(got["before"]), got
+    assert "blockiso.lattice" not in got["before"], got
+    assert "blockiso.lattice" in got["after"]
+
+
 def test_public_names_resolve_to_their_home_objects():
     got = fresh(
         "import importlib\n"

@@ -23,7 +23,7 @@ from blockiso.symchar import (
     degree,
     height_by_tower,
     height_by_valuation,
-    induced_mn,
+    induced_row,
     irr_class_function,
     irr_in_block,
     strips,
@@ -137,18 +137,29 @@ def test_strips_frozen():
     assert strips((), 1) == ()
 
 
-def test_induced_mn_matches_deal_reference():
+def test_induced_row_matches_deal_reference():
+    # One call shares one memo over all its labels, so the labels come
+    # shuffled, with repeats, and in pairs that end in the same cycles.
     st = pytest.importorskip("hypothesis.strategies")
     from hypothesis import given, settings
+
+    def draw_label(data, size, n_classes):
+        cycles = data.draw(st.sampled_from(enumerate_partitions(size)))
+        pairs = [(k, data.draw(st.integers(0, n_classes - 1))) for k in cycles]
+        return data.draw(st.permutations(pairs))
 
     @settings(max_examples=300, deadline=None, database=None)
     @given(st.data())
     def check(data):
         w = data.draw(st.integers(0, 4))
         n_classes = data.draw(st.integers(1, 3))
-        cycles = data.draw(st.sampled_from(enumerate_partitions(w)))
-        label = [(k, data.draw(st.integers(0, n_classes - 1))) for k in cycles]
-        label = data.draw(st.permutations(label))
+        labels = [draw_label(data, w, n_classes) for _ in range(data.draw(st.integers(1, 4)))]
+        for label in list(labels):
+            cut = data.draw(st.integers(0, len(label)))
+            head = sum(k for k, _ in label[:cut])
+            labels.append(draw_label(data, head, n_classes) + label[cut:])
+        labels += data.draw(st.lists(st.sampled_from(labels), max_size=3))
+        labels = data.draw(st.permutations(labels))
         cuts = sorted(data.draw(st.lists(st.integers(0, w), max_size=2)))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [w])]
         factors = []
@@ -157,12 +168,14 @@ def test_induced_mn_matches_deal_reference():
             lam = data.draw(st.sampled_from(enumerate_partitions(size + sum(mu))))
             row = data.draw(st.lists(st.integers(-3, 3), min_size=n_classes, max_size=n_classes))
             factors.append((tuple(row), lam, mu))
-        assert induced_mn(factors, label) == reference_induced_mn(factors, label)
+        got = induced_row(factors, labels)
+        assert got == [reference_induced_mn(factors, label) for label in labels], labels
 
     check()
     with pytest.raises(ValueError):
-        induced_mn([((1,), (2,), ())], [(1, 0)])
-    assert induced_mn([((1,), (2,), (1, 1))], []) == 0
+        induced_row([((1,), (2,), ())], [[(2, 0)], [(1, 0)]])
+    assert induced_row([((1,), (2,), (1, 1))], [[], []]) == [0, 0]
+    assert induced_row([((1,), (2,), ())], []) == []
 
 
 def test_d_alpha_spot_values():

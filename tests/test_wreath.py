@@ -36,7 +36,7 @@ from blockiso.wreath import (
     wreath_group_order,
     zeta_class_function,
     zeta_irr,
-    zeta_value,
+    zeta_row,
 )
 
 SMALL = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2))
@@ -397,20 +397,23 @@ def test_shrink_of_sign_top():
     assert lhs.values == tuple(-v for v in rhs.values)
 
 
-def test_zeta_value_matches_deal_reference():
-    # every irreducible, Brauer and projective factor list, at every class
+def test_zeta_row_matches_deal_reference():
+    # every irreducible, Brauer and projective factor list, as one row over
+    # every class and as one row over the classes in reverse
     for p, w in ((2, 3), (2, 4), (3, 3), (3, 4), (5, 2)):
         factor_lists = [factors_from_pmap(phi, p) for phi in enumerate_irr_wreath(p, w)]
         for value_fn in (brauer_values, projective_values):
             rows = [value_fn(label, p) for label in brauer_labels(p)]
             factor_lists += [induction_factors(rows, psi) for psi in enumerate_gibr(p, w)]
+        labels = enumerate_wreath_classes(p, w)
         for factors in factor_lists:
-            for lbl in enumerate_wreath_classes(p, w):
-                assert zeta_value(p, factors, lbl) == reference_zeta_value(p, factors, lbl), (
-                    p, w, factors, lbl,
-                )
+            row = zeta_row(p, factors, labels)
+            assert len(row) == len(labels)
+            for lbl, value in zip(labels, row):
+                assert value == reference_zeta_value(p, factors, lbl), (p, w, factors, lbl)
+            assert zeta_row(p, factors, labels[::-1]) == row[::-1]
     with pytest.raises(ValueError):
-        zeta_value(2, [(irr_base_values((2,), 2), (1,), ())], identity_label(2, 2))
+        zeta_row(2, [(irr_base_values((2,), 2), (1,), ())], [identity_label(2, 2)])
 
 
 def test_tilde_power_matches_trivial_top():
