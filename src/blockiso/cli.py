@@ -21,12 +21,14 @@ other ValueError raised inside the library is an internal error, exit 4.
 Every subcommand is one row of COMMANDS, and one check (`_check`) runs
 right after parsing, before any work.  In order: each integer option
 against MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
-verify verb's --w >= 1, --p prime where the command needs it, and --core a
---p-core wherever the command takes --core; --core without --p (possible
-only for table) is rejected.  Last come the two limits a caller may lift,
-which the library leaves to its callers: the wreath guard (p <= MAX_P,
-w <= MAX_W) for every command that builds wreath classes, and
-(p*w + e)! <= --max-group-order for `verify centp`; beyond either, exit 3.
+verify verb's --w >= 1, then every verify option the verb does not read
+(its VERIFY row names those it does) at its default, --p prime where the
+command needs it, and --core a --p-core wherever the command takes --core;
+--core without --p (possible only for table) is rejected.  Last come the
+two limits a caller may lift, which the library leaves to its callers: the
+wreath guard (p <= MAX_P, w <= MAX_W) for every command that builds wreath
+classes, and (p*w + e)! <= --max-group-order for `verify centp`; beyond
+either, exit 3.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -42,7 +44,6 @@ import io
 import json
 import re
 import sys
-from fractions import Fraction
 from importlib import import_module
 
 from . import abacus, partitions
@@ -72,16 +73,8 @@ def _lib(name: str):
     return import_module(f".{name}", __package__)
 
 
-def _plain(obj):
-    if isinstance(obj, Fraction):
-        if obj.denominator == 1:
-            return obj.numerator
-        return str(obj)
-    raise TypeError(f"not JSON serializable: {obj!r}")
-
-
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True, default=_plain)
+    return json.dumps(obj, sort_keys=True)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -351,38 +344,36 @@ _BLOCK_WREATH = ("block", "wreath_classes")
 _BLOCK_SN_WREATH = ("block", "sn_classes", "wreath_classes")
 
 # The verify verbs, in the README's order: whether p must be prime, the
-# runner (called with the parsed arguments and the core), and the keys of
-# the orderings its meta line carries.  Runners look the library function
-# up when called, so a wrapper later bound on its module is the one run.
+# library function, the verify options the verb reads besides --p and --w,
+# and the keys of the orderings its meta line carries.  The function is
+# looked up when the verb runs, so a wrapper later bound on its module is
+# the one run.  `cmd_verify` passes the read options on (--max-group-order
+# only feeds the group-order guard), and `_check` refuses every other
+# verify option away from its default.
 VERIFY = {
-    "main": (False, lambda a, rho: _lib("isometry").verify_main(a.p, a.w, rho), _BLOCK_WREATH),
-    "val": (True, lambda a, rho: _lib("isometry").verify_val(a.p, a.w), _BLOCK_WREATH),
-    "heights": (True, lambda a, rho: _lib("isometry").verify_heights(a.p, a.w, rho), ("block",)),
-    "unique": (True, lambda a, rho: _lib("isometry").verify_uniqueness(a.p, a.w), _BLOCK_WREATH),
-    "centp": (
-        True,
-        lambda a, rho: _lib("isometry").verify_centp(a.p, a.w, a.e),
-        ("wreath_classes",),
-    ),
-    "diagram": (True, lambda a, rho: _lib("isometry").verify_diagram(a.p, a.w, rho), _BLOCK_WREATH),
-    "lemmaf": (True, lambda a, rho: _lib("isometry").verify_lemma_f(a.p, a.w), _BLOCK_WREATH),
-    "sep": (True, lambda a, rho: _lib("perfect").verify_sep(a.p, a.w, rho), _BLOCK_SN_WREATH),
-    "type": (True, lambda a, rho: _lib("perfect").verify_type(a.p, a.w, rho), _BLOCK_SN_WREATH),
-    "perfproj": (True, lambda a, rho: _lib("perfect").verify_perfproj(a.p, a.w, rho), _BLOCK_SN_WREATH),
-    "probe": (True, lambda a, rho: _lib("perfect").perfectness_probe(a.p, a.w, rho), _BLOCK_SN_WREATH),
-    "orth": (
-        True,
-        lambda a, rho: _lib("modular").verify_orth(a.p, a.w),
-        ("wreath_classes", "gibr", "regular_classes"),
-    ),
-    "transfer": (True, lambda a, rho: _lib("perfect").verify_transfer(a.p, a.w, rho), _BLOCK_SN_WREATH),
+    "main": (False, lambda: _lib("isometry").verify_main, "core", _BLOCK_WREATH),
+    "val": (True, lambda: _lib("isometry").verify_val, "", _BLOCK_WREATH),
+    "heights": (True, lambda: _lib("isometry").verify_heights, "core", ("block",)),
+    "unique": (True, lambda: _lib("isometry").verify_uniqueness, "", _BLOCK_WREATH),
+    "centp": (True, lambda: _lib("isometry").verify_centp, "e max-group-order", ("wreath_classes",)),
+    "diagram": (True, lambda: _lib("isometry").verify_diagram, "core", _BLOCK_WREATH),
+    "lemmaf": (True, lambda: _lib("isometry").verify_lemma_f, "", _BLOCK_WREATH),
+    "sep": (True, lambda: _lib("perfect").verify_sep, "core", _BLOCK_SN_WREATH),
+    "type": (True, lambda: _lib("perfect").verify_type, "core", _BLOCK_SN_WREATH),
+    "perfproj": (True, lambda: _lib("perfect").verify_perfproj, "core", _BLOCK_SN_WREATH),
+    "probe": (True, lambda: _lib("perfect").perfectness_probe, "core", _BLOCK_SN_WREATH),
+    "orth": (True, lambda: _lib("modular").verify_orth, "", ("wreath_classes", "gibr", "regular_classes")),
+    "transfer": (True, lambda: _lib("perfect").verify_transfer, "core", _BLOCK_SN_WREATH),
 }
 VERIFY_VERBS = tuple(VERIFY)
+# Every option some verify verb reads besides --p and --w, each with a default.
+_VERIFY_OPTIONS = sorted({name for _, _, reads, _ in VERIFY.values() for name in reads.split()})
 
 
 def cmd_verify(args, rho) -> tuple[str, int]:
-    _, runner, keys = VERIFY[args.what]
-    rep = runner(args, rho)
+    _, verb_fn, reads, keys = VERIFY[args.what]
+    given = {"core": rho, "e": args.e}
+    rep = verb_fn()(args.p, args.w, *(given[name] for name in reads.split() if name in given))
     if not rep.records:
         raise RuntimeError(f"verify {args.what} produced no records")
     params = {"p": args.p, "w": args.w, "e": args.e, "core": format_partition(rho)}
@@ -469,7 +460,11 @@ def _check(args) -> Partition | None:
     if args.command == "verify":
         if args.w < 1:
             raise ArgumentError(f"verify {args.what} needs w >= 1, got w={args.w}")
-        prime = VERIFY[args.what][0]
+        prime, _, reads, _ = VERIFY[args.what]
+        for name in _VERIFY_OPTIONS:
+            default = _OPTIONS[name][1]["default"]
+            if name not in reads.split() and getattr(args, name.replace("-", "_")) != default:
+                raise ArgumentError(f"verify {args.what} takes no --{name}")
     p = getattr(args, "p", None)
     rho = None
     if p is None:

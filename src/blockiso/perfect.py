@@ -15,7 +15,6 @@ from __future__ import annotations
 from .abacus import hook_partition
 from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row
-from .modular import principal_gibr_filter, enumerate_gibr, zeta_projective
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -196,6 +195,7 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     """Transfer matches the block projective lattice with the span of the
     principal projective tuples, as lattices of wreath coefficients."""
     from .lattice import hnf_basis
+    from .modular import enumerate_gibr, principal_gibr_filter, zeta_projective
     rep = Report("perfproj", {"p": p, "w": w})
     n = p * w + sum(rho)
     block = irr_in_block(n, p, rho)

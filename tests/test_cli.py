@@ -17,6 +17,7 @@ import pytest
 
 import blockiso.cli as cli
 from blockiso import isometry, modular, perfect, symchar
+from blockiso.partitions import parse_partition
 from blockiso.reporting import Report
 
 
@@ -284,9 +285,17 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
     with pytest.raises(ValueError, match="w=0"):
         isometry.verify_lemma_f(2, 0)
     monkeypatch.setattr(symchar, "char_table", never)
-    for verb, (prime, _, keys) in list(cli.VERIFY.items()):
-        monkeypatch.setitem(cli.VERIFY, verb, (prime, never, keys))
+    for verb, (prime, _, reads, keys) in list(cli.VERIFY.items()):
+        monkeypatch.setitem(cli.VERIFY, verb, (prime, never, reads, keys))
     weight_zero = [("verify", verb, "--p", "2", "--w", "0") for verb in cli.VERIFY_VERBS]
+    non_default = {"core": "1", "e": "1", "max-group-order": "720"}
+    unread = [
+        ("verify", verb, "--p", "2", "--w", "1", f"--{name}", value)
+        for verb, (_, _, reads, _) in cli.VERIFY.items()
+        for name, value in non_default.items()
+        if name not in reads.split()
+    ]
+    assert len(unread) == 29
     for argv in [
         ("verify", "orth", "--p", "3", "--w", "1", "--core", "3"),
         ("verify", "centp", "--p", "2", "--w", "2", "--core", "2"),
@@ -297,7 +306,7 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
         ("table", "--n", "5", "--p", "2", "--core", "2"),
         ("table", "--n", "5", "--p", "3", "--core", "1"),
         ("table", "--n", "3", "--core", "junk"),
-    ] + weight_zero:
+    ] + weight_zero + unread:
         rc = cli.main(list(argv))
         captured = capsys.readouterr()
         assert rc == 2, argv
@@ -306,6 +315,29 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
         assert captured.err.count("\n") == 1, argv
         if argv in weight_zero:
             assert f"verify {argv[1]} " in captured.err and "w=0" in captured.err, argv
+        if argv in unread:
+            assert captured.err == f"invalid arguments: verify {argv[1]} takes no {argv[6]}\n", argv
+
+
+@pytest.mark.parametrize("p, cores", [(2, ("", "1", "2,1")), (3, ("", "1", "2", "1,1"))])
+def test_verify_meta_line_names_the_block_its_records_check(capsys, p, cores):
+    w = 2
+    for verb in cli.VERIFY_VERBS:
+        for core in cores:
+            rc, out = run(capsys, "verify", verb, "--p", str(p), "--w", str(w), "--core", core)
+            if core and "core" not in cli.VERIFY[verb][2].split():
+                assert rc == 2 and out == "", (verb, core)
+                continue
+            assert rc in (0, 1), (verb, core)
+            meta, *records = [json.loads(line) for line in out.splitlines()]
+            n = p * w + sum(parse_partition(meta["parameters"]["core"]))
+            assert records, (verb, core)
+            for record in records:
+                params = record["parameters"]
+                assert params.get("core", meta["parameters"]["core"]) == meta["parameters"]["core"]
+                for key in ("lambda", "lambda1", "lambda2"):
+                    if key in params:
+                        assert sum(parse_partition(params[key])) == n, (verb, core, record)
 
 
 def test_internal_errors_exit_four(capsys, monkeypatch):

@@ -402,18 +402,21 @@ def test_epsilon_spot_values():
         assert isometry_row(lam, (), 2)[0] == sign
 
 
-@pytest.mark.parametrize("p, w", [(2, 6), (2, 8), (3, 5), (3, 6), (7, 2), (7, 3)])
+@pytest.mark.parametrize("p, w", [(2, 6), (2, 8), (3, 5), (3, 6), (5, 5), (7, 2), (7, 3)])
 def test_pointwise_checks_past_the_cli_guard(p, w):
     # The CLI refuses these requests (p <= 5, w <= 4); the library runs them.
-    # (2,6) to (3,6) sit in w >= p, (7,2) and (7,3) in the perfect range w < p.
-    reps = [
-        verify_main(p, w, ()),
-        verify_val(p, w),
-        verify_heights(p, w, ()),
-        verify_uniqueness(p, w),
-        verify_lemma_f(p, w),
-    ]
-    if (p, w) in ((2, 6), (3, 5), (7, 2)):
+    # (2,6) to (5,5) sit in w >= p, (7,2) and (7,3) in the perfect range w < p.
+    # At (5,5) only the non-empty core runs here; CI runs the empty core.
+    reps = []
+    if (p, w) != (5, 5):
+        reps += [
+            verify_main(p, w, ()),
+            verify_val(p, w),
+            verify_heights(p, w, ()),
+            verify_uniqueness(p, w),
+            verify_lemma_f(p, w),
+        ]
+    if (p, w) in ((2, 6), (3, 5), (5, 5), (7, 2)):
         reps += [verify_main(p, w, (1,)), verify_heights(p, w, (1,))]
     for rep in reps:
         assert rep.records and rep.ok, (rep.check, rep.failures()[:1])

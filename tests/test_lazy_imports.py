@@ -44,11 +44,10 @@ def test_parser_build_loads_no_library_module():
     got = fresh(
         "from blockiso.cli import build_parser, main\n"
         "build_parser()\n"
-        "print(json.dumps({'loaded': loaded(),"
-        " 'dataclasses': 'dataclasses' in sys.modules and 'dataclasses' not in start}))\n"
+        "print(json.dumps({'loaded': loaded(), 'new': sorted(set(sys.modules) - start)}))\n"
     )
     assert set(got["loaded"]) <= LIGHT, got
-    assert not got["dataclasses"]
+    assert not {"dataclasses", "fractions"} & set(got["new"]), got
 
 
 def test_core_adds_at_most_abacus():
@@ -72,6 +71,17 @@ def test_verify_main_skips_perfect_and_modular():
     assert got["rc"] == 0
     assert "blockiso.isometry" in got["loaded"]
     assert not {"blockiso.perfect", "blockiso.modular"} & set(got["loaded"]), got
+
+
+def test_mu_and_verify_sep_skip_modular():
+    got = fresh(
+        "from blockiso.cli import main\n"
+        "rcs = [run(['mu', '--p', '2', '--w', '2']), run(['verify', 'sep', '--p', '2', '--w', '2'])]\n"
+        "print(json.dumps({'rcs': rcs, 'loaded': loaded()}))\n"
+    )
+    assert got["rcs"] == [0, 0]
+    assert "blockiso.perfect" in got["loaded"]
+    assert "blockiso.modular" not in got["loaded"], got
 
 
 def test_lattice_loads_only_for_perfproj():
