@@ -6,14 +6,13 @@ Values come from the recursive border-strip rule over plain integers, so
 rows print exactly as they appear in the reference tables.
 """
 
-from blockiso.abacus import p_core
+from blockiso.abacus import p_core, partitions_with_core
 from blockiso.partitions import enumerate_partitions, format_partition
 from blockiso.symchar import (
-    char_table,
     degree,
     height_by_tower,
     height_by_valuation,
-    irr_in_block,
+    irr_class_function,
 )
 
 n = 5
@@ -21,9 +20,8 @@ classes = enumerate_partitions(n)
 print("classes of degree", n, "in descending lex order:")
 print("  ", [format_partition(c) for c in classes])
 
-table = char_table(n)
-for lam, row in zip(enumerate_partitions(n), table):
-    print(f"{format_partition(lam):>12}  {row}")
+for lam in classes:
+    print(f"{format_partition(lam):>12}  {list(irr_class_function(lam).values)}")
 
 # degrees satisfy the sum of squares identity
 total = sum(degree(lam) ** 2 for lam in enumerate_partitions(n))
@@ -39,7 +37,7 @@ for rho, members in sorted(cores.items()):
           [format_partition(m) for m in members])
 
 # two height computations, one from iterated cores, one from valuations
-for lam in irr_in_block(4, 2, ()):
+for lam in partitions_with_core(4, (), 2):
     ht = height_by_tower(lam, 2)
     hv = height_by_valuation(lam, 2)
     print(f"height of {format_partition(lam):>8}: tower {ht}, valuation {hv}")

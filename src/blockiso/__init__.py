@@ -28,7 +28,6 @@ _EXPORTS = {
     ),
     "isometry": ("build_isometry", "isometry_image", "isometry_row"),
     "partitions": (
-        "GuardExceeded",
         "Partition",
         "conjugate",
         "enumerate_partitions",

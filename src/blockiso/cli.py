@@ -25,10 +25,12 @@ verify verb's --w >= 1, then every verify option the verb does not read
 (its VERIFY row names those it does) at its default, --p prime where the
 command needs it, and --core a --p-core wherever the command takes --core;
 --core without --p (possible only for table) is rejected.  Last come the
-two limits a caller may lift, which the library leaves to its callers: the
-wreath guard (p <= MAX_P, w <= MAX_W) for every command that builds wreath
-classes, and (p*w + e)! <= --max-group-order for `verify centp`; beyond
-either, exit 3.
+size limits, which are the CLI's alone (the library runs any size it is
+asked for): the wreath guard (p <= MAX_P, w <= MAX_W) for every command
+that builds wreath classes, --n <= MAX_TABLE_N for `table`, n = p*w + |core|
+<= MAX_ENUM_N for every command that takes --w and --core (isometry, mu,
+verify), and (p*w + e)! <= --max-group-order for `verify centp`; beyond
+any of them, exit 3.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -46,10 +48,9 @@ import re
 import sys
 from importlib import import_module
 
-from . import abacus, partitions
+from . import abacus
 from .partitions import (
     ArgumentError,
-    GuardExceeded,
     Partition,
     enumerate_partitions,
     format_partition,
@@ -63,8 +64,15 @@ MINIMUM = {"p": 2, "w": 0, "e": 0, "n": 0, "max_group_order": 1}
 # The wreath guard: the largest p and w of a command that builds wreath classes.
 MAX_P = 5
 MAX_W = 4
+# The largest n of `table`, and of p*w + |core| for a command taking --w and --core.
+MAX_TABLE_N = 12
+MAX_ENUM_N = 64
 # The default bound on n! for the centralizer scans of `verify centp`.
 MAX_GROUP_ORDER = 50000
+
+
+class GuardExceeded(Exception):
+    """A request is beyond a size limit of the CLI; it exits 3."""
 
 
 def _lib(name: str):
@@ -172,8 +180,8 @@ def _gibr_texts(p: int, w: int) -> list[str]:
 
 def _guards(max_group_order: int) -> dict:
     return {
-        "max_enum_n": partitions.MAX_ENUM_N,
-        "max_table_n": _lib("symchar").MAX_TABLE_N,
+        "max_enum_n": MAX_ENUM_N,
+        "max_table_n": MAX_TABLE_N,
         "max_wreath_p": MAX_P,
         "max_wreath_w": MAX_W,
         "max_group_order": max_group_order,
@@ -266,11 +274,11 @@ def cmd_table(args, rho) -> tuple[str, int]:
     n = args.n
     if args.p is not None and (n - sum(rho)) % args.p:
         raise ArgumentError("n minus the core size must be divisible by p")
-    table = _lib("symchar").char_table(n)  # the table guard, before any enumeration
     classes = enumerate_partitions(n)
-    keep = set(classes) if args.p is None else set(abacus.partitions_with_core(n, rho, args.p))
+    labels = classes if args.p is None else abacus.partitions_with_core(n, rho, args.p)
+    irr = _lib("symchar").irr_class_function
     names = [format_partition(t) for t in classes]
-    rows = [(name, vals) for lam, name, vals in zip(classes, names, table) if lam in keep]
+    rows = [(format_partition(lam), list(irr(lam).values)) for lam in labels]
     return _table_text(args.format, {"n": n, "classes": names}, "lambda", "values", names, rows), 0
 
 
@@ -325,9 +333,9 @@ def cmd_mu(args, rho) -> tuple[str, int]:
 
 def _verify_orderings(keys, p: int, w: int, rho: Partition) -> dict:
     n = p * w + sum(rho)
-    symchar, wreath = _lib("symchar"), _lib("wreath")
+    wreath = _lib("wreath")
     build = {
-        "block": lambda: [format_partition(lam) for lam in symchar.irr_in_block(n, p, rho)],
+        "block": lambda: [format_partition(lam) for lam in abacus.partitions_with_core(n, rho, p)],
         "sn_classes": lambda: [format_partition(t) for t in enumerate_partitions(n)],
         "wreath_classes": lambda: [
             wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(p, w)
@@ -479,6 +487,10 @@ def _check(args) -> Partition | None:
                 raise ArgumentError(f"{args.core!r} is not a {p}-core")
     if wreath and (p > MAX_P or args.w > MAX_W):
         raise GuardExceeded(f"wreath guard: p={p}, w={args.w} beyond ({MAX_P}, {MAX_W})")
+    if args.command == "table" and args.n > MAX_TABLE_N:
+        raise GuardExceeded(f"table guard: n={args.n} > {MAX_TABLE_N}")
+    if hasattr(args, "w") and rho is not None and p * args.w + sum(rho) > MAX_ENUM_N:
+        raise GuardExceeded(f"enumeration guard: n={p * args.w + sum(rho)} > {MAX_ENUM_N}")
     if getattr(args, "what", None) == "centp":
         n, order = p * args.w + args.e, 1
         for k in range(2, n + 1):  # n!, built only until it passes the bound

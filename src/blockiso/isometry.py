@@ -21,6 +21,7 @@ from .abacus import (
     is_core,
     p_quotient,
     p_sign,
+    partitions_with_core,
     runner_permutation,
 )
 from .classfn import ClassFunction
@@ -44,7 +45,6 @@ from .symchar import (
     height_by_valuation,
     induced_row,
     irr_class_function,
-    irr_in_block,
     mn_value,
     tilde_pi_rho,
 )
@@ -114,7 +114,7 @@ def build_isometry(p: int, w: int, rho: Partition):
     if not is_core(rho, p):
         raise ValueError(f"{rho} is not a p-core for p={p}")
     n = p * w + sum(rho)
-    rows = [(lam,) + isometry_row(lam, rho, p) for lam in irr_in_block(n, p, rho)]
+    rows = [(lam,) + isometry_row(lam, rho, p) for lam in partitions_with_core(n, rho, p)]
     seen = {psi for _, _, psi in rows}
     if seen != set(multipartitions(p, w)):
         raise AssertionError("leg assignments do not exhaust the target set")
@@ -135,7 +135,7 @@ def verify_main(p: int, w: int, rho: Partition) -> Report:
     levels = [w] if start is None else [w, w - 1]
     labels = labels_in_U_s(p, w, min(levels))
     taus = [embed_to_sn(lbl) for lbl in labels]
-    for lam in irr_in_block(n, p, rho):
+    for lam in partitions_with_core(n, rho, p):
         sign, factors = _image_factors(lam, rho, p)
         image = zip(zeta_row(p, factors, labels), taus)
         delta = [sign * v - mn_value(lam, rho, tau) for v, tau in image]
@@ -153,7 +153,7 @@ def verify_val(p: int, w: int) -> Report:
     rep = Report("val", {"p": p, "w": w})
     labels = labels_in_U_s(p, w, w - 1)
     taus = [embed_to_sn(lbl) for lbl in labels]
-    for lam in irr_in_block(p * w, p, ()):
+    for lam in partitions_with_core(p * w, (), p):
         sign, factors = _image_factors(lam, (), p)
         for lbl, tau, v in zip(labels, taus, zeta_row(p, factors, labels)):
             lhs, rhs = sign * v, character_value(lam, tau)
@@ -184,7 +184,7 @@ def verify_heights(p: int, w: int, rho: Partition) -> Report:
     principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
     floor = min(v_p(wreath_irr_degree(p, w, phi), p) for phi in principal)
     rep.add({"wreath_floor": floor}, floor == 0)
-    for lam in irr_in_block(n, p, rho):
+    for lam in partitions_with_core(n, rho, p):
         h_tower = height_by_tower(lam, p)
         h_val = height_by_valuation(lam, p)
         _, psi = isometry_row(lam, rho, p)
@@ -202,7 +202,7 @@ def verify_uniqueness(p: int, w: int) -> Report:
     """Signed sums of distinct restricted block characters stay detectable.
     The restrictions are evaluated only at the labels in U_{w-1}."""
     rep = Report("unique", {"p": p, "w": w})
-    block = irr_in_block(p * w, p, ())
+    block = partitions_with_core(p * w, (), p)
     labels = labels_in_U_s(p, w, w - 1)
     taus = [embed_to_sn(lbl) for lbl in labels]
     top = [in_U_s(lbl, p, w) for lbl in labels]
@@ -383,10 +383,10 @@ def verify_diagram(p: int, w: int, rho: Partition) -> Report:
     rep = Report("diagram", {"p": p, "w": w, "core": format_partition(rho)})
     e = sum(rho)
     n = p * w + e
-    block = irr_in_block(n, p, rho)
+    block = partitions_with_core(n, rho, p)
     for alpha in (alpha for m in range(w + 1) for alpha in enumerate_partitions(m)):
         m = sum(alpha)
-        small = irr_in_block(p * (w - m) + e, p, rho)
+        small = partitions_with_core(p * (w - m) + e, rho, p)
         for lam in block:
             xi = irr_class_function(lam)
             base = {"alpha": format_partition(alpha), "lambda": format_partition(lam)}
@@ -438,7 +438,7 @@ def verify_lemma_f(p: int, w: int) -> Report:
     rep = Report("lemma_f", {"p": p, "w": w})
     alphas = enumerate_partitions(w - 1)
     cycles = [[(k, 0) for k in alpha] for alpha in alphas]
-    for lam in irr_in_block(p * w, p, ()):
+    for lam in partitions_with_core(p * w, (), p):
         quot = p_quotient(lam, p)
         eps = p_sign(lam, (), p)
         legs = [j for j in range(p) if quot[j]]

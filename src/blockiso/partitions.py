@@ -12,14 +12,6 @@ from functools import cache
 
 Partition = tuple[int, ...]
 
-# Enumeration guard: partition counts grow fast enough that anything past
-# this is a mistake at desk scale.
-MAX_ENUM_N = 64
-
-
-class GuardExceeded(Exception):
-    """A size guard was hit; the request is out of desk-scale range."""
-
 
 class ArgumentError(ValueError):
     """A command-line argument is malformed or out of range."""
@@ -81,8 +73,6 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, descending lexicographic."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > MAX_ENUM_N:
-        raise GuardExceeded(f"enumerate_partitions guard: n={n} > {MAX_ENUM_N}")
 
     def gen(rem: int, maxpart: int):
         if rem == 0:

@@ -12,7 +12,7 @@ reaches p.
 
 from __future__ import annotations
 
-from .abacus import hook_partition
+from .abacus import hook_partition, partitions_with_core
 from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row
 from .partitions import (
@@ -29,7 +29,6 @@ from .symchar import (
     centralizer_order_sn,
     character_value,
     irr_class_function,
-    irr_in_block,
 )
 from .wreath import (
     WreathClassFunction,
@@ -59,7 +58,7 @@ def label_p_regular(label, p: int) -> bool:
 def build_mu(p: int, w: int, rho: Partition):
     """Matrix of the bicharacter over (big class, wreath label): row i sums
     the block's wreath images, each weighted by its character at class i."""
-    block = irr_in_block(p * w + sum(rho), p, rho)
+    block = partitions_with_core(p * w + sum(rho), rho, p)
     images = [isometry_image(lam, rho, p).values for lam in block]
     chis = [irr_class_function(lam).values for lam in block]
     return [wreath_space(p, w).combine(column, images) for column in zip(*chis)]
@@ -97,7 +96,7 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
-    block = irr_in_block(n, p, rho)
+    block = partitions_with_core(n, rho, p)
     for lam in block:
         got = R_mu(mu_rows, irr_class_function(lam), p, w)
         want = isometry_image(lam, rho, p)
@@ -185,7 +184,7 @@ def block_projective_lattice(p: int, w: int, rho: Partition):
     """
     from .lattice import kernel_lattice
     n = p * w + sum(rho)
-    block = irr_in_block(n, p, rho)
+    block = partitions_with_core(n, rho, p)
     singular = [tau for tau in enumerate_partitions(n) if tp_p(tau, p) != ()]
     matrix = [[character_value(lam, tau) for tau in singular] for lam in block]
     return kernel_lattice(matrix)
@@ -198,7 +197,7 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     from .modular import enumerate_gibr, principal_gibr_filter, zeta_projective
     rep = Report("perfproj", {"p": p, "w": w})
     n = p * w + sum(rho)
-    block = irr_in_block(n, p, rho)
+    block = partitions_with_core(n, rho, p)
     irr_wr = enumerate_irr_wreath(p, w)
     idx = {phi: i for i, phi in enumerate(irr_wr)}
     principal_wr = set(principal_block_filter(irr_wr, p))

@@ -23,7 +23,6 @@ from .abacus import (
 )
 from .classfn import ClassFunction, ClassSpace
 from .partitions import (
-    GuardExceeded,
     Partition,
     contains,
     enumerate_partitions,
@@ -32,8 +31,6 @@ from .partitions import (
     sqcup,
     v_p,
 )
-
-MAX_TABLE_N = 12
 
 
 def mn_value(lam: Partition, mu: Partition, tau: Partition) -> int:
@@ -135,14 +132,6 @@ def centralizer_order_sn(tau: Partition) -> int:
     return out
 
 
-def char_table(n: int) -> list[list[int]]:
-    """Full character table, rows and columns in canonical partition order."""
-    if n > MAX_TABLE_N:
-        raise GuardExceeded(f"char_table guard: n={n} > {MAX_TABLE_N}")
-    classes = enumerate_partitions(n)
-    return [[character_value(lam, tau) for tau in classes] for lam in classes]
-
-
 @cache
 def sn_space(n: int) -> ClassSpace:
     """The classes of S_n: cycle types in canonical order."""
@@ -169,14 +158,9 @@ def decompose(xi: ClassFunction) -> dict[Partition, Fraction]:
     return {lam: c for lam, c in zip(labels, coeffs) if c}
 
 
-def irr_in_block(n: int, p: int, rho: Partition) -> tuple[Partition, ...]:
-    """Labels of the irreducibles with p-core rho, canonical order."""
-    return partitions_with_core(n, rho, p)
-
-
 def block_projection(xi: ClassFunction, p: int, rho: Partition) -> ClassFunction:
     """Orthogonal projection onto the span of the block's irreducibles."""
-    rows = [irr_class_function(lam).values for lam in irr_in_block(xi.n, p, rho)]
+    rows = [irr_class_function(lam).values for lam in partitions_with_core(xi.n, rho, p)]
     return ClassFunction(xi.space, xi.space.project(xi.values, rows))
 
 
@@ -229,4 +213,4 @@ def height_by_valuation(lam: Partition, p: int) -> int:
 @cache
 def _degree_floor(n: int, p: int, rho: Partition) -> int:
     """The least degree valuation over the block of rho in S_n."""
-    return min(v_p(degree(mu), p) for mu in irr_in_block(n, p, rho))
+    return min(v_p(degree(mu), p) for mu in partitions_with_core(n, rho, p))

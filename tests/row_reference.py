@@ -14,12 +14,12 @@ into every row where its character is nonzero.
 import itertools
 from math import prod
 
+from blockiso.abacus import partitions_with_core
 from blockiso.isometry import isometry_image
 from blockiso.partitions import enumerate_partitions
 from blockiso.symchar import (
     SnClassFunction,
     irr_class_function,
-    irr_in_block,
     mn_value,
     tilde_pi_rho,
 )
@@ -75,7 +75,7 @@ def dense_mu(p: int, w: int, rho):
     n = p * w + sum(rho)
     labels = enumerate_wreath_classes(p, w)
     rows = [[0] * len(labels) for _ in enumerate_partitions(n)]
-    for lam in irr_in_block(n, p, rho):
+    for lam in partitions_with_core(n, rho, p):
         image = isometry_image(lam, rho, p).values
         for i, a in enumerate(irr_class_function(lam).values):
             if a:

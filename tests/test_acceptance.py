@@ -29,7 +29,6 @@ from blockiso.partitions import contains, enumerate_partitions, scale
 from blockiso.perfect import verify_perfproj, verify_sep
 from blockiso.symchar import (
     centralizer_order_sn,
-    char_table,
     irr_class_function,
     mn_value,
 )
@@ -182,7 +181,7 @@ def _orthogonality_upto(n_max):
         for i, f in enumerate(fns):
             for g in fns[i:]:
                 assert f.space.inner(f.values, g.values) == (1 if f is g else 0)
-        table = char_table(n)
+        table = [f.values for f in fns]
         for i in range(len(parts)):
             for j in range(len(parts)):
                 total = sum(row[i] * row[j] for row in table)

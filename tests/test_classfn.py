@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from blockiso.abacus import partitions_with_core
 from blockiso.partitions import enumerate_partitions
 from blockiso.perfect import I_mu, R_mu, build_mu, wreath_block_projection
 from blockiso.symchar import (
@@ -16,7 +17,6 @@ from blockiso.symchar import (
     block_projection,
     centralizer_order_sn,
     irr_class_function,
-    irr_in_block,
     sn_space,
     tilde_pi_rho,
 )
@@ -97,7 +97,7 @@ def test_block_projection_matches_reference():
     n, p, rho = 5, 2, (1,)
     xi = SnClassFunction(n, (Fraction(k + 1, 3) for k in range(len(enumerate_partitions(n)))))
     want = [Fraction(0)] * len(xi.values)
-    for lam in irr_in_block(n, p, rho):
+    for lam in partitions_with_core(n, rho, p):
         row = irr_class_function(lam).values
         c = sn_reference(xi.values, row, n)
         want = [x + c * y for x, y in zip(want, row)]

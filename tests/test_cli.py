@@ -17,6 +17,7 @@ import pytest
 
 import blockiso.cli as cli
 from blockiso import isometry, modular, perfect, symchar
+from blockiso.abacus import partitions_with_core
 from blockiso.partitions import parse_partition
 from blockiso.reporting import Report
 
@@ -120,6 +121,21 @@ def test_table_block_filter(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][0] == "lambda"
     assert [r[0] for r in rows[1:]] == ["4,1", "3,2", "1,1,1,1,1"]
+
+
+def test_table_builds_only_the_block_rows(capsys, monkeypatch):
+    built = []
+
+    def recorded(lam, original=symchar.irr_class_function):
+        built.append(lam)
+        return original(lam)
+
+    monkeypatch.setattr(symchar, "irr_class_function", recorded)
+    rc, out = run(capsys, "table", "--n", "9", "--p", "2", "--core", "2,1")
+    assert rc == 0
+    block = list(partitions_with_core(9, (2, 1), 2))
+    assert len(block) == 10 and len(out.splitlines()) == 1 + len(block)
+    assert built == block
 
 
 def test_table_json(capsys):
@@ -253,6 +269,10 @@ def test_wreath_guard_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(modular, "enumerate_gibr", never)
     monkeypatch.setattr(perfect, "build_mu", never)
     monkeypatch.setattr(cli, "parse_pmap", never)
+    monkeypatch.setattr(symchar, "irr_class_function", never)
+    monkeypatch.setattr(isometry, "build_isometry", never)
+    monkeypatch.setattr(isometry, "verify_main", never)
+    staircase = ",".join(str(k) for k in range(11, 0, -1))  # a 2-core of size 66
     for argv in (
         ("verify", "centp", "--p", "7", "--w", "1"),
         ("verify", "lemmaf", "--p", "7", "--w", "1"),
@@ -261,6 +281,14 @@ def test_wreath_guard_before_any_work(capsys, monkeypatch):
         ("wchar", "--p", "47", "--w", "1", "--phi", "", "--class", ""),
         # within the wreath guard, beyond the group-order guard (9! > 50000)
         ("verify", "centp", "--p", "3", "--w", "2", "--e", "3"),
+        # beyond the table guard (n > 12), even where n - |core| is not a
+        # multiple of p
+        ("table", "--n", "13"),
+        ("table", "--n", "13", "--p", "3", "--core", "1,1"),
+        # beyond the enumeration guard: n = p*w + |core| > 64
+        ("isometry", "--p", "2", "--w", "33"),
+        ("mu", "--p", "2", "--w", "1", "--core", staircase),
+        ("verify", "main", "--p", "2", "--w", "1", "--core", staircase),
     ):
         rc = cli.main(list(argv))
         captured = capsys.readouterr()
@@ -284,7 +312,7 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
     # verify_lemma_f keeps its own w check; the CLI rejects w=0 before reaching it.
     with pytest.raises(ValueError, match="w=0"):
         isometry.verify_lemma_f(2, 0)
-    monkeypatch.setattr(symchar, "char_table", never)
+    monkeypatch.setattr(symchar, "irr_class_function", never)
     for verb, (prime, _, reads, keys) in list(cli.VERIFY.items()):
         monkeypatch.setitem(cli.VERIFY, verb, (prime, never, reads, keys))
     weight_zero = [("verify", verb, "--p", "2", "--w", "0") for verb in cli.VERIFY_VERBS]

@@ -205,14 +205,16 @@ def test_block_projective_lattice_is_the_saturated_kernel():
     from sympy import Matrix
     from sympy.matrices.normalforms import smith_normal_form
 
+    from blockiso.abacus import partitions_with_core
     from blockiso.partitions import enumerate_partitions
     from blockiso.perfect import block_projective_lattice
-    from blockiso.symchar import character_value, irr_in_block
+    from blockiso.symchar import character_value
 
     for p, w in ((2, 2), (3, 2)):
         n = p * w
         singular = [tau for tau in enumerate_partitions(n) if any(part % p == 0 for part in tau)]
-        values = Matrix([[character_value(lam, tau) for tau in singular] for lam in irr_in_block(n, p, ())])
+        block = partitions_with_core(n, (), p)
+        values = Matrix([[character_value(lam, tau) for tau in singular] for lam in block])
         lattice = Matrix(block_projective_lattice(p, w, ()))
         assert lattice.rows == values.rows - values.rank()
         assert lattice * values == Matrix.zeros(lattice.rows, values.cols)

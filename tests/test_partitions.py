@@ -5,7 +5,6 @@ import itertools
 import pytest
 
 from blockiso.partitions import (
-    GuardExceeded,
     conjugate,
     contains,
     enumerate_partitions,
@@ -50,11 +49,6 @@ def test_enumeration_is_descending_lex():
         assert all(sum(lam) == n for lam in parts)
     assert enumerate_partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert enumerate_partitions(0) == ((),)
-
-
-def test_enumeration_guard():
-    with pytest.raises(GuardExceeded):
-        enumerate_partitions(65)
 
 
 def test_wire_format_round_trip():

@@ -58,9 +58,9 @@ def test_transform_recovers_images():
     for p, w, rho in ((2, 1, ()), (2, 2, ())):
         rows = build_mu(p, w, rho)
         n = p * w + sum(rho)
-        from blockiso.symchar import irr_in_block
+        from blockiso.abacus import partitions_with_core
 
-        for lam in irr_in_block(n, p, rho):
+        for lam in partitions_with_core(n, rho, p):
             xi = irr_class_function(lam)
             image = isometry_image(lam, rho, p)
             assert R_mu(rows, xi, p, w).values == image.values

@@ -8,7 +8,6 @@ from deal_reference import reference_induced_mn
 from row_reference import skew_class_function
 
 from blockiso.partitions import (
-    GuardExceeded,
     contains,
     enumerate_partitions,
 )
@@ -16,7 +15,6 @@ from blockiso.symchar import (
     SnClassFunction,
     block_projection,
     centralizer_order_sn,
-    char_table,
     character_value,
     d_alpha,
     decompose,
@@ -25,15 +23,19 @@ from blockiso.symchar import (
     height_by_valuation,
     induced_row,
     irr_class_function,
-    irr_in_block,
     strips,
     tilde_pi_rho,
 )
 
 
+def table_rows(n):
+    """The character table of S_n as the cached irreducible rows, in order."""
+    return [list(irr_class_function(lam).values) for lam in enumerate_partitions(n)]
+
+
 def test_table_s3_frozen():
     # rows and columns both follow the descending-lex partition order
-    assert char_table(3) == [
+    assert table_rows(3) == [
         [1, 1, 1],
         [-1, 0, 2],
         [1, -1, 1],
@@ -41,18 +43,13 @@ def test_table_s3_frozen():
 
 
 def test_table_s4_frozen():
-    assert char_table(4) == [
+    assert table_rows(4) == [
         [1, 1, 1, 1, 1],
         [-1, 0, -1, 1, 3],
         [0, -1, 2, 0, 2],
         [1, 0, -1, -1, 3],
         [-1, 1, 1, -1, 1],
     ]
-
-
-def test_table_guard():
-    with pytest.raises(GuardExceeded):
-        char_table(13)
 
 
 def test_centralizer_orders_sum_to_group_order():
@@ -76,7 +73,7 @@ def test_first_orthogonality():
 def test_second_orthogonality():
     for n in range(1, 8):
         parts = enumerate_partitions(n)
-        table = char_table(n)
+        table = table_rows(n)
         for i, sig in enumerate(parts):
             for j, tau in enumerate(parts):
                 total = sum(row[i] * row[j] for row in table)
@@ -204,14 +201,6 @@ def test_heights_frozen_weight_two():
     heights = [height_by_tower(lam, 2) for lam in enumerate_partitions(4)]
     assert heights == [0, 0, 1, 0, 0]
     assert height_by_tower((2, 1, 1), 2) == 0
-
-
-def test_irr_in_block_frozen():
-    assert irr_in_block(4, 2, ()) == enumerate_partitions(4)
-    assert irr_in_block(4, 3, (1,)) == ((4,), (2, 2), (1, 1, 1, 1))
-    assert irr_in_block(3, 3, ()) == ((3,), (2, 1), (1, 1, 1))
-    assert irr_in_block(5, 3, (1, 1)) == ((4, 1), (3, 2), (1, 1, 1, 1, 1))
-    assert irr_in_block(5, 3, (2,)) == ((5,), (2, 2, 1), (2, 1, 1, 1))
 
 
 def test_block_projection_splits_identity():
