@@ -332,9 +332,6 @@ def test_partitions_with_core():
     assert block == enumerate_partitions(4)
     assert partitions_with_core(4, (1,), 3) == ((4,), (2, 2), (1, 1, 1, 1))
     assert partitions_with_core(3, (2, 1), 5) == ((2, 1),)
-    assert partitions_with_core(3, (), 3) == ((3,), (2, 1), (1, 1, 1))
-    assert partitions_with_core(5, (1, 1), 3) == ((4, 1), (3, 2), (1, 1, 1, 1, 1))
-    assert partitions_with_core(5, (2,), 3) == ((5,), (2, 2, 1), (2, 1, 1, 1))
 
 
 def test_hooks():

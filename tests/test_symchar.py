@@ -7,6 +7,7 @@ import pytest
 from deal_reference import reference_induced_mn
 from row_reference import skew_class_function
 
+from blockiso.abacus import partitions_with_core
 from blockiso.partitions import (
     contains,
     enumerate_partitions,
@@ -201,6 +202,15 @@ def test_heights_frozen_weight_two():
     heights = [height_by_tower(lam, 2) for lam in enumerate_partitions(4)]
     assert heights == [0, 0, 1, 0, 0]
     assert height_by_tower((2, 1, 1), 2) == 0
+
+
+def test_irr_in_block_frozen():
+    # Irr(B) lists the block's partitions in descending-lex order
+    assert partitions_with_core(4, (), 2) == enumerate_partitions(4)
+    assert partitions_with_core(4, (1,), 3) == ((4,), (2, 2), (1, 1, 1, 1))
+    assert partitions_with_core(3, (), 3) == ((3,), (2, 1), (1, 1, 1))
+    assert partitions_with_core(5, (1, 1), 3) == ((4, 1), (3, 2), (1, 1, 1, 1, 1))
+    assert partitions_with_core(5, (2,), 3) == ((5,), (2, 2, 1), (2, 1, 1, 1))
 
 
 def test_block_projection_splits_identity():
