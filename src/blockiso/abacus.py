@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .partitions import Partition, contains, enumerate_partitions
+from .partitions import Partition, contains, multipartitions
 
 
 def default_bead_count(lam: Partition, p: int) -> int:
@@ -54,10 +54,8 @@ def runner_rows(lam: Partition, p: int, n_beads: int | None = None) -> list[list
     """Bead rows per runner, each list sorted increasing."""
     n_beads = _check_beads(lam, p, n_beads)
     rows: list[list[int]] = [[] for _ in range(p)]
-    for slot in beta_set(lam, n_beads):
+    for slot in reversed(beta_set(lam, n_beads)):
         rows[slot % p].append(slot // p)
-    for r in rows:
-        r.sort()
     return rows
 
 
@@ -78,29 +76,51 @@ def block_weight(lam: Partition, p: int) -> int:
     return (sum(lam) - sum(p_core(lam, p))) // p
 
 
+@cache
 def is_core(rho: Partition, p: int) -> bool:
     return p_core(rho, p) == rho
 
 
 def from_core_and_quotient(rho: Partition, quot: tuple[Partition, ...], p: int) -> Partition:
-    """Rebuild the partition with p-core rho and p-quotient quot."""
+    """Rebuild the partition with p-core rho and p-quotient quot: the core's
+    abacus with w more beads on every runner, w the size of quot, and
+    runner i read as quot[i]."""
     if len(quot) != p:
         raise ValueError("quotient must have p components")
     if not is_core(rho, p):
         raise ValueError(f"{rho} is not a p-core for p={p}")
     if any(q[i] < q[i + 1] for q in quot for i in range(len(q) - 1)):
         raise ValueError(f"quotient components must be partitions: {quot}")
-    n_beads = default_bead_count(rho, p) + p * sum(sum(q) for q in quot)
-    base = runner_rows(rho, p, n_beads)
+    w = sum(sum(q) for q in quot)
     slots = []
-    for i, (col, q) in enumerate(zip(base, quot)):
-        b = len(col)
+    for i, (count, q) in enumerate(zip(_core_beads(rho, p), quot)):
+        b = count + w
         q_pad = q + (0,) * (b - len(q))
-        if len(q) > b:
-            raise ValueError("bead count too small for quotient component")
-        for j in range(b):
-            slots.append((q_pad[j] + b - 1 - j) * p + i)
+        slots.extend((q_pad[j] + b - 1 - j) * p + i for j in range(b))
     return partition_from_beta(slots)
+
+
+@cache
+def _core_beads(rho: Partition, p: int) -> tuple[int, ...]:
+    """Beads per runner of the core rho on its default abacus; a core's
+    beads sit packed at the top of each runner."""
+    return tuple(len(col) for col in runner_rows(rho, p))
+
+
+def _paired_rows(lam: Partition, mu: Partition, p: int):
+    """The runner rows of lam and of mu on one abacus, or None when mu is
+    not reachable from lam by moving beads up runners."""
+    if not contains(lam, mu) or (sum(lam) - sum(mu)) % p:
+        return None
+    n_beads = default_bead_count(lam, p)
+    rows_l = runner_rows(lam, p, n_beads)
+    rows_m = runner_rows(mu, p, n_beads)
+    for col_l, col_m in zip(rows_l, rows_m):
+        if len(col_l) != len(col_m):
+            return None
+        if any(m > l for l, m in zip(col_l, col_m)):
+            return None
+    return rows_l, rows_m
 
 
 def contains_p(lam: Partition, mu: Partition, p: int) -> bool:
@@ -109,17 +129,7 @@ def contains_p(lam: Partition, mu: Partition, p: int) -> bool:
     Equivalently: equal p-cores and componentwise containment of the
     p-quotients.
     """
-    if not contains(lam, mu) or (sum(lam) - sum(mu)) % p:
-        return False
-    n_beads = default_bead_count(lam, p)
-    rows_l = runner_rows(lam, p, n_beads)
-    rows_m = runner_rows(mu, p, n_beads)
-    for col_l, col_m in zip(rows_l, rows_m):
-        if len(col_l) != len(col_m):
-            return False
-        if any(m > l for l, m in zip(col_l, col_m)):
-            return False
-    return True
+    return _paired_rows(lam, mu, p) is not None
 
 
 def p_sign(lam: Partition, mu: Partition, p: int) -> int:
@@ -131,11 +141,10 @@ def p_sign(lam: Partition, mu: Partition, p: int) -> int:
     the j-th bead of runner i of mu; the sign is the parity of lam's bead
     slots read in mu's slot order.  Independent of the admissible N.
     """
-    if not contains_p(lam, mu, p):
+    rows = _paired_rows(lam, mu, p)
+    if rows is None:
         raise ValueError("mu is not reachable from lam by upward bead moves")
-    n_beads = default_bead_count(lam, p)
-    rows_l = runner_rows(lam, p, n_beads)
-    rows_m = runner_rows(mu, p, n_beads)
+    rows_l, rows_m = rows
     pairs = sorted((m * p + i, l * p + i) for i in range(p) for l, m in zip(rows_l[i], rows_m[i]))
     seq = [s for _, s in pairs]
     inversions = sum(
@@ -144,6 +153,7 @@ def p_sign(lam: Partition, mu: Partition, p: int) -> int:
     return -1 if inversions % 2 else 1
 
 
+@cache
 def runner_permutation(rho: Partition, p: int) -> tuple[int, ...]:
     """Rank of each runner's lowest bead among all runners' lowest beads.
 
@@ -152,8 +162,7 @@ def runner_permutation(rho: Partition, p: int) -> tuple[int, ...]:
     """
     if not is_core(rho, p):
         raise ValueError(f"{rho} is not a p-core for p={p}")
-    rows = runner_rows(rho, p)
-    bottoms = [p * (len(col) - 1) + i for i, col in enumerate(rows)]
+    bottoms = [p * (count - 1) + i for i, count in enumerate(_core_beads(rho, p))]
     return tuple(sum(1 for s in bottoms if s < bottoms[i]) for i in range(p))
 
 
@@ -190,12 +199,14 @@ def core_tower_sizes(lam: Partition, p: int) -> tuple[int, ...]:
 
 @cache
 def partitions_with_core(n: int, rho: Partition, p: int) -> tuple[Partition, ...]:
-    """All partitions of n whose p-core is rho, canonical order."""
+    """All partitions of n whose p-core is rho, canonical order: one for
+    each p-quotient of size (n - |rho|) / p."""
     if not is_core(rho, p):
         raise ValueError(f"{rho} is not a p-core for p={p}")
     if (n - sum(rho)) % p or n < sum(rho):
         return ()
-    return tuple(lam for lam in enumerate_partitions(n) if p_core(lam, p) == rho)
+    quotients = multipartitions(p, (n - sum(rho)) // p)
+    return tuple(sorted((from_core_and_quotient(rho, q, p) for q in quotients), reverse=True))
 
 
 def hook_partition(i: int, p: int) -> Partition:

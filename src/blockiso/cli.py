@@ -81,8 +81,11 @@ def _lib(name: str):
     return import_module(f".{name}", __package__)
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _json_line(obj) -> str:
-    return json.dumps(obj, sort_keys=True)
+    return _ENCODER.encode(obj)
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -14,7 +14,6 @@ from functools import cache
 from math import factorial
 
 from .abacus import (
-    block_weight,
     circularly_nondecreasing,
     from_core_and_quotient,
     hook_partition,
@@ -66,6 +65,7 @@ from .wreath import (
 )
 
 
+@cache
 def isometry_row(lam: Partition, rho: Partition, p: int) -> tuple[int, tuple[Partition, ...]]:
     """The sign and leg-indexed components psi of lam's image.  The runner
     of rank p - 1 - i gives component i, conjugated at odd legs i; the sign
@@ -98,7 +98,7 @@ def isometry_inverse(psi: tuple[Partition, ...], rho: Partition, p: int) -> Part
 
 def isometry_image(lam: Partition, rho: Partition, p: int) -> ClassFunction:
     sign, psi = isometry_row(lam, rho, p)
-    w = block_weight(lam, p)
+    w = (sum(lam) - sum(rho)) // p
     return zeta_irr(p, w, lambda_psi(psi, p)).scaled(sign)
 
 
@@ -206,22 +206,16 @@ def verify_uniqueness(p: int, w: int) -> Report:
     labels = labels_in_U_s(p, w, w - 1)
     taus = [embed_to_sn(lbl) for lbl in labels]
     top = [in_U_s(lbl, p, w) for lbl in labels]
-    restricted = {lam: [character_value(lam, tau) for tau in taus] for lam in block}
+    restricted = [[character_value(lam, tau) for tau in taus] for lam in block]
+    texts = [format_partition(lam) for lam in block]
     for a in range(len(block)):
         for b in range(a + 1, len(block)):
             for sign in (1, -1):
-                ok = any(x - sign * y for x, y in zip(restricted[block[a]], restricted[block[b]]))
-                rep.add(
-                    {
-                        "lambda1": format_partition(block[a]),
-                        "lambda2": format_partition(block[b]),
-                        "sign": "-" if sign == 1 else "+",
-                    },
-                    ok,
-                )
-    for lam in block:
-        ok = any(v for v, t in zip(restricted[lam], top) if t)
-        rep.add({"lambda": format_partition(lam), "single": True}, ok)
+                ok = any(x - sign * y for x, y in zip(restricted[a], restricted[b]))
+                pair = {"lambda1": texts[a], "lambda2": texts[b], "sign": "-" if sign == 1 else "+"}
+                rep.add(pair, ok)
+    for text, values in zip(texts, restricted):
+        rep.add({"lambda": text, "single": True}, any(v for v, t in zip(values, top) if t))
     return rep
 
 
@@ -383,15 +377,17 @@ def verify_diagram(p: int, w: int, rho: Partition) -> Report:
     rep = Report("diagram", {"p": p, "w": w, "core": format_partition(rho)})
     e = sum(rho)
     n = p * w + e
-    block = partitions_with_core(n, rho, p)
+    members = []
+    for lam in partitions_with_core(n, rho, p):
+        xi = irr_class_function(lam)
+        members.append((lam, xi, tilde_pi_rho(xi, rho), isometry_image(lam, rho, p)))
     for alpha in (alpha for m in range(w + 1) for alpha in enumerate_partitions(m)):
         m = sum(alpha)
         small = partitions_with_core(p * (w - m) + e, rho, p)
-        for lam in block:
-            xi = irr_class_function(lam)
+        for lam, xi, down, image in members:
             base = {"alpha": format_partition(alpha), "lambda": format_partition(lam)}
             dxi = d_alpha(xi, alpha, p)
-            pushed = d_alpha(tilde_pi_rho(xi, rho), alpha, p)
+            pushed = d_alpha(down, alpha, p)
             rep.add(dict(base, square="left"), tilde_pi_rho(dxi, rho).values == pushed.values)
 
             coeffs: dict[Partition, int] = {}
@@ -409,7 +405,7 @@ def verify_diagram(p: int, w: int, rho: Partition) -> Report:
                 total = wreath_space(p, w - m).combine(
                     coeffs.values(), (isometry_image(nu, rho, p).values for nu in coeffs)
                 )
-                direct = delta_alpha(isometry_image(lam, rho, p), alpha).values
+                direct = delta_alpha(image, alpha).values
                 ok = tuple(total) == direct
                 if not ok:
                     witness = {
@@ -438,6 +434,11 @@ def verify_lemma_f(p: int, w: int) -> Report:
     rep = Report("lemma_f", {"p": p, "w": w})
     alphas = enumerate_partitions(w - 1)
     cycles = [[(k, 0) for k in alpha] for alpha in alphas]
+    # hooks[beta][j]: the hook with leg p - j - 1 at beta, times (-1)^(p - j - 1).
+    hooks = {
+        beta: [(-1) ** i * character_value(hook_partition(i, p), beta) for i in reversed(range(p))]
+        for beta in enumerate_partitions(p)
+    }
     for lam in partitions_with_core(p * w, (), p):
         quot = p_quotient(lam, p)
         eps = p_sign(lam, (), p)
@@ -449,10 +450,7 @@ def verify_lemma_f(p: int, w: int) -> Report:
         skew = dict(zip(alphas, zip(*rows)))
         witness = None
         for (alpha, beta), val in f_tensor(lam, p).items():
-            rhs = eps * sum(
-                (-1) ** (p - j - 1) * term * character_value(hook_partition(p - j - 1, p), beta)
-                for j, term in zip(legs, skew[alpha])
-            )
+            rhs = eps * sum(hooks[beta][j] * term for j, term in zip(legs, skew[alpha]))
             if rhs != val:
                 witness = {
                     "alpha": format_partition(alpha),

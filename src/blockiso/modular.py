@@ -75,11 +75,13 @@ def _values_on_classes(coeffs: dict[Partition, int], p: int, regular_only: bool)
     return tuple(out)
 
 
+@cache
 def brauer_values(label: BrauerLabel, p: int) -> tuple:
     """Brauer character extended by zero on the p-singular class."""
     return _values_on_classes(brauer_coeffs(label, p), p, regular_only=True)
 
 
+@cache
 def projective_values(label: BrauerLabel, p: int) -> tuple:
     vals = _values_on_classes(projective_coeffs(label, p), p, regular_only=False)
     if vals[sn_space(p).index[(p,)]] != 0:

@@ -34,7 +34,7 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(lam: Partition) -> str:
-    return ",".join(str(x) for x in lam)
+    return ",".join(map(str, lam))
 
 
 def format_multipartition(phi: tuple[Partition, ...]) -> str:

@@ -1,10 +1,11 @@
 """Ordinary characters of symmetric groups by border-strip recursion.
 
-Character values are computed on first-column hook length sets: removing a
-border strip of length k is subtracting k from one entry, and the sign is
-the parity of the entries jumped over.  Skew shapes recurse the same way
-with the inner shape as a floor.  Everything returns exact ints or
-Fractions.
+A partition with L parts is held as its bead mask: the int whose L set
+bits are its first-column hook lengths.  Removing a border strip of length
+k moves one bead from slot s to the empty slot s - k, two bit flips, and
+its sign is the parity of the beads jumped over.  Skew shapes recurse the
+same way and count the paths that end on the inner shape.  Everything
+returns exact ints or Fractions.
 """
 
 from __future__ import annotations
@@ -14,10 +15,8 @@ from functools import cache
 from math import factorial
 
 from .abacus import (
-    beta_set,
     block_weight,
     core_tower_sizes,
-    partition_from_beta,
     p_core,
     partitions_with_core,
 )
@@ -33,6 +32,16 @@ from .partitions import (
 )
 
 
+@cache
+def _mask(lam: Partition) -> int:
+    """The bead mask of lam, one bead per part: bit lam_i + L - 1 - i."""
+    top = len(lam) - 1
+    mask = 0
+    for i, part in enumerate(lam):
+        mask |= 1 << (part + top - i)
+    return mask
+
+
 def mn_value(lam: Partition, mu: Partition, tau: Partition) -> int:
     """Value of the (skew) irreducible character lam/mu at cycle type tau.
 
@@ -40,31 +49,41 @@ def mn_value(lam: Partition, mu: Partition, tau: Partition) -> int:
     """
     if sum(tau) != sum(lam) - sum(mu):
         raise ValueError("cycle type size mismatch")
-    if not contains(lam, mu):
+    if mu and not contains(lam, mu):
         return 0
-    return _mn(lam, mu, tuple(sorted(tau, reverse=True)))
+    return _mn(_mask(lam), _mask(mu), tuple(sorted(tau, reverse=True)))
 
 
 @cache
-def strips(lam: Partition, k: int) -> tuple[tuple[Partition, int], ...]:
-    """(lam less the strip, sign) for each border strip of length k of lam."""
-    beta = beta_set(lam, len(lam) or 1)
-    occupied = set(beta)
+def strips(mask: int, k: int) -> tuple[tuple[int, int], ...]:
+    """(mask left, sign) for each border strip of length k, top bead first.
+
+    Masks have no bead in slot 0 (no zero part): a bead moved there drops
+    out with the beads packed above it."""
     out = []
-    for s in beta:
-        t = s - k
-        if t >= 0 and t not in occupied:
-            jumped = sum(1 for x in beta if t < x < s)
-            out.append((partition_from_beta((occupied - {s}) | {t}), (-1) ** jumped))
+    free = (mask & ~(mask << k)) >> k  # bit t: a bead at t + k, none at t
+    while free:
+        t = free.bit_length() - 1
+        free ^= 1 << t
+        nu = mask ^ (1 << (t + k)) ^ (1 << t)
+        jumped = (mask >> (t + 1)) & ((1 << (k - 1)) - 1)
+        if not t:
+            nu >>= (nu ^ (nu + 1)).bit_length() - 1
+        out.append((nu, -1 if jumped.bit_count() & 1 else 1))
     return tuple(out)
 
 
 @cache
-def _mn(lam: Partition, mu: Partition, tau: Partition) -> int:
-    # lam contains mu: mn_value checks it on entry, and each strip kept below keeps it
+def _mn(mask: int, floor: int, tau: Partition) -> int:
+    # Shapes only shrink, so a path that leaves the inner shape never meets
+    # it again: counting the paths that end on it is the skew rule.
     if not tau:
-        return 1
-    return sum(sign * _mn(nu, mu, tau[1:]) for nu, sign in strips(lam, tau[0]) if contains(nu, mu))
+        return 1 if mask == floor else 0
+    rest = tau[1:]
+    total = 0
+    for nu, sign in strips(mask, tau[0]):
+        total += sign * _mn(nu, floor, rest)
+    return total
 
 
 def induced_row(factors, labels) -> list[int]:
@@ -83,22 +102,27 @@ def induced_row(factors, labels) -> list[int]:
         raise ValueError("factor sizes do not sum to the label size")
     if not all(contains(lam, mu) for _, lam, mu in factors):
         return [0] * len(labels)
-    shapes, memo = tuple(lam for _, lam, _ in factors), {}
-    return [_peel(factors, shapes, label, memo) for label in labels]
+    rows = tuple(row for row, _, _ in factors)
+    floors = tuple(_mask(mu) for _, _, mu in factors)
+    shapes, memo = tuple(_mask(lam) for _, lam, _ in factors), {}
+    return [_peel(rows, floors, shapes, label, memo) for label in labels]
 
 
-def _peel(factors, shapes: tuple, rest: tuple, memo: dict) -> int:
+def _peel(rows: tuple, floors: tuple, shapes: tuple, rest: tuple, memo: dict) -> int:
     # Not a closure: a recursive closure would keep the memo until a full collection.
     if not rest:
-        return 1
+        return 1 if shapes == floors else 0
     total = memo.get((shapes, rest))
     if total is None:
         (k, c), tail = rest[0], rest[1:]
-        total = memo[shapes, rest] = sum(
-            row[c] * sign * _peel(factors, shapes[:i] + (nu,) + shapes[i + 1 :], tail, memo)
-            for i, (row, _, mu) in enumerate(factors) if row[c]
-            for nu, sign in strips(shapes[i], k) if contains(nu, mu)
-        )
+        total = 0
+        for i, row in enumerate(rows):
+            weight = row[c]
+            if weight:
+                for nu, sign in strips(shapes[i], k):
+                    left = shapes[:i] + (nu,) + shapes[i + 1 :]
+                    total += weight * sign * _peel(rows, floors, left, tail, memo)
+        memo[shapes, rest] = total
     return total
 
 
@@ -147,8 +171,8 @@ def SnClassFunction(n: int, values) -> ClassFunction:
 @cache
 def irr_class_function(lam: Partition) -> ClassFunction:
     """Irreducible character of lam; the row is built once and shared."""
-    n = sum(lam)
-    return SnClassFunction(n, (character_value(lam, tau) for tau in enumerate_partitions(n)))
+    n, mask = sum(lam), _mask(lam)
+    return SnClassFunction(n, (_mn(mask, 0, tau) for tau in enumerate_partitions(n)))
 
 
 def decompose(xi: ClassFunction) -> dict[Partition, Fraction]:

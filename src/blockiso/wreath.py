@@ -136,12 +136,18 @@ def induction_factors(rows, assignment) -> list:
     return [(row, mu, ()) for row, mu in zip(rows, assignment) if mu]
 
 
+@cache
+def _irr_base_rows(p: int) -> tuple:
+    """irr_base_values of every base irreducible, in canonical order."""
+    return tuple(irr_base_values(kappa, p) for kappa in enumerate_partitions(p))
+
+
 def factors_from_pmap(phi_label: PMapLabel, p: int) -> list:
     """Factors of the irreducible labelled by an assignment of partitions."""
-    kappas = enumerate_partitions(p)
-    if len(phi_label) != len(kappas):
+    rows = _irr_base_rows(p)
+    if len(phi_label) != len(rows):
         raise ValueError("assignment length must match the base class count")
-    return induction_factors((irr_base_values(kappa, p) for kappa in kappas), phi_label)
+    return induction_factors(rows, phi_label)
 
 
 @cache

@@ -2,10 +2,13 @@
 cycles to the factors, then evaluate each factor at the cycle type it was
 dealt.  `symchar.induced_row` and `wreath.zeta_row` peel border strips
 instead, a whole list of labels per call, and are checked against these
-one label at a time.
+one label at a time.  Each factor is evaluated by the tuple recursion of
+`strip_reference`, not by the bead masks under test.
 """
 
-from blockiso.symchar import mn_value, sn_space
+from strip_reference import mn
+
+from blockiso.symchar import sn_space
 
 
 def induced_value(items, sizes, caps, term):
@@ -48,7 +51,7 @@ def reference_induced_mn(factors, label) -> int:
     def term(groups) -> int:
         out = 1
         for (row, lam, mu), group in zip(factors, groups):
-            out *= mn_value(lam, mu, _cycle_type(group))
+            out *= mn(lam, mu, _cycle_type(group))
             for _, c in group:
                 out *= row[c]
         return out

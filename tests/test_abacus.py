@@ -6,6 +6,7 @@ algorithms.
 """
 
 import pytest
+from strip_reference import block_by_filter
 
 from blockiso.abacus import (
     beta_set,
@@ -332,6 +333,13 @@ def test_partitions_with_core():
     assert block == enumerate_partitions(4)
     assert partitions_with_core(4, (1,), 3) == ((4,), (2, 2), (1, 1, 1, 1))
     assert partitions_with_core(3, (2, 1), 5) == ((2, 1),)
+    # Built from the quotients, against the filter over every partition of
+    # n: composite p too, every p-core of size <= 6, every n <= 14.
+    for p in (2, 3, 4, 5, 6):
+        cores = [rho for m in range(7) for rho in enumerate_partitions(m) if is_core(rho, p)]
+        for rho in cores:
+            for n in range(15):
+                assert partitions_with_core(n, rho, p) == block_by_filter(n, rho, p), (n, rho, p)
 
 
 def test_hooks():

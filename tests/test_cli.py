@@ -8,15 +8,19 @@ passes.
 
 import argparse
 import csv
+import hashlib
+import importlib
 import io
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import blockiso
 import blockiso.cli as cli
-from blockiso import isometry, modular, perfect, symchar
+from blockiso import isometry, modular, partitions, perfect, symchar
 from blockiso.abacus import partitions_with_core
 from blockiso.partitions import parse_partition
 from blockiso.reporting import Report
@@ -296,6 +300,37 @@ def test_wreath_guard_before_any_work(capsys, monkeypatch):
         assert captured.out == "", argv
         assert captured.err.startswith("guard exceeded: "), argv
         assert captured.err.count("\n") == 1, argv
+
+
+def test_large_core_lists_the_block_from_its_quotients(capsys, monkeypatch):
+    # A core of 55 or 45 boxes: the block is built from its 2-quotients,
+    # never by listing the partitions of n = 57 or 53.
+    enumerate_partitions = partitions.enumerate_partitions
+
+    def small_only(n):
+        if n > 20:
+            raise AssertionError(f"listed the partitions of {n}")
+        return enumerate_partitions(n)
+
+    for info in pkgutil.iter_modules(blockiso.__path__):
+        module = importlib.import_module(f"blockiso.{info.name}")
+        if getattr(module, "enumerate_partitions", None) is enumerate_partitions:
+            monkeypatch.setattr(module, "enumerate_partitions", small_only)
+    # The SHA-256 of each stdout, as printed before the block was built from
+    # its quotients.
+    for argv, digest in (
+        (
+            "isometry --p 2 --w 1 --core 10,9,8,7,6,5,4,3,2,1",
+            "c9de313ea85e1b6a27a75c3bcd023b62168cc2324dafde81db5a37812b03cf47",
+        ),
+        (
+            "verify main --p 2 --w 4 --core 9,8,7,6,5,4,3,2,1",
+            "4914c29562d2165b12e5bf996b68bc3c73ce828fea20762d27e750d25ca9d609",
+        ),
+    ):
+        rc, out = run(capsys, *argv.split())
+        assert rc == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_group_order_guard_never_builds_the_factorial(capsys):

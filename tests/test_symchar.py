@@ -4,8 +4,10 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+import strip_reference
 from deal_reference import reference_induced_mn
 from row_reference import skew_class_function
+from strip_reference import mask_of, shape_of
 
 from blockiso.abacus import partitions_with_core
 from blockiso.partitions import (
@@ -24,6 +26,7 @@ from blockiso.symchar import (
     height_by_valuation,
     induced_row,
     irr_class_function,
+    mn_value,
     strips,
     tilde_pi_rho,
 )
@@ -128,11 +131,46 @@ def test_pushdown_equals_skew_on_irreducibles():
                 assert down.values == skew.values, (lam, rho)
 
 
+def shape_strips(lam, k):
+    """symchar.strips on the bead mask of lam, read back as partitions."""
+    return tuple((shape_of(nu), sign) for nu, sign in strips(mask_of(lam), k))
+
+
 def test_strips_frozen():
-    assert strips((3, 1), 2) == (((1, 1), 1),)
-    assert strips((2, 2), 2) == (((1, 1), -1), ((2,), 1))
-    assert strips((2, 2), 3) == (((1,), -1),)
-    assert strips((), 1) == ()
+    assert shape_strips((3, 1), 2) == (((1, 1), 1),)
+    assert shape_strips((2, 2), 2) == (((1, 1), -1), ((2,), 1))
+    assert shape_strips((2, 2), 3) == (((1,), -1),)
+    assert shape_strips((), 1) == ()
+
+
+def test_mask_kernel_matches_tuple_recursion():
+    # Skew and straight shapes up to n = 12 against the tuple recursion;
+    # the inner shape mu need not lie inside lam.
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(0, 12))
+        lam = data.draw(st.sampled_from(enumerate_partitions(n)))
+        mu = data.draw(st.sampled_from(enumerate_partitions(data.draw(st.integers(0, n)))))
+        if data.draw(st.booleans()):
+            mu = ()
+        tau = data.draw(st.sampled_from(enumerate_partitions(n - sum(mu))))
+        tau = tuple(data.draw(st.permutations(tau)))
+        want = strip_reference.mn(lam, mu, tuple(sorted(tau, reverse=True)))
+        assert mn_value(lam, mu, tau) == want, (lam, mu, tau)
+        k = data.draw(st.integers(1, n + 1))
+        assert shape_strips(lam, k) == strip_reference.strips(lam, k), (lam, k)
+        factors = [((1,), lam, mu)]
+        if data.draw(st.booleans()):
+            factors.append(((-2,), data.draw(st.sampled_from(enumerate_partitions(2))), ()))
+        size = sum(sum(a) - sum(b) for _, a, b in factors)
+        labels = [[(k, 0) for k in data.draw(st.sampled_from(enumerate_partitions(size)))]]
+        assert induced_row(factors, labels) == [reference_induced_mn(factors, labels[0])]
+
+    check()
 
 
 def test_induced_row_matches_deal_reference():
