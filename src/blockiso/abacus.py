@@ -33,42 +33,54 @@ def beta_set(lam: Partition, n_beads: int) -> tuple[int, ...]:
 def partition_from_beta(beta) -> Partition:
     """Inverse of beta_set; beta is any iterable of distinct slots.
 
-    Distinct slots in decreasing order give weakly decreasing parts, so the
-    tuple is built directly; the zero parts, all at the end, are dropped."""
-    slots = sorted(beta, reverse=True)
-    n = len(slots)
-    return tuple(part for part in (s - (n - 1 - i) for i, s in enumerate(slots)) if part)
+    The i-th lowest slot has i beads below it, so its part is the slot
+    minus i; the zero parts, all at the bottom, are dropped."""
+    parts = [s - i for i, s in enumerate(sorted(beta)) if s > i]
+    parts.reverse()
+    return tuple(parts)
 
 
-def _check_beads(lam: Partition, p: int, n_beads: int | None) -> int:
+@cache
+def _reading(lam: Partition, p: int) -> tuple[Partition, tuple[Partition, ...], int]:
+    """lam's p-core, p-quotient and bead sign down to the core, from one
+    pass over its beads in increasing slot order on the default abacus.
+
+    Beads are numbered in that order and pushed up their runners, carrying
+    their numbers.  Beads never pass each other on a runner, so the j-th
+    bead of runner i ends in slot j*p + i: these end slots spell the core,
+    and the sign is their parity, the bead count minus the cycle count of
+    their sorting permutation.
+    """
     if p < 2:
         raise ValueError("p must be >= 2")
-    if n_beads is None:
-        return default_bead_count(lam, p)
-    if n_beads % p or n_beads - p <= len(lam):
-        raise ValueError(f"inadmissible bead count {n_beads} for p={p}")
-    return n_beads
-
-
-def runner_rows(lam: Partition, p: int, n_beads: int | None = None) -> list[list[int]]:
-    """Bead rows per runner, each list sorted increasing."""
-    n_beads = _check_beads(lam, p, n_beads)
     rows: list[list[int]] = [[] for _ in range(p)]
-    for slot in reversed(beta_set(lam, n_beads)):
-        rows[slot % p].append(slot // p)
-    return rows
+    ends = []
+    for slot in reversed(beta_set(lam, default_bead_count(lam, p))):
+        row = rows[slot % p]
+        ends.append(len(row) * p + slot % p)
+        row.append(slot // p)
+    order = sorted(range(len(ends)), key=ends.__getitem__)
+    seen = [False] * len(order)
+    cycles = 0
+    for start in range(len(order)):
+        if not seen[start]:
+            cycles += 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = order[k]
+    sign = -1 if (len(order) - cycles) % 2 else 1
+    return partition_from_beta(ends), tuple(partition_from_beta(row) for row in rows), sign
 
 
 def p_core(lam: Partition, p: int) -> Partition:
     """Push all beads up; the partition left is the p-core."""
-    rows = runner_rows(lam, p)
-    slots = [r * p + i for i, col in enumerate(rows) for r in range(len(col))]
-    return partition_from_beta(slots)
+    return _reading(lam, p)[0]
 
 
 def p_quotient(lam: Partition, p: int) -> tuple[Partition, ...]:
     """Tuple of p partitions, component i read off runner i."""
-    return tuple(partition_from_beta(col) for col in runner_rows(lam, p))
+    return _reading(lam, p)[1]
 
 
 def block_weight(lam: Partition, p: int) -> int:
@@ -104,23 +116,8 @@ def from_core_and_quotient(rho: Partition, quot: tuple[Partition, ...], p: int) 
 def _core_beads(rho: Partition, p: int) -> tuple[int, ...]:
     """Beads per runner of the core rho on its default abacus; a core's
     beads sit packed at the top of each runner."""
-    return tuple(len(col) for col in runner_rows(rho, p))
-
-
-def _paired_rows(lam: Partition, mu: Partition, p: int):
-    """The runner rows of lam and of mu on one abacus, or None when mu is
-    not reachable from lam by moving beads up runners."""
-    if not contains(lam, mu) or (sum(lam) - sum(mu)) % p:
-        return None
-    n_beads = default_bead_count(lam, p)
-    rows_l = runner_rows(lam, p, n_beads)
-    rows_m = runner_rows(mu, p, n_beads)
-    for col_l, col_m in zip(rows_l, rows_m):
-        if len(col_l) != len(col_m):
-            return None
-        if any(m > l for l, m in zip(col_l, col_m)):
-            return None
-    return rows_l, rows_m
+    beta = beta_set(rho, default_bead_count(rho, p))
+    return tuple(sum(1 for slot in beta if slot % p == i) for i in range(p))
 
 
 def contains_p(lam: Partition, mu: Partition, p: int) -> bool:
@@ -129,28 +126,24 @@ def contains_p(lam: Partition, mu: Partition, p: int) -> bool:
     Equivalently: equal p-cores and componentwise containment of the
     p-quotients.
     """
-    return _paired_rows(lam, mu, p) is not None
+    core_l, quot_l, _ = _reading(lam, p)
+    core_m, quot_m, _ = _reading(mu, p)
+    return core_l == core_m and all(contains(a, b) for a, b in zip(quot_l, quot_m))
 
 
 def p_sign(lam: Partition, mu: Partition, p: int) -> int:
     """Sign of the bead renumbering permutation from lam down to mu.
 
     Beads of lam are numbered in increasing slot order and moved up their
-    runners, carrying their numbers, until the abacus shows mu.  Beads never
-    pass each other on a runner, so the j-th bead of runner i of lam ends as
-    the j-th bead of runner i of mu; the sign is the parity of lam's bead
-    slots read in mu's slot order.  Independent of the admissible N.
+    runners, carrying their numbers, until the abacus shows mu; the sign is
+    the parity of the numbers read in slot order.  That permutation depends
+    only on the two abaci and composes along lam -> mu -> core, so the sign
+    is lam's bead sign down to the core times mu's.  Independent of the
+    admissible N.
     """
-    rows = _paired_rows(lam, mu, p)
-    if rows is None:
+    if not contains_p(lam, mu, p):
         raise ValueError("mu is not reachable from lam by upward bead moves")
-    rows_l, rows_m = rows
-    pairs = sorted((m * p + i, l * p + i) for i in range(p) for l, m in zip(rows_l[i], rows_m[i]))
-    seq = [s for _, s in pairs]
-    inversions = sum(
-        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
-    )
-    return -1 if inversions % 2 else 1
+    return _reading(lam, p)[2] * _reading(mu, p)[2]
 
 
 @cache

@@ -25,9 +25,8 @@ from blockiso.abacus import (
     partition_from_beta,
     partitions_with_core,
     runner_permutation,
-    runner_rows,
 )
-from blockiso.partitions import conjugate, enumerate_partitions
+from blockiso.partitions import conjugate, contains, enumerate_partitions
 
 
 def diagram_cells(lam):
@@ -75,6 +74,44 @@ def oracle_core(lam, p):
         if not nxt:
             return sorted(frontier)
         frontier = nxt
+
+
+def rows_at(lam, p, n_beads):
+    """Runner rows of lam on the abacus with n_beads beads, read straight
+    off its beta-set, each list sorted increasing."""
+    rows = [[] for _ in range(p)]
+    for slot in sorted(beta_set(lam, n_beads)):
+        rows[slot % p].append(slot // p)
+    return rows
+
+
+def paired_rows(lam, mu, p):
+    """Reference oracle for contains_p: the runner rows of lam and of mu on
+    lam's default abacus, paired bead by bead, or None when mu is not
+    reachable from lam by moving beads up runners."""
+    if not contains(lam, mu) or (sum(lam) - sum(mu)) % p:
+        return None
+    n_beads = default_bead_count(lam, p)
+    rows_l, rows_m = rows_at(lam, p, n_beads), rows_at(mu, p, n_beads)
+    for col_l, col_m in zip(rows_l, rows_m):
+        if len(col_l) != len(col_m) or any(m > l for l, m in zip(col_l, col_m)):
+            return None
+    return rows_l, rows_m
+
+
+def inversion_sign(seq):
+    """(-1) to the number of pairs out of order, counted pair by pair."""
+    inversions = sum(1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b])
+    return -1 if inversions % 2 else 1
+
+
+def inversion_p_sign(lam, mu, p):
+    """Reference oracle for p_sign, for mu p-contained in lam: beads never
+    pass each other on a runner, so the sign is the parity of lam's bead
+    slots read in mu's slot order."""
+    rows_l, rows_m = paired_rows(lam, mu, p)
+    pairs = sorted((m * p + i, l * p + i) for i in range(p) for l, m in zip(rows_l[i], rows_m[i]))
+    return inversion_sign([s for _, s in pairs])
 
 
 def test_border_strip_oracle_agrees_on_cores():
@@ -131,7 +168,7 @@ def test_quotient_bead_count_invariance():
                 base = default_bead_count(lam, p)
                 q0 = p_quotient(lam, p)
                 for n_beads in (base, base + p, base + 3 * p):
-                    rows = runner_rows(lam, p, n_beads)
+                    rows = rows_at(lam, p, n_beads)
                     assert tuple(partition_from_beta(col) for col in rows) == q0
 
 
@@ -163,8 +200,6 @@ def test_conjugate_exchanges_quotient_components():
 
 
 def test_contains_p_matches_componentwise_containment():
-    from blockiso.partitions import contains
-
     for p in (2, 3):
         for n in range(0, 7):
             for lam in enumerate_partitions(n):
@@ -175,7 +210,8 @@ def test_contains_p_matches_componentwise_containment():
                             contains(a, b)
                             for a, b in zip(p_quotient(lam, p), p_quotient(mu, p))
                         )
-                        assert contains_p(lam, mu, p) == comp, (lam, mu, p)
+                        oracle = paired_rows(lam, mu, p) is not None
+                        assert contains_p(lam, mu, p) == comp == oracle, (lam, mu, p)
 
 
 def test_p_sign_frozen_and_invariance():
@@ -240,7 +276,7 @@ def simulated_p_sign(lam, mu, p, n_beads):
     start = sorted(beta_set(lam, n_beads))
     number = {slot: i + 1 for i, slot in enumerate(start)}
     occupied = set(start)
-    targets = runner_rows(mu, p, n_beads)
+    targets = rows_at(mu, p, n_beads)
     moved = True
     while moved:
         moved = False
@@ -253,11 +289,7 @@ def simulated_p_sign(lam, mu, p, n_beads):
                     occupied.add(s - p)
                     number[s - p] = number.pop(s)
                     moved = True
-    seq = [number[s] for s in sorted(occupied)]
-    inversions = sum(
-        1 for a in range(len(seq)) for b in range(a + 1, len(seq)) if seq[a] > seq[b]
-    )
-    return -1 if inversions % 2 else 1
+    return inversion_sign([number[s] for s in sorted(occupied)])
 
 
 def p_contained(lam, p):
@@ -274,6 +306,7 @@ def test_p_sign_matches_bead_moves_on_the_grid():
                 for mu in p_contained(lam, p):
                     want = simulated_p_sign(lam, mu, p, default_bead_count(lam, p))
                     assert p_sign(lam, mu, p) == want, (lam, mu, p)
+                    assert inversion_p_sign(lam, mu, p) == want, (lam, mu, p)
                     pairs += 1
     assert pairs == 1999
 
@@ -292,6 +325,26 @@ def test_p_sign_matches_bead_moves_at_any_bead_count():
         base = default_bead_count(lam, p)
         for n_beads in (base, base + p, base + 2 * p):
             assert simulated_p_sign(lam, mu, p, n_beads) == sign, (lam, mu, p, n_beads)
+
+    check()
+
+
+def test_p_sign_composes_along_p_containment():
+    # p_sign(lam, mu) is lam's sign down to the core times mu's, which rests
+    # on this law; the inversion oracle must obey it too
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        p = data.draw(st.sampled_from((2, 3, 4, 5)))
+        lam = data.draw(st.sampled_from(enumerate_partitions(data.draw(st.integers(0, 14)))))
+        mu = data.draw(st.sampled_from(p_contained(lam, p)))
+        nu = data.draw(st.sampled_from(p_contained(mu, p)))
+        assert p_sign(lam, nu, p) == p_sign(lam, mu, p) * p_sign(mu, nu, p), (lam, mu, nu, p)
+        chain = inversion_p_sign(lam, mu, p) * inversion_p_sign(mu, nu, p)
+        assert inversion_p_sign(lam, nu, p) == chain, (lam, mu, nu, p)
 
     check()
 
