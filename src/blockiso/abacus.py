@@ -9,8 +9,6 @@ large enough that every runner holds a bead; all derived data below is
 independent of the admissible N chosen.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from .partitions import Partition, contains, multipartitions

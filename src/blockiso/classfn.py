@@ -9,8 +9,6 @@ when the values are Fractions).  Every linear combination of rows is one
 conjugation is needed.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -107,7 +105,7 @@ class ClassFunction:
         """The value at a label, which must be in its canonical form."""
         return self.values[self.space.index[label]]
 
-    def scaled(self, c) -> ClassFunction:
+    def scaled(self, c) -> "ClassFunction":
         return ClassFunction(self.space, tuple(c * a for a in self.values))
 
     def is_zero(self) -> bool:

@@ -18,7 +18,8 @@ other exception, or a verification that produced no records), reported as
 one stderr line.  Only the ArgumentError of an argument check exits 2; any
 other ValueError raised inside the library is an internal error, exit 4.
 
-Every subcommand is one row of COMMANDS, and one check (`_check`) runs
+Every subcommand is one row of COMMANDS; the parser lists them all but
+gives options only to the one a run names.  One check (`_check`) runs
 right after parsing, before any work.  In order: each integer option
 against MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
 verify verb's --w >= 1, then every verify option the verb does not read
@@ -38,13 +39,9 @@ Everything block-theoretic (heights, modular data, bicharacter work)
 insists on a prime.
 """
 
-from __future__ import annotations
-
 import argparse
-import csv
 import io
 import json
-import re
 import sys
 from importlib import import_module
 
@@ -57,7 +54,6 @@ from .partitions import (
     is_prime,
     parse_partition,
 )
-from .reporting import Report
 
 # Smallest accepted value of each integer option, checked right after parsing.
 MINIMUM = {"p": 2, "w": 0, "e": 0, "n": 0, "max_group_order": 1}
@@ -97,6 +93,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _csv_text(header: list, rows: list[list]) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -114,73 +111,6 @@ def _table_text(fmt: str, meta: dict, row_key: str, values_key: str, columns: li
     return _csv_text([row_key] + columns, [[name] + vals for name, vals in rows])
 
 
-def parse_class_label(text: str, p: int, w: int) -> tuple:
-    """Parse `k1:c1,k2:c2,...` into a canonical wreath class label; the empty
-    string means the identity.  A pair starts at each comma whose next
-    token holds a colon, and its class c is read by parse_partition."""
-    wreath = _lib("wreath")
-    if text == "":
-        return wreath.identity_label(p, w)
-    pairs: list[tuple[int, Partition]] = []
-    for item in re.split(r",(?=[^,]*:)", text):
-        head, colon, tail = item.partition(":")
-        if not colon:
-            raise ArgumentError(f"label must start with 'k:part': {text!r}")
-        try:
-            k = int(head)
-        except ValueError:
-            raise ArgumentError(f"bad integer {head!r} in label {text!r}") from None
-        pairs.append((k, parse_partition(tail)))
-    label = wreath.canonical_label(pairs)
-    for k, c in label:
-        if k < 1 or sum(c) != p:
-            raise ArgumentError(f"bad pair ({k}, {c}) in label {text!r}")
-    if sum(k for k, _ in label) != w:
-        raise ArgumentError(f"label top lengths must sum to w={w}: {text!r}")
-    return label
-
-
-def parse_pmap(text: str, p: int, w: int) -> tuple[Partition, ...]:
-    """Parse `kappa:mu;...` into the dense assignment tuple."""
-    kappas = enumerate_partitions(p)
-    spot: dict[Partition, Partition] = {}
-    if text:
-        for item in text.split(";"):
-            if ":" not in item:
-                raise ArgumentError(f"assignment item needs 'kappa:mu': {item!r}")
-            head, tail = item.split(":", 1)
-            kappa = parse_partition(head)
-            if sum(kappa) != p:
-                raise ArgumentError(f"base label {head!r} is not a partition of {p}")
-            if kappa in spot:
-                raise ArgumentError(f"base label repeated: {head!r}")
-            spot[kappa] = parse_partition(tail)
-    phi = tuple(spot.get(kappa, ()) for kappa in kappas)
-    if sum(sum(mu) for mu in phi) != w:
-        raise ArgumentError(f"assignment sizes must sum to w={w}: {text!r}")
-    return phi
-
-
-def format_assignment(names: list[str], phi: tuple[Partition, ...]) -> str:
-    """`name:mu;...` over the nonempty parts of phi, one name per base label."""
-    return ";".join(f"{name}:{format_partition(mu)}" for name, mu in zip(names, phi) if mu)
-
-
-def _irr_names(p: int) -> list[str]:
-    """Base-label names of the irreducibles of S_p: their partitions."""
-    return [format_partition(kappa) for kappa in enumerate_partitions(p)]
-
-
-def _gibr_texts(p: int, w: int) -> list[str]:
-    """The Brauer tuples as `name:mu;...`, each Brauer label named `leg<i>`,
-    or `d0[kappa]` at a defect-zero kappa."""
-    modular = _lib("modular")
-    names = [
-        f"leg{d}" if kind == "leg" else f"d0[{format_partition(d)}]" for kind, d in modular.brauer_labels(p)
-    ]
-    return [format_assignment(names, psi) for psi in modular.enumerate_gibr(p, w)]
-
-
 def _guards(max_group_order: int) -> dict:
     return {
         "max_enum_n": MAX_ENUM_N,
@@ -191,7 +121,7 @@ def _guards(max_group_order: int) -> dict:
     }
 
 
-def _report_text(rep: Report, params: dict, orderings: dict, max_group_order: int) -> str:
+def _report_text(rep, params: dict, orderings: dict, max_group_order: int) -> str:
     meta = {
         "check": rep.check,
         "parameters": params,
@@ -286,13 +216,13 @@ def cmd_table(args, rho) -> tuple[str, int]:
 
 
 def cmd_wchar(args, _rho) -> tuple[str, int]:
-    phi = parse_pmap(args.phi, args.p, args.w)
-    label = parse_class_label(args.cls, args.p, args.w)
     wreath = _lib("wreath")
+    phi = wreath.parse_pmap(args.phi, args.p, args.w)
+    label = wreath.parse_class_label(args.cls, args.p, args.w)
     out = {
         "p": args.p,
         "w": args.w,
-        "phi": format_assignment(_irr_names(args.p), phi),
+        "phi": wreath.format_assignment(wreath.irr_names(args.p), phi),
         "class": wreath.format_class_label(label),
         "value": wreath.zeta_row(args.p, wreath.factors_from_pmap(phi, args.p), [label])[0],
     }
@@ -319,8 +249,8 @@ def cmd_decomp(args, _rho) -> tuple[str, int]:
     matrix = modular.decomposition_matrix(args.p, args.w)
     all_irr = wreath.enumerate_irr_wreath(args.p, args.w)
     principal = set(wreath.principal_block_filter(all_irr, args.p))
-    cols, irr = _gibr_texts(args.p, args.w), _irr_names(args.p)
-    rows = [(format_assignment(irr, phi), row) for phi, row in zip(all_irr, matrix) if phi in principal]
+    cols, irr = modular.gibr_texts(args.p, args.w), wreath.irr_names(args.p)
+    rows = [(wreath.format_assignment(irr, phi), row) for phi, row in zip(all_irr, matrix) if phi in principal]
     meta = {"p": args.p, "w": args.w, "gibr": cols}
     return _table_text(args.format, meta, "phi", "numbers", cols, rows), 0
 
@@ -343,7 +273,7 @@ def _verify_orderings(keys, p: int, w: int, rho: Partition) -> dict:
         "wreath_classes": lambda: [
             wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(p, w)
         ],
-        "gibr": lambda: _gibr_texts(p, w),
+        "gibr": lambda: _lib("modular").gibr_texts(p, w),
         "regular_classes": lambda: [
             wreath.format_class_label(l) for l in _lib("modular").regular_wreath_classes(p, w)
         ],
@@ -442,17 +372,21 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand with its help line, and `-h` and the options of
+    `command` alone: a run parses one command, so no other subparser needs
+    any."""
     parser = argparse.ArgumentParser(
         prog="blockiso",
         description="Exact block/wreath character computations and verifications.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, _, _, options) in COMMANDS.items():
-        sub = subs.add_parser(command, help=help_text)
-        for name in options.split():
-            flag, spec = _OPTIONS.get(f"{command} {name}", _OPTIONS[name])
-            sub.add_argument(flag, **spec)
+    for name, (help_text, _, _, _, options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text, add_help=name == command)
+        if name == command:
+            for option in options.split():
+                flag, spec = _OPTIONS.get(f"{name} {option}", _OPTIONS[option])
+                sub.add_argument(flag, **spec)
     return parser
 
 
@@ -504,9 +438,13 @@ def _check(args) -> Partition | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The top level takes no option with a value, so the command is the
+    # first argument without a leading '-' (an earlier '-', '--' or negative
+    # number is read as the command and refused, whatever the subparsers hold).
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

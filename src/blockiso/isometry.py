@@ -8,8 +8,6 @@ congruences classwise, entirely in exact arithmetic, including the brute
 force centralizer characterisation on explicit permutations.
 """
 
-from __future__ import annotations
-
 from functools import cache
 from math import factorial
 

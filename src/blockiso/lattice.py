@@ -7,8 +7,6 @@ pivot are reduced into [0, pivot).  Zero rows are dropped, which makes the
 form unique per lattice and lets equality be a plain comparison.
 """
 
-from __future__ import annotations
-
 Matrix = list[list[int]]
 
 

@@ -9,8 +9,6 @@ on the classes with p-regular cycle products; paired with the projective
 tuples they are orthonormal, which yields integer decomposition numbers.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from .abacus import hook_partition, is_hook
@@ -19,6 +17,7 @@ from .partitions import (
     Partition,
     enumerate_partitions,
     format_multipartition,
+    format_partition,
     is_prime,
     multipartitions,
     supported_on,
@@ -28,6 +27,7 @@ from .symchar import character_value, sn_space
 from .wreath import (
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    format_assignment,
     induction_factors,
     wreath_space,
     zeta_class_function,
@@ -104,6 +104,13 @@ GIBrLabel = tuple[Partition, ...]
 def enumerate_gibr(p: int, w: int) -> tuple[GIBrLabel, ...]:
     """Assignments of partitions to Brauer labels with total size w."""
     return multipartitions(len(brauer_labels(p)), w)
+
+
+def gibr_texts(p: int, w: int) -> list[str]:
+    """The Brauer tuples as `name:mu;...`, each Brauer label named `leg<i>`,
+    or `d0[kappa]` at a defect-zero kappa."""
+    names = [f"leg{d}" if kind == "leg" else f"d0[{format_partition(d)}]" for kind, d in brauer_labels(p)]
+    return [format_assignment(names, psi) for psi in enumerate_gibr(p, w)]
 
 
 def principal_gibr_filter(assignments, p: int) -> tuple[GIBrLabel, ...]:

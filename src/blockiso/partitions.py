@@ -6,8 +6,6 @@ empty partition.  All enumeration is in descending lexicographic order, so
 is aligned to that order.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 Partition = tuple[int, ...]

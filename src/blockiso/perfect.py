@@ -10,8 +10,6 @@ rationals; the valuation probe fails only where theory gives a verdict
 reaches p.
 """
 
-from __future__ import annotations
-
 from .abacus import hook_partition, partitions_with_core
 from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row

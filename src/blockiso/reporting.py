@@ -1,7 +1,5 @@
 """Uniform pass/fail records for the verification commands."""
 
-from __future__ import annotations
-
 
 def record(check: str, parameters: dict, ok: bool, witness=None) -> dict:
     return {

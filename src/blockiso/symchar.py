@@ -8,8 +8,6 @@ same way and count the paths that end on the inner shape.  Everything
 returns exact ints or Fractions.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import cache
 from math import factorial
@@ -96,9 +94,9 @@ def induced_row(factors, labels) -> list[int]:
     by that factor's row[c] (the wreath Murnaghan-Nakayama rule); all labels
     share one memo on the shapes left and the cycles still to peel.
     """
-    labels = [tuple(label) for label in labels]
+    labels = tuple(map(tuple, labels))
     size = sum(sum(lam) - sum(mu) for _, lam, mu in factors)
-    if any(sum(k for k, _ in label) != size for label in labels):
+    if _label_sizes(labels) - {size}:
         raise ValueError("factor sizes do not sum to the label size")
     if not all(contains(lam, mu) for _, lam, mu in factors):
         return [0] * len(labels)
@@ -106,6 +104,12 @@ def induced_row(factors, labels) -> list[int]:
     floors = tuple(_mask(mu) for _, _, mu in factors)
     shapes, memo = tuple(_mask(lam) for _, lam, _ in factors), {}
     return [_peel(rows, floors, shapes, label, memo) for label in labels]
+
+
+@cache
+def _label_sizes(labels: tuple) -> frozenset:
+    """The sizes sum(k) of the labels, summed once per label list."""
+    return frozenset(sum(k for k, _ in label) for label in labels)
 
 
 def _peel(rows: tuple, floors: tuple, shapes: tuple, rest: tuple, memo: dict) -> int:

@@ -11,19 +11,20 @@ strip sign and that factor's base value phi_i at c.  `zeta_row` evaluates
 one factor list at many labels at once, by `symchar.induced_row`.
 """
 
-from __future__ import annotations
-
 import itertools
+import re
 from functools import cache
 from math import factorial
 
 from .abacus import hook_partition, is_hook
 from .classfn import ClassFunction, ClassSpace
 from .partitions import (
+    ArgumentError,
     Partition,
     enumerate_partitions,
     format_partition,
     multipartitions,
+    parse_partition,
     scale,
     sqcup,
     supported_on,
@@ -46,6 +47,62 @@ def canonical_label(pairs) -> ClassLabel:
 def format_class_label(label: ClassLabel) -> str:
     """Wire format `k1:c1,k2:c2,...` of a class label."""
     return ",".join(f"{k}:{format_partition(c)}" for k, c in label)
+
+
+def parse_class_label(text: str, p: int, w: int) -> ClassLabel:
+    """Parse `k1:c1,k2:c2,...` into a canonical class label; the empty
+    string means the identity.  A pair starts at each comma whose next
+    token holds a colon, and its class c is read by parse_partition."""
+    if text == "":
+        return identity_label(p, w)
+    pairs: list[tuple[int, Partition]] = []
+    for item in re.split(r",(?=[^,]*:)", text):
+        head, colon, tail = item.partition(":")
+        if not colon:
+            raise ArgumentError(f"label must start with 'k:part': {text!r}")
+        try:
+            k = int(head)
+        except ValueError:
+            raise ArgumentError(f"bad integer {head!r} in label {text!r}") from None
+        pairs.append((k, parse_partition(tail)))
+    label = canonical_label(pairs)
+    for k, c in label:
+        if k < 1 or sum(c) != p:
+            raise ArgumentError(f"bad pair ({k}, {c}) in label {text!r}")
+    if sum(k for k, _ in label) != w:
+        raise ArgumentError(f"label top lengths must sum to w={w}: {text!r}")
+    return label
+
+
+def parse_pmap(text: str, p: int, w: int) -> PMapLabel:
+    """Parse `kappa:mu;...` into the dense assignment tuple."""
+    kappas = enumerate_partitions(p)
+    spot: dict[Partition, Partition] = {}
+    if text:
+        for item in text.split(";"):
+            if ":" not in item:
+                raise ArgumentError(f"assignment item needs 'kappa:mu': {item!r}")
+            head, tail = item.split(":", 1)
+            kappa = parse_partition(head)
+            if sum(kappa) != p:
+                raise ArgumentError(f"base label {head!r} is not a partition of {p}")
+            if kappa in spot:
+                raise ArgumentError(f"base label repeated: {head!r}")
+            spot[kappa] = parse_partition(tail)
+    phi = tuple(spot.get(kappa, ()) for kappa in kappas)
+    if sum(sum(mu) for mu in phi) != w:
+        raise ArgumentError(f"assignment sizes must sum to w={w}: {text!r}")
+    return phi
+
+
+def format_assignment(names: list[str], phi: tuple[Partition, ...]) -> str:
+    """`name:mu;...` over the nonempty parts of phi, one name per base label."""
+    return ";".join(f"{name}:{format_partition(mu)}" for name, mu in zip(names, phi) if mu)
+
+
+def irr_names(p: int) -> list[str]:
+    """Base-label names of the irreducibles of S_p: their partitions."""
+    return [format_partition(kappa) for kappa in enumerate_partitions(p)]
 
 
 @cache
@@ -118,8 +175,15 @@ def WreathClassFunction(p: int, w: int, values) -> ClassFunction:
 
 def zeta_row(p: int, factors: list, labels) -> list[int]:
     """Values at the labels of the class function induced from the factors."""
+    return induced_row(factors, _indexed(p, tuple(labels)))
+
+
+@cache
+def _indexed(p: int, labels: tuple) -> tuple:
+    """The labels with each base class c replaced by its index in sn_space(p),
+    the form induced_row reads; built once per label list."""
     class_idx = sn_space(p).index
-    return induced_row(factors, ([(k, class_idx[c]) for k, c in lbl] for lbl in labels))
+    return tuple(tuple((k, class_idx[c]) for k, c in lbl) for lbl in labels)
 
 
 def zeta_class_function(p: int, w: int, factors: list) -> ClassFunction:

@@ -20,7 +20,7 @@ import pytest
 
 import blockiso
 import blockiso.cli as cli
-from blockiso import isometry, modular, partitions, perfect, symchar
+from blockiso import isometry, modular, partitions, perfect, symchar, wreath
 from blockiso.abacus import partitions_with_core
 from blockiso.partitions import parse_partition
 from blockiso.reporting import Report
@@ -272,7 +272,7 @@ def test_wreath_guard_before_any_work(capsys, monkeypatch):
     monkeypatch.setattr(isometry, "verify_lemma_f", never)
     monkeypatch.setattr(modular, "enumerate_gibr", never)
     monkeypatch.setattr(perfect, "build_mu", never)
-    monkeypatch.setattr(cli, "parse_pmap", never)
+    monkeypatch.setattr(wreath, "parse_pmap", never)
     monkeypatch.setattr(symchar, "irr_class_function", never)
     monkeypatch.setattr(isometry, "build_isometry", never)
     monkeypatch.setattr(isometry, "verify_main", never)
@@ -547,11 +547,14 @@ PARSER_SURFACE = {
 }
 
 
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_parser_surface_frozen():
-    parser = cli.build_parser()
-    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(subs.choices) == list(PARSER_SURFACE)
-    for name, sub in subs.choices.items():
+    assert list(_subparsers(cli.build_parser())) == list(PARSER_SURFACE)
+    for name in PARSER_SURFACE:
+        sub = _subparsers(cli.build_parser(name))[name]
         surface = {
             (tuple(a.option_strings), a.dest, a.required, a.default, a.choices, a.type)
             for a in sub._actions

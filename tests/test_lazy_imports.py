@@ -15,7 +15,9 @@ import blockiso
 
 SRC = str(Path(blockiso.__file__).resolve().parent.parent)
 # What `import blockiso.cli` and a parser build may load.
-LIGHT = {f"blockiso.{m}" for m in ("cli", "partitions", "abacus", "reporting")}
+LIGHT = {f"blockiso.{m}" for m in ("cli", "partitions", "abacus")}
+# Standard modules that neither the import nor a `core` run may load.
+UNUSED = {"__future__", "csv", "dataclasses", "fractions"}
 
 PRELUDE = """
 import contextlib, io, json, sys
@@ -47,19 +49,21 @@ def test_parser_build_loads_no_library_module():
         "print(json.dumps({'loaded': loaded(), 'new': sorted(set(sys.modules) - start)}))\n"
     )
     assert set(got["loaded"]) <= LIGHT, got
-    assert not {"dataclasses", "fractions"} & set(got["new"]), got
+    assert not UNUSED & set(got["new"]), got
 
 
 def test_core_adds_at_most_abacus():
     got = fresh(
         "from blockiso.cli import build_parser, main\n"
         "build_parser()\n"
-        "before = loaded()\n"
+        "before, modules = loaded(), set(sys.modules)\n"
         "rc = run(['core', '--p', '3', '--partition', '4,2,1'])\n"
-        "print(json.dumps({'rc': rc, 'added': sorted(set(loaded()) - set(before))}))\n"
+        "print(json.dumps({'rc': rc, 'added': sorted(set(loaded()) - set(before)),"
+        " 'new': sorted(set(sys.modules) - modules)}))\n"
     )
     assert got["rc"] == 0
     assert set(got["added"]) <= {"blockiso.abacus"}, got
+    assert not UNUSED & set(got["new"]), got
 
 
 def test_verify_main_skips_perfect_and_modular():
