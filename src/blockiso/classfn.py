@@ -52,14 +52,6 @@ class ClassSpace:
                 out = [x + c * y for x, y in zip(out, row)]
         return out
 
-    def project(self, values, rows) -> tuple[Fraction, ...]:
-        """Orthogonal projection of values onto the span of orthonormal
-        integer rows."""
-        u, d = self.weighted(values)
-        coeffs = [sum(map(mul, u, row)) for row in rows]
-        den = self.order * d
-        return tuple(Fraction(x, den) for x in self.combine(coeffs, rows))
-
 
 class ClassFunction:
     """Dense class function over a space, in the space's label order.

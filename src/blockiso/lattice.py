@@ -75,9 +75,8 @@ def hnf_basis(rows: Matrix) -> Matrix:
     return [r for r in h if any(r)]
 
 
-def lattice_contains(rows: Matrix, vec: list[int]) -> bool:
-    """Whether vec lies in the integer row span of rows."""
-    basis = hnf_basis(rows)
+def _reduces(basis: Matrix, vec: list[int]) -> bool:
+    """Whether vec reduces to zero against an HNF basis."""
     v = list(map(int, vec))
     if basis and len(basis[0]) != len(v):
         raise ValueError("dimension mismatch")
@@ -91,9 +90,15 @@ def lattice_contains(rows: Matrix, vec: list[int]) -> bool:
     return not any(v)
 
 
+def lattice_contains(rows: Matrix, vec: list[int]) -> bool:
+    """Whether vec lies in the integer row span of rows."""
+    return _reduces(hnf_basis(rows), vec)
+
+
 def lattice_le(rows_a: Matrix, rows_b: Matrix) -> bool:
     """Whether every generator of A lies in the lattice of B."""
-    return all(lattice_contains(rows_b, r) for r in rows_a)
+    basis = hnf_basis(rows_b)
+    return all(_reduces(basis, r) for r in rows_a)
 
 
 def lattice_equal(rows_a: Matrix, rows_b: Matrix) -> bool:

@@ -23,10 +23,10 @@ from .partitions import (
 from .reporting import Report
 from .symchar import (
     SnClassFunction,
-    block_projection,
     centralizer_order_sn,
     character_value,
     irr_class_function,
+    sn_space,
 )
 from .wreath import (
     WreathClassFunction,
@@ -80,14 +80,6 @@ def in_L_lambda(values, types, lam: Partition) -> bool:
     return all(v == 0 for t, v in zip(types, values) if t != lam)
 
 
-def wreath_block_projection(theta: ClassFunction) -> ClassFunction:
-    """Projection onto the span of the principal wreath irreducibles."""
-    p, w = theta.p, theta.w
-    principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
-    rows = [zeta_irr(p, w, phi).values for phi in principal]
-    return ClassFunction(theta.space, theta.space.project(theta.values, rows))
-
-
 def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     """The transforms restrict to the bijection and its inverse, and kill
     class functions orthogonal to the blocks."""
@@ -136,7 +128,14 @@ def verify_sep(p: int, w: int, rho: Partition) -> Report:
 
 
 def verify_type(p: int, w: int, rho: Partition) -> Report:
-    """Transfer preserves the stratification by p-multiplied data."""
+    """Transfer preserves the stratification by p-multiplied data.
+
+    Class i's indicator projects onto the block as (|c_i|/|G|) * sum over
+    the block's irreducibles chi of chi(c_i) * chi, a positive multiple of
+    those rows combined by their column i.  The transfers are linear and
+    only support is tested, so that combination stands in for the
+    projection; the wreath side does the same with the principal
+    irreducibles."""
     rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
@@ -144,16 +143,17 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
     labels = enumerate_wreath_classes(p, w)
     sn_types = [tp_p(tau, p) for tau in classes]
     wr_types = [tp_wr(lbl, p) for lbl in labels]
+    chis = [irr_class_function(lam).values for lam in partitions_with_core(n, rho, p)]
+    principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
+    zetas = [zeta_irr(p, w, phi).values for phi in principal]
+    sn, wr = sn_space(n), wreath_space(p, w)
     for m in range(w + 1):
         for lam in enumerate_partitions(m):
             typ = format_partition(lam)
             for i, tau in enumerate(classes):
                 if sn_types[i] != lam:
                     continue
-                indicator = SnClassFunction(
-                    n, tuple(int(k == i) for k in range(len(classes)))
-                )
-                xi = block_projection(indicator, p, rho)
+                xi = SnClassFunction(n, sn.combine([chi[i] for chi in chis], chis))
                 cls = {"type": typ, "class": format_partition(tau)}
                 if not in_L_lambda(xi.values, sn_types, lam):
                     rep.add(dict(cls, side="projection"), False)
@@ -163,10 +163,7 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
             for j, lbl in enumerate(labels):
                 if wr_types[j] != lam:
                     continue
-                indicator = WreathClassFunction(
-                    p, w, tuple(int(k == j) for k in range(len(labels)))
-                )
-                theta = wreath_block_projection(indicator)
+                theta = WreathClassFunction(p, w, wr.combine([z[j] for z in zetas], zetas))
                 image = I_mu(mu_rows, theta, n)
                 rep.add(
                     {"type": typ, "label": format_class_label(lbl), "side": "backward"},

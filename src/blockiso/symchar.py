@@ -186,12 +186,6 @@ def decompose(xi: ClassFunction) -> dict[Partition, Fraction]:
     return {lam: c for lam, c in zip(labels, coeffs) if c}
 
 
-def block_projection(xi: ClassFunction, p: int, rho: Partition) -> ClassFunction:
-    """Orthogonal projection onto the span of the block's irreducibles."""
-    rows = [irr_class_function(lam).values for lam in partitions_with_core(xi.n, rho, p)]
-    return ClassFunction(xi.space, xi.space.project(xi.values, rows))
-
-
 def tilde_pi_rho(xi: ClassFunction, rho: Partition) -> ClassFunction:
     """Push a class function down by the fixed small partition rho.
 

@@ -9,14 +9,23 @@ induces from factors whose top characters are integer combinations, by
 linearity over `wreath.zeta_class_function`.  `dense_mu` is the bicharacter
 accumulated block character by block character, each one's image added
 into every row where its character is nonzero.
+
+`block_projection` and `wreath_block_projection` are the orthogonal
+projections onto the block's irreducibles and onto the principal wreath
+irreducibles, each one Fraction inner product per row; `type_report` is the
+`verify type` loop that pushes each class's dense 0/1 indicator through them.
 """
 
 import itertools
+from fractions import Fraction
 from math import prod
 
 from blockiso.abacus import partitions_with_core
+from blockiso.classfn import ClassFunction
 from blockiso.isometry import isometry_image
-from blockiso.partitions import enumerate_partitions
+from blockiso.partitions import enumerate_partitions, format_partition
+from blockiso.perfect import I_mu, R_mu, build_mu, in_L_lambda, tp_p
+from blockiso.reporting import Report
 from blockiso.symchar import (
     SnClassFunction,
     irr_class_function,
@@ -26,8 +35,13 @@ from blockiso.symchar import (
 from blockiso.wreath import (
     WreathClassFunction,
     embed_to_sn,
+    enumerate_irr_wreath,
     enumerate_wreath_classes,
+    format_class_label,
+    principal_block_filter,
+    tp_wr,
     zeta_class_function,
+    zeta_irr,
 )
 
 
@@ -81,3 +95,61 @@ def dense_mu(p: int, w: int, rho):
             if a:
                 rows[i] = [x + a * y for x, y in zip(rows[i], image)]
     return rows
+
+
+def _project(xi, rows):
+    """Orthogonal projection of xi onto the span of orthonormal integer rows."""
+    coeffs = [xi.space.inner(xi.values, row) for row in rows]
+    out = [Fraction(0)] * len(xi.values)
+    for c, row in zip(coeffs, rows):
+        out = [x + c * y for x, y in zip(out, row)]
+    return ClassFunction(xi.space, tuple(out))
+
+
+def block_projection(xi, p: int, rho):
+    """Projection onto the span of the block's irreducibles."""
+    block = partitions_with_core(xi.n, rho, p)
+    return _project(xi, [irr_class_function(lam).values for lam in block])
+
+
+def wreath_block_projection(theta):
+    """Projection onto the span of the principal wreath irreducibles."""
+    p, w = theta.p, theta.w
+    principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
+    return _project(theta, [zeta_irr(p, w, phi).values for phi in principal])
+
+
+def type_report(p: int, w: int, rho):
+    """The `verify type` records, from the projection of each class's dense
+    indicator."""
+    rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
+    n = p * w + sum(rho)
+    mu_rows = build_mu(p, w, rho)
+    classes = enumerate_partitions(n)
+    labels = enumerate_wreath_classes(p, w)
+    sn_types = [tp_p(tau, p) for tau in classes]
+    wr_types = [tp_wr(lbl, p) for lbl in labels]
+    for m in range(w + 1):
+        for lam in enumerate_partitions(m):
+            typ = format_partition(lam)
+            for i, tau in enumerate(classes):
+                if sn_types[i] != lam:
+                    continue
+                indicator = SnClassFunction(n, (int(k == i) for k in range(len(classes))))
+                xi = block_projection(indicator, p, rho)
+                cls = {"type": typ, "class": format_partition(tau)}
+                if not in_L_lambda(xi.values, sn_types, lam):
+                    rep.add(dict(cls, side="projection"), False)
+                    continue
+                image = R_mu(mu_rows, xi, p, w)
+                rep.add(dict(cls, side="forward"), in_L_lambda(image.values, wr_types, lam))
+            for j, lbl in enumerate(labels):
+                if wr_types[j] != lam:
+                    continue
+                indicator = WreathClassFunction(p, w, (int(k == j) for k in range(len(labels))))
+                image = I_mu(mu_rows, wreath_block_projection(indicator), n)
+                rep.add(
+                    {"type": typ, "label": format_class_label(lbl), "side": "backward"},
+                    in_L_lambda(image.values, sn_types, lam),
+                )
+    return rep

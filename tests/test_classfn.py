@@ -11,10 +11,9 @@ import pytest
 
 from blockiso.abacus import partitions_with_core
 from blockiso.partitions import enumerate_partitions
-from blockiso.perfect import I_mu, R_mu, build_mu, wreath_block_projection
+from blockiso.perfect import I_mu, R_mu, build_mu
 from blockiso.symchar import (
     SnClassFunction,
-    block_projection,
     centralizer_order_sn,
     irr_class_function,
     sn_space,
@@ -27,6 +26,7 @@ from blockiso.wreath import (
     enumerate_wreath_classes,
     zeta_irr,
 )
+from row_reference import block_projection, wreath_block_projection
 
 
 def sn_reference(a, b, n):

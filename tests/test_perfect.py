@@ -16,7 +16,7 @@ from blockiso.perfect import (
     verify_type,
 )
 from blockiso.symchar import irr_class_function
-from row_reference import dense_mu
+from row_reference import dense_mu, type_report
 
 
 def test_tp_p_frozen():
@@ -89,9 +89,15 @@ def test_verify_sep():
 
 
 def test_verify_type():
-    for p, w, rho in ((2, 2, ()), (3, 1, ()), (2, 2, (1,))):
+    small = ((2, 2, ()), (3, 1, ()), (2, 2, (1,)))
+    for p, w, rho in small + ((2, 8, ()), (3, 5, ()), (2, 6, (1,)), (3, 4, (1,))):
         rep = verify_type(p, w, rho)
-        assert rep.ok, rep.failures()
+        assert rep.records and rep.ok, (p, w, rho, rep.failures()[:3])
+
+
+def test_verify_type_matches_dense_projection_reference():
+    for p, w, rho in ((3, 3, (2,)), (2, 4, (2, 1)), (5, 2, (1,)), (3, 4, ())):
+        assert verify_type(p, w, rho).records == type_report(p, w, rho).records, (p, w, rho)
 
 
 def test_verify_perfproj():

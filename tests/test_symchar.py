@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 import strip_reference
 from deal_reference import reference_induced_mn
-from row_reference import skew_class_function
+from row_reference import block_projection, skew_class_function
 from strip_reference import mask_of, shape_of
 
 from blockiso.abacus import partitions_with_core
@@ -16,7 +16,6 @@ from blockiso.partitions import (
 )
 from blockiso.symchar import (
     SnClassFunction,
-    block_projection,
     centralizer_order_sn,
     character_value,
     d_alpha,
