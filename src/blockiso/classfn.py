@@ -9,7 +9,6 @@ when the values are Fractions).  Every linear combination of rows is one
 conjugation is needed.
 """
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 
@@ -34,13 +33,14 @@ class ClassSpace:
             values = [v.numerator * (d // v.denominator) for v in values]
         return tuple(map(mul, self.weights, values)), d
 
-    def pairings(self, values, vectors) -> tuple[Fraction, ...]:
-        """Inner products of values with each of the given vectors."""
+    def pairings(self, values, vectors) -> tuple:
+        """Inner products of values with each of the given vectors: an int
+        where the product is integral, a Fraction otherwise."""
         u, d = self.weighted(values)
         den = self.order * d
-        return tuple(Fraction(sum(map(mul, u, v)), den) for v in vectors)
+        return tuple(_ratio(sum(map(mul, u, v)), den) for v in vectors)
 
-    def inner(self, a, b) -> Fraction:
+    def inner(self, a, b):
         return self.pairings(a, (b,))[0]
 
     def combine(self, coeffs, rows) -> list:
@@ -51,6 +51,14 @@ class ClassSpace:
             if c:
                 out = [x + c * y for x, y in zip(out, row)]
         return out
+
+
+def _ratio(num: int, den: int):
+    q, r = divmod(num, den)
+    if not r:
+        return q
+    from fractions import Fraction
+    return Fraction(num, den)
 
 
 class ClassFunction:

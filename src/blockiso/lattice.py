@@ -1,83 +1,68 @@
 """Integer row lattices: Hermite normal form, membership, equality, kernels.
 
-Everything here is exact integer arithmetic on lists of Python ints.  The
+Everything here is exact integer arithmetic on lists of Python ints; an
+entry that is not an integer (a float, a Fraction) raises TypeError.  The
 HNF convention is row-style: pivots are positive, sit at the first nonzero
 column of their row, move strictly right going down, and entries above a
 pivot are reduced into [0, pivot).  Zero rows are dropped, which makes the
 form unique per lattice and lets equality be a plain comparison.
 """
 
+from operator import index
+
 Matrix = list[list[int]]
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with g = a*x + b*y, g >= 0
-    x0, y0, x1, y1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 def hnf(rows: Matrix) -> tuple[Matrix, Matrix]:
-    """Hermite normal form H of the row span, with unimodular U, U*M = H.
+    """HNF bases (H, K) of the row lattice of M and of {x : x * M = 0}.
 
-    H keeps the full row count (zero rows at the bottom) so that U stays
-    square; use the nonzero rows of H as the canonical basis.
+    One echelon of [M | I].  Each column is cleared by Euclid: the rows
+    below are reduced by the one of least absolute entry until one is left,
+    and the entries above its pivot are then reduced.  The rows nonzero on
+    M give H; the others, read on I, give K.
     """
-    m = [list(map(int, r)) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    if any(len(r) != ncols for r in m):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
-    pivot_row = 0
-    for col in range(ncols):
-        if pivot_row == nrows:
-            break
-        # clear column below pivot_row with gcd row ops
-        for r in range(pivot_row + 1, nrows):
-            if m[r][col] == 0:
-                continue
-            a, b = m[pivot_row][col], m[r][col]
-            g, x, y = _xgcd(a, b)
-            ag, bg = a // g, b // g
-            m[pivot_row], m[r] = (
-                [x * p + y * q for p, q in zip(m[pivot_row], m[r])],
-                [-bg * p + ag * q for p, q in zip(m[pivot_row], m[r])],
-            )
-            u[pivot_row], u[r] = (
-                [x * p + y * q for p, q in zip(u[pivot_row], u[r])],
-                [-bg * p + ag * q for p, q in zip(u[pivot_row], u[r])],
-            )
-        if m[pivot_row][col] == 0:
+    m = [[*map(index, r), *(int(i == j) for j in range(nrows))] for i, r in enumerate(rows)]
+    top = 0
+    for col in range(ncols + nrows):
+        while live := [r for r in range(top, nrows) if m[r][col]]:
+            least = min(live, key=lambda r: abs(m[r][col]))
+            m[top], m[least] = m[least], m[top]
+            if len(live) == 1:
+                break
+            piv = m[top]
+            for r in range(top + 1, nrows):
+                if q := m[r][col] // piv[col]:
+                    m[r] = [a - q * b for a, b in zip(m[r], piv)]
+        if not live:
             continue
-        if m[pivot_row][col] < 0:
-            m[pivot_row] = [-x for x in m[pivot_row]]
-            u[pivot_row] = [-x for x in u[pivot_row]]
-        piv = m[pivot_row][col]
-        for r in range(pivot_row):
-            q = m[r][col] // piv
-            if q:
-                m[r] = [a - q * b for a, b in zip(m[r], m[pivot_row])]
-                u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
-        pivot_row += 1
-    return m, u
+        if m[top][col] < 0:
+            m[top] = [-x for x in m[top]]
+        piv = m[top]
+        for r in range(top):
+            if q := m[r][col] // piv[col]:
+                m[r] = [a - q * b for a, b in zip(m[r], piv)]
+        top += 1
+    rank = sum(any(r[:ncols]) for r in m)
+    return [r[:ncols] for r in m[:rank]], [r[ncols:] for r in m[rank:]]
 
 
 def hnf_basis(rows: Matrix) -> Matrix:
-    """Nonzero rows of the HNF: the canonical basis of the row lattice."""
-    h, _ = hnf(rows)
-    return [r for r in h if any(r)]
+    """The canonical basis of the row lattice."""
+    return hnf(rows)[0]
+
+
+def kernel_lattice(rows: Matrix) -> Matrix:
+    """Basis of {x integral : x * M = 0}; always a saturated lattice."""
+    return hnf(rows)[1]
 
 
 def _reduces(basis: Matrix, vec: list[int]) -> bool:
     """Whether vec reduces to zero against an HNF basis."""
-    v = list(map(int, vec))
+    v = list(map(index, vec))
     if basis and len(basis[0]) != len(v):
         raise ValueError("dimension mismatch")
     for row in basis:
@@ -106,12 +91,6 @@ def lattice_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
     return hnf_basis(rows_a) == hnf_basis(rows_b)
 
 
-def kernel_lattice(rows: Matrix) -> Matrix:
-    """Basis of {x integral : x * M = 0}; always a saturated lattice."""
-    h, u = hnf(rows)
-    return hnf_basis([u[i] for i in range(len(h)) if not any(h[i])]) if rows else []
-
-
 def is_saturated(rows: Matrix) -> bool:
     """Whether the row lattice equals its rational closure in Z^n.
 
@@ -122,12 +101,11 @@ def is_saturated(rows: Matrix) -> bool:
     if not basis:
         return True
     ncols = len(basis[0])
-    ann = kernel_lattice(_transpose(basis))
-    sat = kernel_lattice(_transpose(ann)) if ann else [
-        [int(i == j) for j in range(ncols)] for i in range(ncols)
-    ]
-    return lattice_equal(basis, sat)
+    ann = kernel_lattice(_columns(basis, ncols))
+    return lattice_equal(basis, kernel_lattice(_columns(ann, ncols)))
 
 
-def _transpose(rows: Matrix) -> Matrix:
-    return [list(col) for col in zip(*rows)] if rows else []
+def _columns(rows: Matrix, ncols: int) -> Matrix:
+    """The transpose of rows, which have ncols entries each (ncols rows out
+    even when rows is empty)."""
+    return [[r[j] for r in rows] for j in range(ncols)]

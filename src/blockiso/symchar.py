@@ -8,7 +8,6 @@ same way and count the paths that end on the inner shape.  Everything
 returns exact ints or Fractions.
 """
 
-from fractions import Fraction
 from functools import cache
 from math import factorial
 
@@ -179,7 +178,7 @@ def irr_class_function(lam: Partition) -> ClassFunction:
     return SnClassFunction(n, (_mn(mask, 0, tau) for tau in enumerate_partitions(n)))
 
 
-def decompose(xi: ClassFunction) -> dict[Partition, Fraction]:
+def decompose(xi: ClassFunction) -> "dict[Partition, Fraction]":
     """Coefficients of xi on the irreducible basis."""
     labels = enumerate_partitions(xi.n)
     coeffs = xi.space.pairings(xi.values, [irr_class_function(lam).values for lam in labels])

@@ -1,0 +1,86 @@
+"""The extended-gcd HNF route the library replaced, kept as a test oracle.
+
+`hnf` clears each column below the pivot with 2x2 unimodular steps from
+`_xgcd` while it carries the full unimodular U in lockstep, so U * M = H,
+with H keeping the full row count (zero rows at the bottom).  The kernel
+is the HNF of the rows of U against the zero rows of H, a second HNF, and
+saturation is double annihilation through that kernel.  The library now
+reads both bases off one echelon of [M | I]; these must agree with it.
+"""
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    # returns (g, x, y) with g = a*x + b*y, g >= 0
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        a, x0, y0 = -a, -x0, -y0
+    return a, x0, y0
+
+
+def hnf(rows):
+    """Hermite normal form H of the row span, with unimodular U, U*M = H."""
+    m = [list(map(int, r)) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
+    pivot_row = 0
+    for col in range(ncols):
+        if pivot_row == nrows:
+            break
+        for r in range(pivot_row + 1, nrows):
+            if m[r][col] == 0:
+                continue
+            a, b = m[pivot_row][col], m[r][col]
+            g, x, y = _xgcd(a, b)
+            ag, bg = a // g, b // g
+            m[pivot_row], m[r] = (
+                [x * p + y * q for p, q in zip(m[pivot_row], m[r])],
+                [-bg * p + ag * q for p, q in zip(m[pivot_row], m[r])],
+            )
+            u[pivot_row], u[r] = (
+                [x * p + y * q for p, q in zip(u[pivot_row], u[r])],
+                [-bg * p + ag * q for p, q in zip(u[pivot_row], u[r])],
+            )
+        if m[pivot_row][col] == 0:
+            continue
+        if m[pivot_row][col] < 0:
+            m[pivot_row] = [-x for x in m[pivot_row]]
+            u[pivot_row] = [-x for x in u[pivot_row]]
+        piv = m[pivot_row][col]
+        for r in range(pivot_row):
+            q = m[r][col] // piv
+            if q:
+                m[r] = [a - q * b for a, b in zip(m[r], m[pivot_row])]
+                u[r] = [a - q * b for a, b in zip(u[r], u[pivot_row])]
+        pivot_row += 1
+    return m, u
+
+
+def hnf_basis(rows):
+    """Nonzero rows of the HNF: the canonical basis of the row lattice."""
+    h, _ = hnf(rows)
+    return [r for r in h if any(r)]
+
+
+def kernel_lattice(rows):
+    """Basis of {x integral : x * M = 0}, the HNF of U's rows over H's zero rows."""
+    h, u = hnf(rows)
+    return hnf_basis([u[i] for i in range(len(h)) if not any(h[i])]) if rows else []
+
+
+def is_saturated(rows):
+    """Whether the row lattice equals the kernel of its kernel."""
+    basis = hnf_basis(rows)
+    if not basis:
+        return True
+    ncols = len(basis[0])
+    ann = kernel_lattice([list(col) for col in zip(*basis)])
+    sat = kernel_lattice([list(col) for col in zip(*ann)]) if ann else [
+        [int(i == j) for j in range(ncols)] for i in range(ncols)
+    ]
+    return hnf_basis(basis) == hnf_basis(sat)

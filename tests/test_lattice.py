@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,6 +15,7 @@ from blockiso.lattice import (
     lattice_equal,
     lattice_le,
 )
+import lattice_reference as ref
 
 
 def matmul(a, b):
@@ -32,10 +34,10 @@ def test_hnf_shape_and_transform():
     rng = random.Random(7)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(rng.randint(1, 5))]
-        h, u = hnf(rows)
-        assert matmul(u, rows) == h
-        # unimodularity: U is square over the input rows
-        assert len(u) == len(rows) and all(len(r) == len(rows) for r in u)
+        h, k = hnf(rows)
+        # K is a kernel basis, and the two bases share out the input rows
+        assert all(not any(r) for r in matmul(k, rows))
+        assert len(h) + len(k) == len(rows)
         pivots = []
         for r in h:
             nz = [j for j, x in enumerate(r) if x]
@@ -50,6 +52,50 @@ def test_hnf_shape_and_transform():
             j = next(k for k, x in enumerate(r) if x)
             for above in basis[:i]:
                 assert 0 <= above[j] < r[j]
+
+
+def test_hnf_matches_the_extended_gcd_oracle():
+    """Both bases equal the old route's: an extended-gcd HNF that carries a
+    unimodular U (checked here, U * M = H) and takes the kernel by a second
+    HNF of U's rows.  The rows mix rank-deficient spans, scaled rows (so the
+    span need not be saturated), zero rows and columns, and no rows at all."""
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import given, settings
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(st.data())
+    def check(data):
+        ncols = data.draw(st.integers(0, 5))
+        entries = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+        gens = data.draw(st.lists(entries, min_size=1, max_size=3))
+        rows = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(gens), max_size=len(gens)))
+            scale = data.draw(st.sampled_from((1, 2, 3, -1, 0)))
+            rows.append([scale * sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)])
+        if data.draw(st.booleans()):
+            rows = [r + [0] for r in rows]
+        h, u = ref.hnf(rows)
+        assert matmul(u, rows) == h
+        assert len(u) == len(rows) and all(len(r) == len(rows) for r in u)
+        assert hnf_basis(rows) == ref.hnf_basis(rows), rows
+        assert kernel_lattice(rows) == ref.kernel_lattice(rows), rows
+        assert is_saturated(rows) == ref.is_saturated(rows), rows
+
+    check()
+
+
+def test_non_integer_entries_raise():
+    # int() would truncate these to a lattice they do not describe
+    for call in (
+        lambda: lattice_contains([[2, 0], [0, 2]], [Fraction(5, 2), 0]),
+        lambda: lattice_contains([[2, 0], [0, 2]], [2.9, 0]),
+        lambda: hnf_basis([[Fraction(1, 2), 1]]),
+        lambda: kernel_lattice([[Fraction(1, 2)], [0]]),
+        lambda: is_saturated([[1.0, 0]]),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_hnf_is_generating_set_invariant():

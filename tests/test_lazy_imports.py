@@ -18,6 +18,8 @@ SRC = str(Path(blockiso.__file__).resolve().parent.parent)
 LIGHT = {f"blockiso.{m}" for m in ("cli", "partitions", "abacus")}
 # Standard modules that neither the import nor a `core` run may load.
 UNUSED = {"__future__", "csv", "dataclasses", "fractions"}
+# Exact-rational modules that runs with integral inner products never need.
+RATIONAL = {"fractions", "decimal"}
 
 PRELUDE = """
 import contextlib, io, json, sys
@@ -81,11 +83,12 @@ def test_mu_and_verify_sep_skip_modular():
     got = fresh(
         "from blockiso.cli import main\n"
         "rcs = [run(['mu', '--p', '2', '--w', '2']), run(['verify', 'sep', '--p', '2', '--w', '2'])]\n"
-        "print(json.dumps({'rcs': rcs, 'loaded': loaded()}))\n"
+        "print(json.dumps({'rcs': rcs, 'loaded': loaded(), 'new': sorted(set(sys.modules) - start)}))\n"
     )
     assert got["rcs"] == [0, 0]
     assert "blockiso.perfect" in got["loaded"]
     assert "blockiso.modular" not in got["loaded"], got
+    assert not RATIONAL & set(got["new"]), got
 
 
 def test_lattice_loads_only_for_perfproj():
@@ -93,12 +96,13 @@ def test_lattice_loads_only_for_perfproj():
         "from blockiso.cli import main\n"
         "rcs = [run(['verify', 'main', '--p', '2', '--w', '2']),"
         " run(['decomp', '--p', '2', '--w', '2'])]\n"
-        "before = loaded()\n"
+        "before, new = loaded(), sorted(set(sys.modules) - start)\n"
         "rcs.append(run(['verify', 'perfproj', '--p', '2', '--w', '2']))\n"
-        "print(json.dumps({'rcs': rcs, 'before': before, 'after': loaded()}))\n"
+        "print(json.dumps({'rcs': rcs, 'before': before, 'new': new, 'after': loaded()}))\n"
     )
     assert got["rcs"] == [0, 0, 0]
     assert {"blockiso.wreath", "blockiso.modular"} <= set(got["before"]), got
+    assert not RATIONAL & set(got["new"]), got
     assert "blockiso.lattice" not in got["before"], got
     assert "blockiso.lattice" in got["after"]
 

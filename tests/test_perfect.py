@@ -77,13 +77,15 @@ def test_transform_kills_other_blocks():
 
 
 def test_verify_transfer():
-    for p, w, rho in ((2, 2, ()), (3, 1, ()), (2, 2, (1,)), (3, 2, ())):
+    small = ((2, 2, ()), (3, 1, ()), (2, 2, (1,)), (3, 2, ()))
+    for p, w, rho in small + ((3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,))):
         rep = verify_transfer(p, w, rho)
         assert rep.ok, rep.failures()
 
 
 def test_verify_sep():
-    for p, w, rho in ((2, 1, ()), (2, 2, ()), (3, 1, ()), (2, 2, (1,))):
+    small = ((2, 1, ()), (2, 2, ()), (3, 1, ()), (2, 2, (1,)))
+    for p, w, rho in small + ((3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,))):
         rep = verify_sep(p, w, rho)
         assert rep.ok, rep.failures()
 
@@ -101,7 +103,8 @@ def test_verify_type_matches_dense_projection_reference():
 
 
 def test_verify_perfproj():
-    for p, w, rho in ((2, 2, ()), (2, 3, ()), (3, 2, ()), (2, 2, (1,))):
+    small = ((2, 2, ()), (2, 3, ()), (3, 2, ()), (2, 2, (1,)))
+    for p, w, rho in small + ((2, 7, ()), (3, 5, ()), (7, 2, ()), (2, 6, (1,)), (3, 4, (1,))):
         rep = verify_perfproj(p, w, rho)
         assert rep.ok, rep.failures()
 
@@ -112,6 +115,7 @@ def test_perfectness_probe_grid():
         (3, 1): True,
         (5, 1): True,
         (3, 2): True,
+        (7, 2): True,
         (2, 2): False,
         (2, 3): False,
         (3, 3): False,
