@@ -30,8 +30,9 @@ size limits, which are the CLI's alone (the library runs any size it is
 asked for): the wreath guard (p <= MAX_P, w <= MAX_W) for every command
 that builds wreath classes, --n <= MAX_TABLE_N for `table`, n = p*w + |core|
 <= MAX_ENUM_N for every command that takes --w and --core (isometry, mu,
-verify), and (p*w + e)! <= --max-group-order for `verify centp`; beyond
-any of them, exit 3.
+verify), at most MAX_BLOCK members in the block of `isometry`, and
+(p*w + e)! <= --max-group-order for `verify centp`; beyond any of them,
+exit 3.
 
 Composite p is accepted exactly where the mathematics never needs
 primality: core, quotient, sign, gamma, isometry, and `verify main`.
@@ -63,6 +64,8 @@ MAX_W = 4
 # The largest n of `table`, and of p*w + |core| for a command taking --w and --core.
 MAX_TABLE_N = 12
 MAX_ENUM_N = 64
+# The most members of the block that `isometry` tabulates (p=2 w=22 has 49,010).
+MAX_BLOCK = 50000
 # The default bound on n! for the centralizer scans of `verify centp`.
 MAX_GROUP_ORDER = 50000
 
@@ -428,6 +431,8 @@ def _check(args) -> Partition | None:
         raise GuardExceeded(f"table guard: n={args.n} > {MAX_TABLE_N}")
     if hasattr(args, "w") and rho is not None and p * args.w + sum(rho) > MAX_ENUM_N:
         raise GuardExceeded(f"enumeration guard: n={p * args.w + sum(rho)} > {MAX_ENUM_N}")
+    if args.command == "isometry" and (size := _block_size(p, args.w)) > MAX_BLOCK:
+        raise GuardExceeded(f"block guard: {size} members > {MAX_BLOCK}")
     if getattr(args, "what", None) == "centp":
         n, order = p * args.w + args.e, 1
         for k in range(2, n + 1):  # n!, built only until it passes the bound
@@ -435,6 +440,17 @@ def _check(args) -> Partition | None:
             if order > args.max_group_order:
                 raise GuardExceeded(f"group order {n}! exceeds {args.max_group_order}")
     return rho
+
+
+def _block_size(p: int, w: int) -> int:
+    """The members of a p-block of weight w, counted without listing them:
+    p-multipartitions of w are partitions of w whose parts come in p colours."""
+    count = [1] + [0] * w
+    for part in range(1, w + 1):
+        for _ in range(p):
+            for m in range(part, w + 1):
+                count[m] += count[m - part]
+    return count[w]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,11 +1,12 @@
-"""Integer row lattices: Hermite normal form, membership, equality, kernels.
+"""Integer row lattices: Hermite normal form, kernels, containment, saturation.
 
 Everything here is exact integer arithmetic on lists of Python ints; an
 entry that is not an integer (a float, a Fraction) raises TypeError.  The
 HNF convention is row-style: pivots are positive, sit at the first nonzero
 column of their row, move strictly right going down, and entries above a
 pivot are reduced into [0, pivot).  Zero rows are dropped, which makes the
-form unique per lattice and lets equality be a plain comparison.
+form unique per lattice, so every question about lattices here is a
+plain comparison of canonical bases.
 """
 
 from operator import index
@@ -60,52 +61,21 @@ def kernel_lattice(rows: Matrix) -> Matrix:
     return hnf(rows)[1]
 
 
-def _reduces(basis: Matrix, vec: list[int]) -> bool:
-    """Whether vec reduces to zero against an HNF basis."""
-    v = list(map(index, vec))
-    if basis and len(basis[0]) != len(v):
-        raise ValueError("dimension mismatch")
-    for row in basis:
-        col = next(i for i, x in enumerate(row) if x)
-        if v[col] % row[col]:
-            return False
-        q = v[col] // row[col]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return not any(v)
-
-
-def lattice_contains(rows: Matrix, vec: list[int]) -> bool:
-    """Whether vec lies in the integer row span of rows."""
-    return _reduces(hnf_basis(rows), vec)
-
-
 def lattice_le(rows_a: Matrix, rows_b: Matrix) -> bool:
-    """Whether every generator of A lies in the lattice of B."""
+    """Whether the lattice of A lies in the lattice of B: adding A's rows
+    to B's canonical basis leaves the basis as it is."""
     basis = hnf_basis(rows_b)
-    return all(_reduces(basis, r) for r in rows_a)
-
-
-def lattice_equal(rows_a: Matrix, rows_b: Matrix) -> bool:
-    """Equality of row lattices via canonical HNF bases."""
-    return hnf_basis(rows_a) == hnf_basis(rows_b)
+    return hnf_basis([*basis, *rows_a]) == basis
 
 
 def is_saturated(rows: Matrix) -> bool:
     """Whether the row lattice equals its rational closure in Z^n.
 
-    Checked by double annihilation: the kernel of the kernel is the
-    saturation of the row span.
+    The r rows of the HNF basis H are independent, so the lattice is
+    saturated exactly when H's elementary divisors are all 1, that is, when
+    H's columns span Z^r and their HNF is the r x r identity.
     """
     basis = hnf_basis(rows)
-    if not basis:
-        return True
-    ncols = len(basis[0])
-    ann = kernel_lattice(_columns(basis, ncols))
-    return lattice_equal(basis, kernel_lattice(_columns(ann, ncols)))
-
-
-def _columns(rows: Matrix, ncols: int) -> Matrix:
-    """The transpose of rows, which have ncols entries each (ncols rows out
-    even when rows is empty)."""
-    return [[r[j] for r in rows] for j in range(ncols)]
+    rank = len(basis)
+    identity = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    return hnf_basis([list(col) for col in zip(*basis)]) == identity

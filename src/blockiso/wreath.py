@@ -303,9 +303,9 @@ def span_generators(p: int, w: int, base_list: list[tuple]) -> list[ClassFunctio
 
 def span_membership(xi: ClassFunction, base_list: list[tuple]) -> bool:
     """Whether xi lies in the integer span of the induced generators."""
-    from .lattice import lattice_contains
+    from .lattice import lattice_le
     if any(int(v) != v for v in xi.values):
         raise ValueError("membership asks for integer class functions")
     gens = span_generators(xi.p, xi.w, base_list)
     rows = [[int(v) for v in g.values] for g in gens]
-    return lattice_contains(rows, [int(v) for v in xi.values])
+    return lattice_le([[int(v) for v in xi.values]], rows)

@@ -4,8 +4,10 @@
 `_xgcd` while it carries the full unimodular U in lockstep, so U * M = H,
 with H keeping the full row count (zero rows at the bottom).  The kernel
 is the HNF of the rows of U against the zero rows of H, a second HNF, and
-saturation is double annihilation through that kernel.  The library now
-reads both bases off one echelon of [M | I]; these must agree with it.
+saturation is double annihilation through that kernel.  Containment
+reduces each vector against an HNF basis, pivot by pivot.  The library now
+reads both bases off one echelon of [M | I] and answers containment and
+saturation by comparing HNF bases; these must agree with it.
 """
 
 
@@ -84,3 +86,24 @@ def is_saturated(rows):
         [int(i == j) for j in range(ncols)] for i in range(ncols)
     ]
     return hnf_basis(basis) == hnf_basis(sat)
+
+
+def reduces(basis, vec):
+    """Whether vec reduces to zero against an HNF basis."""
+    v = list(map(int, vec))
+    if basis and len(basis[0]) != len(v):
+        raise ValueError("dimension mismatch")
+    for row in basis:
+        col = next(i for i, x in enumerate(row) if x)
+        if v[col] % row[col]:
+            return False
+        q = v[col] // row[col]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
+def lattice_le(rows_a, rows_b):
+    """Whether every row of A reduces to zero against the HNF basis of B."""
+    basis = hnf_basis(rows_b)
+    return all(reduces(basis, r) for r in rows_a)

@@ -16,7 +16,6 @@ import blockiso
 PACKAGE = Path(blockiso.__file__).parent
 PAPER_ROLE = (
     "lattice.is_saturated",
-    "lattice.lattice_le",
     "wreath.in_K_s",
     "wreath.omega_lambda",
     "wreath.shr_m",

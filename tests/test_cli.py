@@ -22,7 +22,7 @@ import blockiso
 import blockiso.cli as cli
 from blockiso import isometry, modular, partitions, perfect, symchar, wreath
 from blockiso.abacus import partitions_with_core
-from blockiso.partitions import parse_partition
+from blockiso.partitions import multipartitions, parse_partition
 from blockiso.reporting import Report
 
 
@@ -291,6 +291,9 @@ def test_wreath_guard_before_any_work(capsys, monkeypatch):
         ("table", "--n", "13", "--p", "3", "--core", "1,1"),
         # beyond the enumeration guard: n = p*w + |core| > 64
         ("isometry", "--p", "2", "--w", "33"),
+        # beyond the block guard: 68,150 and 1,046,705 members > 50,000
+        ("isometry", "--p", "2", "--w", "23"),
+        ("isometry", "--p", "2", "--w", "32"),
         ("mu", "--p", "2", "--w", "1", "--core", staircase),
         ("verify", "main", "--p", "2", "--w", "1", "--core", staircase),
     ):
@@ -300,6 +303,16 @@ def test_wreath_guard_before_any_work(capsys, monkeypatch):
         assert captured.out == "", argv
         assert captured.err.startswith("guard exceeded: "), argv
         assert captured.err.count("\n") == 1, argv
+
+
+def test_block_guard_accepts_p2_w22():
+    # the largest block the bound accepts at p = 2: 49,010 members
+    args = cli.build_parser("isometry").parse_args(["isometry", "--p", "2", "--w", "22"])
+    assert cli._check(args) == ()
+    assert cli._block_size(2, 22) == 49010 <= cli.MAX_BLOCK < cli._block_size(2, 23)
+    # the count is the number of p-multipartitions of w
+    for p, w in ((2, 0), (2, 5), (3, 4), (5, 3), (7, 2)):
+        assert cli._block_size(p, w) == len(multipartitions(p, w))
 
 
 def test_large_core_lists_the_block_from_its_quotients(capsys, monkeypatch):

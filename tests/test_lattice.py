@@ -11,8 +11,6 @@ from blockiso.lattice import (
     hnf_basis,
     is_saturated,
     kernel_lattice,
-    lattice_contains,
-    lattice_equal,
     lattice_le,
 )
 import lattice_reference as ref
@@ -58,7 +56,9 @@ def test_hnf_matches_the_extended_gcd_oracle():
     """Both bases equal the old route's: an extended-gcd HNF that carries a
     unimodular U (checked here, U * M = H) and takes the kernel by a second
     HNF of U's rows.  The rows mix rank-deficient spans, scaled rows (so the
-    span need not be saturated), zero rows and columns, and no rows at all."""
+    span need not be saturated), zero rows and columns, and no rows at all.
+    Containment agrees with reducing each vector against the old HNF basis,
+    for lattices A of members, of arbitrary vectors and of no rows."""
     st = pytest.importorskip("hypothesis.strategies")
     from hypothesis import given, settings
 
@@ -74,13 +74,19 @@ def test_hnf_matches_the_extended_gcd_oracle():
             scale = data.draw(st.sampled_from((1, 2, 3, -1, 0)))
             rows.append([scale * sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)])
         if data.draw(st.booleans()):
-            rows = [r + [0] for r in rows]
+            rows, ncols = [r + [0] for r in rows], ncols + 1
+        member = st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)).map(
+            lambda cs: [sum(c * r[j] for c, r in zip(cs, rows)) for j in range(ncols)]
+        )
+        anything = st.lists(st.integers(-9, 9), min_size=ncols, max_size=ncols)
+        a = data.draw(st.lists(st.one_of(member, anything), max_size=3))
         h, u = ref.hnf(rows)
         assert matmul(u, rows) == h
         assert len(u) == len(rows) and all(len(r) == len(rows) for r in u)
         assert hnf_basis(rows) == ref.hnf_basis(rows), rows
         assert kernel_lattice(rows) == ref.kernel_lattice(rows), rows
         assert is_saturated(rows) == ref.is_saturated(rows), rows
+        assert lattice_le(a, rows) == ref.lattice_le(a, rows), (a, rows)
 
     check()
 
@@ -88,8 +94,8 @@ def test_hnf_matches_the_extended_gcd_oracle():
 def test_non_integer_entries_raise():
     # int() would truncate these to a lattice they do not describe
     for call in (
-        lambda: lattice_contains([[2, 0], [0, 2]], [Fraction(5, 2), 0]),
-        lambda: lattice_contains([[2, 0], [0, 2]], [2.9, 0]),
+        lambda: lattice_le([[Fraction(5, 2), 0]], [[2, 0], [0, 2]]),
+        lambda: lattice_le([[2.9, 0]], [[2, 0], [0, 2]]),
         lambda: hnf_basis([[Fraction(1, 2), 1]]),
         lambda: kernel_lattice([[Fraction(1, 2)], [0]]),
         lambda: is_saturated([[1.0, 0]]),
@@ -106,7 +112,7 @@ def test_hnf_is_generating_set_invariant():
         mixed.append([a + 2 * b for a, b in zip(rows[0], rows[1])])
         rng.shuffle(mixed)
         assert hnf_basis(rows) == hnf_basis(mixed)
-        assert lattice_equal(rows, mixed)
+        assert lattice_le(rows, mixed) and lattice_le(mixed, rows)
 
 
 def brute_member(rows, vec, bound=4):
@@ -142,7 +148,7 @@ def test_membership_against_brute_force():
         basis = hnf_basis(rows)
         for _ in range(8):
             vec = [rng.randint(-6, 6) for _ in range(3)]
-            got = lattice_contains(basis, vec)
+            got = lattice_le([vec], basis)
             assert brute_member(rows, vec) <= got  # brute members are members
             sol = solve_triangular(basis, vec)
             assert got == (sol is not None)
@@ -153,10 +159,10 @@ def test_membership_against_brute_force():
 
 def test_membership_frozen():
     basis = hnf_basis([[1, 1], [0, 2]])
-    assert lattice_contains(basis, [3, 5])
-    assert not lattice_contains(basis, [1, 0])
-    assert lattice_contains(basis, [0, 0])
-    assert not lattice_contains(basis, [0, 1])
+    assert lattice_le([[3, 5]], basis)
+    assert not lattice_le([[1, 0]], basis)
+    assert lattice_le([[0, 0]], basis)
+    assert not lattice_le([[0, 1]], basis)
 
 
 def test_lattice_le_and_equal():
@@ -164,8 +170,8 @@ def test_lattice_le_and_equal():
     b = [[1, 0], [0, 1]]
     assert lattice_le(a, b)
     assert not lattice_le(b, a)
-    assert not lattice_equal(a, b)
-    assert lattice_equal(a, [[2, 2], [0, 2], [2, 0]])
+    assert hnf_basis(a) != hnf_basis(b)
+    assert hnf_basis(a) == hnf_basis([[2, 2], [0, 2], [2, 0]])
 
 
 def test_kernel_lattice():
@@ -221,10 +227,12 @@ def test_hnf_lattice_matches_sympy_oracle():
     """hnf_basis spans the same lattice as sympy's Hermite normal form.
 
     sympy's form is column-style, so the forms are not compared entry by
-    entry: each basis must lie in the other's lattice."""
+    entry: each basis must lie in the other's lattice.  Saturation is
+    checked against sympy's Smith form: the row lattice is saturated exactly
+    when every nonzero invariant is a unit."""
     pytest.importorskip("sympy")
     from sympy import Matrix
-    from sympy.matrices.normalforms import hermite_normal_form
+    from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
     from blockiso.perfect import block_projective_lattice
 
@@ -241,6 +249,9 @@ def test_hnf_lattice_matches_sympy_oracle():
         assert ours.cols == theirs.cols == Matrix(rows).rank(), rows
         assert all(_in_column_lattice(theirs, ours[:, j]) for j in range(ours.cols)), rows
         assert all(_in_column_lattice(ours, theirs[:, j]) for j in range(theirs.cols)), rows
+        snf = smith_normal_form(Matrix(rows))
+        invariants = [snf[i, i] for i in range(min(snf.shape)) if snf[i, i]]
+        assert is_saturated(rows) == all(abs(d) == 1 for d in invariants), rows
 
 
 def test_block_projective_lattice_is_the_saturated_kernel():

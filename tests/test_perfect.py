@@ -78,21 +78,21 @@ def test_transform_kills_other_blocks():
 
 def test_verify_transfer():
     small = ((2, 2, ()), (3, 1, ()), (2, 2, (1,)), (3, 2, ()))
-    for p, w, rho in small + ((3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,))):
+    for p, w, rho in small + ((3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,)), (7, 2, (1,))):
         rep = verify_transfer(p, w, rho)
         assert rep.ok, rep.failures()
 
 
 def test_verify_sep():
     small = ((2, 1, ()), (2, 2, ()), (3, 1, ()), (2, 2, (1,)))
-    for p, w, rho in small + ((3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,))):
+    for p, w, rho in small + ((3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,)), (7, 2, (1,))):
         rep = verify_sep(p, w, rho)
         assert rep.ok, rep.failures()
 
 
 def test_verify_type():
     small = ((2, 2, ()), (3, 1, ()), (2, 2, (1,)))
-    for p, w, rho in small + ((2, 8, ()), (3, 5, ()), (2, 6, (1,)), (3, 4, (1,))):
+    for p, w, rho in small + ((2, 8, ()), (3, 5, ()), (2, 6, (1,)), (3, 4, (1,)), (7, 2, (1,))):
         rep = verify_type(p, w, rho)
         assert rep.records and rep.ok, (p, w, rho, rep.failures()[:3])
 
@@ -104,7 +104,8 @@ def test_verify_type_matches_dense_projection_reference():
 
 def test_verify_perfproj():
     small = ((2, 2, ()), (2, 3, ()), (3, 2, ()), (2, 2, (1,)))
-    for p, w, rho in small + ((2, 7, ()), (3, 5, ()), (7, 2, ()), (2, 6, (1,)), (3, 4, (1,))):
+    cases = ((2, 7, ()), (3, 5, ()), (7, 2, ()), (2, 6, (1,)), (3, 4, (1,)), (7, 2, (1,)))
+    for p, w, rho in small + cases:
         rep = verify_perfproj(p, w, rho)
         assert rep.ok, rep.failures()
 
@@ -127,6 +128,10 @@ def test_perfectness_probe_grid():
         # real data violates the criteria only at w >= p, where the records
         # are informational, so the probe passes everywhere on this grid
         assert rep.ok
+    # a non-empty core at p = 7, where w < p and the records carry verdicts
+    rep = perfectness_probe(7, 2, (1,))
+    assert rep.records and rep.ok, rep.failures()[:3]
+    assert all(r["parameters"]["violations"] == 0 for r in rep.records)
 
 
 def test_probe_fails_on_a_violation_only_below_p(monkeypatch):
