@@ -62,10 +62,11 @@ def build_mu(p: int, w: int, rho: Partition):
     return [wreath_space(p, w).combine(column, images) for column in zip(*chis)]
 
 
-def R_mu(mu_rows, xi: ClassFunction, p: int, w: int) -> ClassFunction:
+def R_mu(mu_cols, xi: ClassFunction, p: int, w: int) -> ClassFunction:
     """Transfer a big-group class function to the wreath product: the value
-    at a label is the inner product of xi with that column of the matrix."""
-    return WreathClassFunction(p, w, xi.space.pairings(xi.values, zip(*mu_rows)))
+    at a label is the inner product of xi with that column of the matrix,
+    held transposed in mu_cols."""
+    return WreathClassFunction(p, w, xi.space.pairings(xi.values, mu_cols))
 
 
 def I_mu(mu_rows, theta: ClassFunction, n: int) -> ClassFunction:
@@ -86,9 +87,10 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
+    mu_cols = list(zip(*mu_rows))
     block = partitions_with_core(n, rho, p)
     for lam in block:
-        got = R_mu(mu_rows, irr_class_function(lam), p, w)
+        got = R_mu(mu_cols, irr_class_function(lam), p, w)
         want = isometry_image(lam, rho, p)
         rep.add(
             {"lambda": format_partition(lam), "map": "forward"},
@@ -97,7 +99,7 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     for lam in enumerate_partitions(n):
         if lam in block:
             continue
-        got = R_mu(mu_rows, irr_class_function(lam), p, w)
+        got = R_mu(mu_cols, irr_class_function(lam), p, w)
         rep.add({"lambda": format_partition(lam), "map": "kill"}, got.is_zero())
     # Reading phi at the hook with leg i inverts lambda_psi.
     hooks = [enumerate_partitions(p).index(hook_partition(i, p)) for i in range(p)]
@@ -139,6 +141,7 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
     rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
+    mu_cols = list(zip(*mu_rows))
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     sn_types = [tp_p(tau, p) for tau in classes]
@@ -158,7 +161,7 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
                 if not in_L_lambda(xi.values, sn_types, lam):
                     rep.add(dict(cls, side="projection"), False)
                     continue
-                image = R_mu(mu_rows, xi, p, w)
+                image = R_mu(mu_cols, xi, p, w)
                 rep.add(dict(cls, side="forward"), in_L_lambda(image.values, wr_types, lam))
             for j, lbl in enumerate(labels):
                 if wr_types[j] != lam:
@@ -187,44 +190,36 @@ def block_projective_lattice(p: int, w: int, rho: Partition):
 
 def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     """Transfer matches the block projective lattice with the span of the
-    principal projective tuples, as lattices of wreath coefficients."""
+    principal projective tuples.  The signed bijection is a unimodular
+    change of coordinates, so the tuples are pulled back: row psi of Y
+    holds, at each block member, its sign times psi's coefficient at its
+    image, and with every tuple principal the lattice's image is their
+    span exactly when Y has the lattice's HNF basis."""
     from .lattice import hnf_basis
     from .modular import enumerate_gibr, principal_gibr_filter, zeta_projective
     rep = Report("perfproj", {"p": p, "w": w})
     n = p * w + sum(rho)
-    block = partitions_with_core(n, rho, p)
+    bijection = [isometry_row(lam, rho, p) for lam in partitions_with_core(n, rho, p)]
+    images = [(sign, lambda_psi(comps, p)) for sign, comps in bijection]
     irr_wr = enumerate_irr_wreath(p, w)
-    idx = {phi: i for i, phi in enumerate(irr_wr)}
     principal_wr = set(principal_block_filter(irr_wr, p))
-    targets = []
-    for lam in block:
-        sign, psi = isometry_row(lam, rho, p)
-        targets.append((sign, idx[lambda_psi(psi, p)]))
-    image_rows = []
-    for coeff_row in block_projective_lattice(p, w, rho):
-        vec = [0] * len(irr_wr)
-        for c, (sign, k) in zip(coeff_row, targets):
-            if c:
-                vec[k] += c * sign
-        image_rows.append(vec)
-
-    proj_rows = []
-    principal = principal_gibr_filter(enumerate_gibr(p, w), p)
     irr_rows = [zeta_irr(p, w, phi).values for phi in irr_wr]
-    for psi in principal:
+    proj_rows, pulled = [], []
+    for psi in principal_gibr_filter(enumerate_gibr(p, w), p):
         hat = zeta_projective(p, w, psi)
         coeffs = hat.space.pairings(hat.values, irr_rows)
         if any(c.denominator != 1 for c in coeffs):
             raise AssertionError("projective tuple has fractional coefficients")
-        vec = [int(c) for c in coeffs]
-        ok_support = all(phi in principal_wr for phi, c in zip(irr_wr, vec) if c)
+        at = dict(zip(irr_wr, map(int, coeffs)))
+        ok_support = all(phi in principal_wr for phi, c in at.items() if c)
         rep.add({"psi": format_multipartition(psi), "support": "principal"}, ok_support)
-        proj_rows.append(vec)
+        proj_rows.append(list(at.values()))
+        pulled.append([sign * at[phi] for sign, phi in images])
 
-    image, projective = hnf_basis(image_rows), hnf_basis(proj_rows)
+    kernel = block_projective_lattice(p, w, rho)
     rep.add(
-        {"core": format_partition(rho), "rank_image": len(image), "rank_projective": len(projective)},
-        image == projective,
+        {"core": format_partition(rho), "rank_image": len(kernel), "rank_projective": len(hnf_basis(proj_rows))},
+        rep.ok and hnf_basis(pulled) == kernel,
     )
     return rep
 

@@ -8,7 +8,20 @@ saturation is double annihilation through that kernel.  Containment
 reduces each vector against an HNF basis, pivot by pivot.  The library now
 reads both bases off one echelon of [M | I] and answers containment and
 saturation by comparing HNF bases; these must agree with it.
+
+`perfproj_report` is the `verify perfproj` route the library replaced: it
+pushes the block's projective lattice forward through the signed bijection
+into wreath coordinates and compares HNF bases there, where the library
+pulls the projective tuples back into block coordinates.  It reads
+`perfect.isometry_row` and `modular.zeta_projective` at call time, so a
+test that patches either patches both routes.
 """
+
+from blockiso import modular, perfect
+from blockiso.abacus import partitions_with_core
+from blockiso.partitions import format_multipartition, format_partition
+from blockiso.reporting import Report
+from blockiso.wreath import enumerate_irr_wreath, lambda_psi, principal_block_filter, zeta_irr
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -107,3 +120,45 @@ def lattice_le(rows_a, rows_b):
     """Whether every row of A reduces to zero against the HNF basis of B."""
     basis = hnf_basis(rows_b)
     return all(reduces(basis, r) for r in rows_a)
+
+
+def perfproj_report(p, w, rho):
+    """The `verify perfproj` records, from the kernel's image in wreath
+    coordinates."""
+    rep = Report("perfproj", {"p": p, "w": w})
+    n = p * w + sum(rho)
+    block = partitions_with_core(n, rho, p)
+    irr_wr = enumerate_irr_wreath(p, w)
+    idx = {phi: i for i, phi in enumerate(irr_wr)}
+    principal_wr = set(principal_block_filter(irr_wr, p))
+    targets = []
+    for lam in block:
+        sign, psi = perfect.isometry_row(lam, rho, p)
+        targets.append((sign, idx[lambda_psi(psi, p)]))
+    image_rows = []
+    for coeff_row in perfect.block_projective_lattice(p, w, rho):
+        vec = [0] * len(irr_wr)
+        for c, (sign, k) in zip(coeff_row, targets):
+            if c:
+                vec[k] += c * sign
+        image_rows.append(vec)
+
+    proj_rows = []
+    principal = modular.principal_gibr_filter(modular.enumerate_gibr(p, w), p)
+    irr_rows = [zeta_irr(p, w, phi).values for phi in irr_wr]
+    for psi in principal:
+        hat = modular.zeta_projective(p, w, psi)
+        coeffs = hat.space.pairings(hat.values, irr_rows)
+        if any(c.denominator != 1 for c in coeffs):
+            raise AssertionError("projective tuple has fractional coefficients")
+        vec = [int(c) for c in coeffs]
+        ok_support = all(phi in principal_wr for phi, c in zip(irr_wr, vec) if c)
+        rep.add({"psi": format_multipartition(psi), "support": "principal"}, ok_support)
+        proj_rows.append(vec)
+
+    image, projective = hnf_basis(image_rows), hnf_basis(proj_rows)
+    rep.add(
+        {"core": format_partition(rho), "rank_image": len(image), "rank_projective": len(projective)},
+        image == projective,
+    )
+    return rep

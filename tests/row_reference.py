@@ -125,6 +125,7 @@ def type_report(p: int, w: int, rho):
     rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
+    mu_cols = list(zip(*mu_rows))
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     sn_types = [tp_p(tau, p) for tau in classes]
@@ -141,7 +142,7 @@ def type_report(p: int, w: int, rho):
                 if not in_L_lambda(xi.values, sn_types, lam):
                     rep.add(dict(cls, side="projection"), False)
                     continue
-                image = R_mu(mu_rows, xi, p, w)
+                image = R_mu(mu_cols, xi, p, w)
                 rep.add(dict(cls, side="forward"), in_L_lambda(image.values, wr_types, lam))
             for j, lbl in enumerate(labels):
                 if wr_types[j] != lam:

@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 from deal_reference import reference_induced_mn
 from row_reference import combination_class_function
@@ -24,6 +24,7 @@ from blockiso.isometry import (
     verify_val,
 )
 from blockiso.abacus import circularly_nondecreasing
+from blockiso.lattice import hnf_basis
 from blockiso.modular import decomposition_matrix, verify_orth
 from blockiso.partitions import contains, enumerate_partitions, scale
 from blockiso.perfect import verify_perfproj, verify_sep
@@ -409,3 +410,12 @@ def test_criterion_12_span_characterization(capsys):
             assert not span_membership(perturbed, [BASE])
             bad += 1
         assert bad == 20
+        # non-members inside the rational span, so that the integrality of
+        # the span is tested: a basis row of the generators whose entries
+        # share a factor d > 1, divided by d
+        for w in (2, 3):
+            rows = [[int(v) for v in g.values] for g in span_generators(2, w, [BASE])]
+            row = next(r for r in hnf_basis(rows) if gcd(*r) > 1)
+            part = WreathClassFunction(2, w, tuple(x // gcd(*row) for x in row))
+            assert not _tensor_premise_holds(part)
+            assert not span_membership(part, [BASE])

@@ -74,6 +74,7 @@ def test_transfers_on_fraction_inputs_match_reference():
     p, w, rho = 3, 2, (1,)
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
+    mu_cols = list(zip(*mu_rows))
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     fractional = 0
@@ -84,7 +85,7 @@ def test_transfers_on_fraction_inputs_match_reference():
         want = tuple(
             sn_reference(xi.values, [row[j] for row in mu_rows], n) for j in range(len(labels))
         )
-        assert R_mu(mu_rows, xi, p, w).values == want
+        assert R_mu(mu_cols, xi, p, w).values == want
     assert fractional
     for j in range(len(labels)):
         indicator = WreathClassFunction(p, w, (int(k == j) for k in range(len(labels))))

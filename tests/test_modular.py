@@ -75,7 +75,7 @@ def test_principal_filter():
 
 
 def test_orthogonality_reports():
-    for p, w in ((2, 2), (2, 3), (3, 2), (3, 5), (7, 2)):
+    for p, w in ((2, 2), (2, 3), (3, 2), (3, 5), (7, 2), (2, 8)):
         rep = verify_orth(p, w)
         assert rep.ok, rep.failures()
 

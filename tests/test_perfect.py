@@ -1,8 +1,10 @@
 """Transfer, separation, and lattice behaviour of the signed bijection."""
 
-from blockiso import perfect
+from blockiso import modular, perfect
+from blockiso.abacus import partitions_with_core
+from blockiso.classfn import ClassFunction
 from blockiso.isometry import isometry_image
-from blockiso.partitions import enumerate_partitions, sqcup
+from blockiso.partitions import enumerate_partitions, format_partition, sqcup
 from blockiso.perfect import (
     I_mu,
     R_mu,
@@ -16,6 +18,15 @@ from blockiso.perfect import (
     verify_type,
 )
 from blockiso.symchar import irr_class_function
+from blockiso.wreath import (
+    enumerate_irr_wreath,
+    enumerate_wreath_classes,
+    format_class_label,
+    principal_block_filter,
+    zeta_irr,
+)
+import row_reference
+from lattice_reference import perfproj_report
 from row_reference import dense_mu, type_report
 
 
@@ -57,13 +68,12 @@ def test_mu_matrix_matches_dense_reference():
 def test_transform_recovers_images():
     for p, w, rho in ((2, 1, ()), (2, 2, ())):
         rows = build_mu(p, w, rho)
+        cols = list(zip(*rows))
         n = p * w + sum(rho)
-        from blockiso.abacus import partitions_with_core
-
         for lam in partitions_with_core(n, rho, p):
             xi = irr_class_function(lam)
             image = isometry_image(lam, rho, p)
-            assert R_mu(rows, xi, p, w).values == image.values
+            assert R_mu(cols, xi, p, w).values == image.values
             back = I_mu(rows, image, n)
             assert back.values == xi.values
 
@@ -73,19 +83,21 @@ def test_transform_kills_other_blocks():
     # n = 3 the core (1) block misses (2,1), which is its own core
     rows = build_mu(2, 1, (1,))
     xi = irr_class_function((2, 1))
-    assert all(v == 0 for v in R_mu(rows, xi, 2, 1).values)
+    assert all(v == 0 for v in R_mu(list(zip(*rows)), xi, 2, 1).values)
 
 
 def test_verify_transfer():
     small = ((2, 2, ()), (3, 1, ()), (2, 2, (1,)), (3, 2, ()))
-    for p, w, rho in small + ((3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,)), (7, 2, (1,))):
+    cases = ((2, 8, ()), (3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,)), (7, 2, (1,)))
+    for p, w, rho in small + cases:
         rep = verify_transfer(p, w, rho)
         assert rep.ok, rep.failures()
 
 
 def test_verify_sep():
     small = ((2, 1, ()), (2, 2, ()), (3, 1, ()), (2, 2, (1,)))
-    for p, w, rho in small + ((3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,)), (7, 2, (1,))):
+    cases = ((2, 8, ()), (3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,)), (7, 2, (1,)))
+    for p, w, rho in small + cases:
         rep = verify_sep(p, w, rho)
         assert rep.ok, rep.failures()
 
@@ -102,12 +114,84 @@ def test_verify_type_matches_dense_projection_reference():
         assert verify_type(p, w, rho).records == type_report(p, w, rho).records, (p, w, rho)
 
 
+def test_verify_type_fails_on_an_off_type_entry(monkeypatch):
+    real_build_mu = build_mu
+
+    def injected(p, w, rho):
+        # one entry at the identity class and the first label, whose types
+        # differ, so the identity's forward image and the first label's
+        # backward image leave their strata
+        rows = real_build_mu(p, w, rho)
+        rows[-1][0] += 1
+        return rows
+
+    monkeypatch.setattr(perfect, "build_mu", injected)
+    monkeypatch.setattr(row_reference, "build_mu", injected)
+    for p, w, rho in ((3, 2, ()), (2, 3, ()), (3, 3, (1,))):
+        rep = verify_type(p, w, rho)
+        n = p * w + sum(rho)
+        failed = {
+            (r["parameters"].get("class") or r["parameters"]["label"], r["parameters"]["side"])
+            for r in rep.failures()
+        }
+        first = format_class_label(enumerate_wreath_classes(p, w)[0])
+        assert (format_partition((1,) * n), "forward") in failed, (p, w, rho)
+        assert (first, "backward") in failed, (p, w, rho)
+        assert rep.records == type_report(p, w, rho).records, (p, w, rho)
+
+
 def test_verify_perfproj():
     small = ((2, 2, ()), (2, 3, ()), (3, 2, ()), (2, 2, (1,)))
     cases = ((2, 7, ()), (3, 5, ()), (7, 2, ()), (2, 6, (1,)), (3, 4, (1,)), (7, 2, (1,)))
     for p, w, rho in small + cases:
         rep = verify_perfproj(p, w, rho)
         assert rep.ok, rep.failures()
+        assert rep.records == perfproj_report(p, w, rho).records, (p, w, rho)
+
+
+def _both_routes_fail_alike(p, w):
+    rep = verify_perfproj(p, w, ())
+    assert rep.records[-1]["status"] == "fail", (p, w)
+    assert rep.records == perfproj_report(p, w, ()).records, (p, w)
+    return rep
+
+
+def test_perfproj_fails_alike_on_a_wrong_sign_or_target(monkeypatch):
+    real_row = perfect.isometry_row
+    for p, w in ((2, 3), (3, 2), (2, 4), (3, 3), (5, 2)):
+        first, second = partitions_with_core(p * w, (), p)[:2]
+
+        def flipped(lam, rho, p):
+            sign, psi = real_row(lam, rho, p)
+            return (-sign if lam == first else sign), psi
+
+        def swapped(lam, rho, p):
+            other = {first: second, second: first}.get(lam, lam)
+            return real_row(lam, rho, p)[0], real_row(other, rho, p)[1]
+
+        for mutant in (flipped, swapped):
+            monkeypatch.setattr(perfect, "isometry_row", mutant)
+            _both_routes_fail_alike(p, w)
+        monkeypatch.setattr(perfect, "isometry_row", real_row)
+
+
+def test_perfproj_fails_alike_on_a_non_principal_coefficient(monkeypatch):
+    real_projective = modular.zeta_projective
+    for p, w in ((5, 1), (5, 2), (7, 2)):
+        irr = enumerate_irr_wreath(p, w)
+        outside = next(phi for phi in irr if phi not in principal_block_filter(irr, p))
+        first = modular.principal_gibr_filter(modular.enumerate_gibr(p, w), p)[0]
+
+        def spoiled(p_, w_, psi):
+            hat = real_projective(p_, w_, psi)
+            if psi != first:
+                return hat
+            extra = zeta_irr(p_, w_, outside).values
+            return ClassFunction(hat.space, tuple(a + b for a, b in zip(hat.values, extra)))
+
+        monkeypatch.setattr(modular, "zeta_projective", spoiled)
+        rep = _both_routes_fail_alike(p, w)
+        assert len(rep.failures()) == 2, (p, w)
 
 
 def test_perfectness_probe_grid():
@@ -120,6 +204,7 @@ def test_perfectness_probe_grid():
         (2, 2): False,
         (2, 3): False,
         (3, 3): False,
+        (2, 8): False,
     }
     for (p, w), want in expected.items():
         rep = perfectness_probe(p, w, ())

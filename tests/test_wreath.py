@@ -3,12 +3,13 @@ permutation model of the order eight group (two blocks of two points).
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 from deal_reference import reference_zeta_value
 from row_reference import combination_class_function, restrict_from_sn
 
+from blockiso.lattice import hnf_basis
 from blockiso.modular import brauer_labels, brauer_values, enumerate_gibr, projective_values
 from blockiso.partitions import enumerate_partitions, scale
 from blockiso.symchar import SnClassFunction, character_value, decompose, irr_class_function
@@ -478,3 +479,8 @@ def test_span_membership():
     assert span_membership(combo, [base])
     triv = zeta_irr(2, 2, ((2,), ()))
     assert not span_membership(triv, [base])
+    # inside the rational span but not the integer one: a basis row of the
+    # generators whose entries share a factor d > 1, divided by d
+    row = next(r for r in hnf_basis([[int(v) for v in g.values] for g in gens]) if gcd(*r) > 1)
+    part = WreathClassFunction(2, 2, tuple(x // gcd(*row) for x in row))
+    assert not span_membership(part, [base])
