@@ -190,11 +190,13 @@ def block_projective_lattice(p: int, w: int, rho: Partition):
 
 def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     """Transfer matches the block projective lattice with the span of the
-    principal projective tuples.  The signed bijection is a unimodular
-    change of coordinates, so the tuples are pulled back: row psi of Y
-    holds, at each block member, its sign times psi's coefficient at its
-    image, and with every tuple principal the lattice's image is their
-    span exactly when Y has the lattice's HNF basis."""
+    principal projective tuples.  A signed bijection onto the principal
+    irreducibles is a unimodular change of coordinates, so the tuples are
+    pulled back: row psi of Y holds, at each block member, its sign times
+    psi's coefficient at its image, and with every tuple principal the
+    lattice's image is their span exactly when Y has the lattice's HNF
+    basis.  The final record also checks that premise, and its rank_image
+    is the kernel's rank, which is the image's under a bijection."""
     from .lattice import hnf_basis
     from .modular import enumerate_gibr, principal_gibr_filter, zeta_projective
     rep = Report("perfproj", {"p": p, "w": w})
@@ -217,9 +219,10 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
         pulled.append([sign * at[phi] for sign, phi in images])
 
     kernel = block_projective_lattice(p, w, rho)
+    onto = len(images) == len(principal_wr) and {phi for _, phi in images} == principal_wr
     rep.add(
         {"core": format_partition(rho), "rank_image": len(kernel), "rank_projective": len(hnf_basis(proj_rows))},
-        rep.ok and hnf_basis(pulled) == kernel,
+        rep.ok and onto and hnf_basis(pulled) == kernel,
     )
     return rep
 
