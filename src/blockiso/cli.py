@@ -208,8 +208,8 @@ def cmd_char(args, _rho) -> tuple[str, int]:
 
 def cmd_table(args, rho) -> tuple[str, int]:
     n = args.n
-    if args.p is not None and (n - sum(rho)) % args.p:
-        raise ArgumentError("n minus the core size must be divisible by p")
+    if args.p is not None and (n < sum(rho) or (n - sum(rho)) % args.p):
+        raise ArgumentError("n minus the core size must be a nonnegative multiple of p")
     classes = enumerate_partitions(n)
     labels = classes if args.p is None else abacus.partitions_with_core(n, rho, args.p)
     irr = _lib("symchar").irr_class_function

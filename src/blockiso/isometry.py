@@ -100,11 +100,18 @@ def isometry_image(lam: Partition, rho: Partition, p: int) -> ClassFunction:
     return zeta_irr(p, w, lambda_psi(psi, p)).scaled(sign)
 
 
-def _image_factors(lam: Partition, rho: Partition, p: int):
-    """The sign and wreath factors of lam's image, for evaluation at chosen
-    labels: the image there is sign * zeta_row(p, factors, labels)."""
-    sign, psi = isometry_row(lam, rho, p)
-    return sign, factors_from_pmap(lambda_psi(psi, p), p)
+def _pointwise(p: int, w: int, rho: Partition, s: int):
+    """The labels in U_s, and per block member lam, lam with its image's row
+    (sign * zeta_row, the wreath Murnaghan-Nakayama rule) and the pushdown's
+    row (the skew character lam/rho, mn_value) at those labels."""
+    labels = labels_in_U_s(p, w, s)
+    taus = [embed_to_sn(lbl) for lbl in labels]
+    rows = []
+    for lam in partitions_with_core(p * w + sum(rho), rho, p):
+        sign, psi = isometry_row(lam, rho, p)
+        image = zeta_row(p, factors_from_pmap(lambda_psi(psi, p), p), labels)
+        rows.append((lam, [sign * v for v in image], [mn_value(lam, rho, tau) for tau in taus]))
+    return labels, rows
 
 
 def build_isometry(p: int, w: int, rho: Partition):
@@ -125,18 +132,12 @@ def build_isometry(p: int, w: int, rho: Partition):
 def verify_main(p: int, w: int, rho: Partition) -> Report:
     """Image minus pushdown vanishes on w base p-cycles, and on w-1 when
     the runner ranks rotate the identity.  Both sides are evaluated only at
-    the labels in U_s: the image by the wreath Murnaghan-Nakayama rule, the
-    pushdown as the skew character lam/rho."""
+    the labels in U_s (_pointwise)."""
     rep = Report("main", {"p": p, "w": w, "core": format_partition(rho)})
-    n = p * w + sum(rho)
-    start = circularly_nondecreasing(rho, p)
-    levels = [w] if start is None else [w, w - 1]
-    labels = labels_in_U_s(p, w, min(levels))
-    taus = [embed_to_sn(lbl) for lbl in labels]
-    for lam in partitions_with_core(n, rho, p):
-        sign, factors = _image_factors(lam, rho, p)
-        image = zip(zeta_row(p, factors, labels), taus)
-        delta = [sign * v - mn_value(lam, rho, tau) for v, tau in image]
+    levels = [w] if circularly_nondecreasing(rho, p) is None else [w, w - 1]
+    labels, rows = _pointwise(p, w, rho, min(levels))
+    for lam, image, pushed in rows:
+        delta = [a - b for a, b in zip(image, pushed)]
         for s in levels:
             bad = [(lbl, d) for lbl, d in zip(labels, delta) if d and in_U_s(lbl, p, s)]
             witness = None
@@ -147,14 +148,12 @@ def verify_main(p: int, w: int, rho: Partition) -> Report:
 
 
 def verify_val(p: int, w: int) -> Report:
-    """Exact value agreement on classes with at least w-1 base p-cycles."""
+    """Exact value agreement on classes with at least w-1 base p-cycles:
+    main's evaluation at the empty core, where pushdown is restriction."""
     rep = Report("val", {"p": p, "w": w})
-    labels = labels_in_U_s(p, w, w - 1)
-    taus = [embed_to_sn(lbl) for lbl in labels]
-    for lam in partitions_with_core(p * w, (), p):
-        sign, factors = _image_factors(lam, (), p)
-        for lbl, tau, v in zip(labels, taus, zeta_row(p, factors, labels)):
-            lhs, rhs = sign * v, character_value(lam, tau)
+    labels, rows = _pointwise(p, w, (), w - 1)
+    for lam, image, restricted in rows:
+        for lbl, lhs, rhs in zip(labels, image, restricted):
             rep.add(
                 {"lambda": format_partition(lam), "label": format_class_label(lbl)},
                 lhs == rhs,

@@ -81,36 +81,41 @@ def in_L_lambda(values, types, lam: Partition) -> bool:
     return all(v == 0 for t, v in zip(types, values) if t != lam)
 
 
+def _transfers(p: int, w: int, rho: Partition):
+    """The bicharacter's columns, and its transfers of the two bases as value
+    rows: (lam, chi, R_mu(chi)) over the block's irreducibles chi, and
+    (phi, zeta, I_mu(zeta)) over the principal zeta_irr rows."""
+    n = p * w + sum(rho)
+    mu_rows = build_mu(p, w, rho)
+    mu_cols = list(zip(*mu_rows))
+    chis = {lam: irr_class_function(lam) for lam in partitions_with_core(n, rho, p)}
+    principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
+    zetas = {phi: zeta_irr(p, w, phi) for phi in principal}
+    forward = [(lam, chi.values, R_mu(mu_cols, chi, p, w).values) for lam, chi in chis.items()]
+    inverse = [(phi, zeta.values, I_mu(mu_rows, zeta, n).values) for phi, zeta in zetas.items()]
+    return mu_cols, forward, inverse
+
+
 def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     """The transforms restrict to the bijection and its inverse, and kill
     class functions orthogonal to the blocks."""
     rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
-    n = p * w + sum(rho)
-    mu_rows = build_mu(p, w, rho)
-    mu_cols = list(zip(*mu_rows))
-    block = partitions_with_core(n, rho, p)
-    for lam in block:
-        got = R_mu(mu_cols, irr_class_function(lam), p, w)
-        want = isometry_image(lam, rho, p)
-        rep.add(
-            {"lambda": format_partition(lam), "map": "forward"},
-            got.values == want.values,
-        )
-    for lam in enumerate_partitions(n):
+    mu_cols, forward, inverse = _transfers(p, w, rho)
+    for lam, _, got in forward:
+        want = isometry_image(lam, rho, p).values
+        rep.add({"lambda": format_partition(lam), "map": "forward"}, got == want)
+    block = {lam for lam, _, _ in forward}
+    for lam in enumerate_partitions(p * w + sum(rho)):
         if lam in block:
             continue
         got = R_mu(mu_cols, irr_class_function(lam), p, w)
         rep.add({"lambda": format_partition(lam), "map": "kill"}, got.is_zero())
     # Reading phi at the hook with leg i inverts lambda_psi.
     hooks = [enumerate_partitions(p).index(hook_partition(i, p)) for i in range(p)]
-    for phi in principal_block_filter(enumerate_irr_wreath(p, w), p):
-        got = I_mu(mu_rows, zeta_irr(p, w, phi), n)
+    for phi, _, got in inverse:
         lam = isometry_inverse(tuple(phi[k] for k in hooks), rho, p)
-        want = irr_class_function(lam).scaled(isometry_row(lam, rho, p)[0])
-        rep.add(
-            {"phi": format_multipartition(phi), "map": "inverse"},
-            got.values == want.values,
-        )
+        want = irr_class_function(lam).scaled(isometry_row(lam, rho, p)[0]).values
+        rep.add({"phi": format_multipartition(phi), "map": "inverse"}, got == want)
     return rep
 
 
@@ -134,21 +139,19 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
 
     Class i's indicator projects onto the block as (|c_i|/|G|) * sum over
     the block's irreducibles chi of chi(c_i) * chi, a positive multiple of
-    those rows combined by their column i.  The transfers are linear and
-    only support is tested, so that combination stands in for the
-    projection; the wreath side does the same with the principal
-    irreducibles."""
+    those rows combined by their column i.  Only support is tested, so that
+    combination stands in for the projection, and by linearity its image
+    combines the transferred irreducibles by the same column; the wreath
+    side does the same with the principal irreducibles."""
     rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
-    mu_rows = build_mu(p, w, rho)
-    mu_cols = list(zip(*mu_rows))
+    _, forward, inverse = _transfers(p, w, rho)
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     sn_types = [tp_p(tau, p) for tau in classes]
     wr_types = [tp_wr(lbl, p) for lbl in labels]
-    chis = [irr_class_function(lam).values for lam in partitions_with_core(n, rho, p)]
-    principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
-    zetas = [zeta_irr(p, w, phi).values for phi in principal]
+    _, chis, chi_images = zip(*forward)
+    _, zetas, zeta_images = zip(*inverse)
     sn, wr = sn_space(n), wreath_space(p, w)
     for m in range(w + 1):
         for lam in enumerate_partitions(m):
@@ -156,22 +159,19 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
             for i, tau in enumerate(classes):
                 if sn_types[i] != lam:
                     continue
-                xi = SnClassFunction(n, sn.combine([chi[i] for chi in chis], chis))
+                column = [chi[i] for chi in chis]
                 cls = {"type": typ, "class": format_partition(tau)}
-                if not in_L_lambda(xi.values, sn_types, lam):
+                if not in_L_lambda(sn.combine(column, chis), sn_types, lam):
                     rep.add(dict(cls, side="projection"), False)
                     continue
-                image = R_mu(mu_cols, xi, p, w)
-                rep.add(dict(cls, side="forward"), in_L_lambda(image.values, wr_types, lam))
+                image = wr.combine(column, chi_images)
+                rep.add(dict(cls, side="forward"), in_L_lambda(image, wr_types, lam))
             for j, lbl in enumerate(labels):
                 if wr_types[j] != lam:
                     continue
-                theta = WreathClassFunction(p, w, wr.combine([z[j] for z in zetas], zetas))
-                image = I_mu(mu_rows, theta, n)
-                rep.add(
-                    {"type": typ, "label": format_class_label(lbl), "side": "backward"},
-                    in_L_lambda(image.values, sn_types, lam),
-                )
+                image = sn.combine([z[j] for z in zetas], zeta_images)
+                key = {"type": typ, "label": format_class_label(lbl), "side": "backward"}
+                rep.add(key, in_L_lambda(image, sn_types, lam))
     return rep
 
 

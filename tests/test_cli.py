@@ -382,6 +382,9 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
         ("table", "--n", "5", "--p", "2", "--core", "2"),
         ("table", "--n", "5", "--p", "3", "--core", "1"),
         ("table", "--n", "3", "--core", "junk"),
+        # a core larger than n leaves a negative multiple of p
+        ("table", "--n", "2", "--p", "2", "--core", "3,2,1"),
+        ("table", "--n", "4", "--p", "2", "--core", "3,2,1"),
     ] + weight_zero + unread:
         rc = cli.main(list(argv))
         captured = capsys.readouterr()

@@ -29,9 +29,8 @@ from blockiso.isometry import (
 )
 from blockiso.partitions import enumerate_partitions, format_partition
 from blockiso.reporting import record
-from blockiso.symchar import centralizer_order_sn, mn_value
+from blockiso.symchar import centralizer_order_sn
 from blockiso.wreath import (
-    embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     factors_from_pmap,
@@ -150,21 +149,23 @@ def _small_cores(p: int, size: int = 3):
 
 
 def test_pointwise_pushdown_and_image_match_whole_rows():
-    # The verify verbs evaluate the pushdown as the skew character lam/rho
-    # one label at a time, and the image by the wreath MN rule as one row
-    # over the labels they check; the whole-row maps (tilde_pi_rho of the
-    # irreducible row, the cached zeta_irr row) are the reference.
+    # main and val read _pointwise: the pushdown as the skew character
+    # lam/rho one label at a time, and the image by the wreath MN rule as
+    # one row over the labels they check; the whole-row maps (tilde_pi_rho
+    # of the irreducible row, the cached zeta_irr row) are the reference.
+    # U_0 holds every label.
     grid = [(2, w) for w in range(1, 5)] + [(3, w) for w in range(1, 4)] + [(5, 1), (5, 2)]
     for p, w in grid:
-        labels = enumerate_wreath_classes(p, w)
         for rho in _small_cores(p):
-            for lam in partitions_with_core(p * w + sum(rho), rho, p):
+            labels, rows = isometry._pointwise(p, w, rho, 0)
+            assert labels == enumerate_wreath_classes(p, w), (p, w, rho)
+            block = partitions_with_core(p * w + sum(rho), rho, p)
+            assert [lam for lam, _, _ in rows] == list(block), (p, w, rho)
+            for lam, image, pushed in rows:
                 down = pushdown_to_wreath(lam, rho, p, w)
                 img = isometry_image(lam, rho, p)
-                sign, factors = isometry._image_factors(lam, rho, p)
-                for lbl, value in zip(labels, zeta_row(p, factors, labels)):
-                    assert mn_value(lam, rho, embed_to_sn(lbl)) == down.value(lbl), (p, w, rho, lam, lbl)
-                    assert sign * value == img.value(lbl), (p, w, rho, lam, lbl)
+                assert pushed == [down.value(lbl) for lbl in labels], (p, w, rho, lam)
+                assert image == [img.value(lbl) for lbl in labels], (p, w, rho, lam)
 
 
 def _flip_one_sign(monkeypatch, flipped):
