@@ -25,7 +25,8 @@ against MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
 verify verb's --w >= 1, then every verify option the verb does not read
 (its VERIFY row names those it does) at its default, --p prime where the
 command needs it, and --core a --p-core wherever the command takes --core;
---core without --p (possible only for table) is rejected.  Last come the
+--core without --p (possible only for table) is rejected; then --out, if
+given, names no directory and sits in an existing one.  Last come the
 size limits, which are the CLI's alone (the library runs any size it is
 asked for): the wreath guard (p <= MAX_P, w <= MAX_W) for every command
 that builds wreath classes, --n <= MAX_TABLE_N for `table`, n = p*w + |core|
@@ -43,6 +44,7 @@ insists on a prime.
 import argparse
 import io
 import json
+import os
 import sys
 from importlib import import_module
 
@@ -425,6 +427,8 @@ def _check(args) -> Partition | None:
             rho = parse_partition(args.core)
             if not abacus.is_core(rho, p):
                 raise ArgumentError(f"{args.core!r} is not a {p}-core")
+    if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        raise ArgumentError(f"--out={args.out} names no file in an existing directory")
     if wreath and (p > MAX_P or args.w > MAX_W):
         raise GuardExceeded(f"wreath guard: p={p}, w={args.w} beyond ({MAX_P}, {MAX_W})")
     if args.command == "table" and args.n > MAX_TABLE_N:

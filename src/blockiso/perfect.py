@@ -1,13 +1,13 @@
 """Transfer along the bicharacter attached to the signed bijection.
 
-The bicharacter sums block characters against their wreath images.  Its two
-convolution transforms recover the bijection on block class functions and
-kill the other blocks; it separates classes whose p-multiplied cycle data
-disagree; and it carries the block's projective lattice onto the span of
-the principal projective tuples.  All checks run classwise over exact
-rationals; the valuation probe fails only where theory gives a verdict
-(w < p), since the divisibility half genuinely fails once the weight
-reaches p.
+The bicharacter sums block characters against their wreath images, so its
+two convolution transforms factor through those pairs.  They recover the
+bijection on block class functions and kill the other blocks; the
+bicharacter separates classes whose p-multiplied cycle data disagree; and
+it carries the block's projective lattice onto the span of the principal
+projective tuples.  All checks run classwise over exact rationals; the
+valuation probe fails only where theory gives a verdict (w < p), since the
+divisibility half genuinely fails once the weight reaches p.
 """
 
 from .abacus import hook_partition, partitions_with_core
@@ -53,26 +53,31 @@ def label_p_regular(label, p: int) -> bool:
     return all(x % p for x in embed_to_sn(label))
 
 
+def _basis(p: int, w: int, rho: Partition):
+    """The block's irreducible rows and their signed wreath images, in block order."""
+    block = partitions_with_core(p * w + sum(rho), rho, p)
+    return [irr_class_function(lam).values for lam in block], [isometry_image(lam, rho, p).values for lam in block]
+
+
 def build_mu(p: int, w: int, rho: Partition):
     """Matrix of the bicharacter over (big class, wreath label): row i sums
     the block's wreath images, each weighted by its character at class i."""
-    block = partitions_with_core(p * w + sum(rho), rho, p)
-    images = [isometry_image(lam, rho, p).values for lam in block]
-    chis = [irr_class_function(lam).values for lam in block]
+    chis, images = _basis(p, w, rho)
     return [wreath_space(p, w).combine(column, images) for column in zip(*chis)]
 
 
-def R_mu(mu_cols, xi: ClassFunction, p: int, w: int) -> ClassFunction:
-    """Transfer a big-group class function to the wreath product: the value
-    at a label is the inner product of xi with that column of the matrix,
-    held transposed in mu_cols."""
-    return WreathClassFunction(p, w, xi.space.pairings(xi.values, mu_cols))
+def R_mu(basis, xi: ClassFunction, p: int, w: int) -> ClassFunction:
+    """Transfer a big-group class function to the wreath product: the block's
+    images combined by xi's inner products with their characters."""
+    chis, images = basis
+    return WreathClassFunction(p, w, wreath_space(p, w).combine(xi.space.pairings(xi.values, chis), images))
 
 
-def I_mu(mu_rows, theta: ClassFunction, n: int) -> ClassFunction:
-    """Transfer a wreath class function back to the big group: the value at
-    a class is the inner product of theta with that row of the matrix."""
-    return SnClassFunction(n, theta.space.pairings(theta.values, mu_rows))
+def I_mu(basis, theta: ClassFunction, n: int) -> ClassFunction:
+    """Transfer a wreath class function back to the big group: the block's
+    characters combined by theta's inner products with their images."""
+    chis, images = basis
+    return SnClassFunction(n, sn_space(n).combine(theta.space.pairings(theta.values, images), chis))
 
 
 def in_L_lambda(values, types, lam: Partition) -> bool:
@@ -82,34 +87,30 @@ def in_L_lambda(values, types, lam: Partition) -> bool:
 
 
 def _transfers(p: int, w: int, rho: Partition):
-    """The bicharacter's columns, and its transfers of the two bases as value
-    rows: (lam, chi, R_mu(chi)) over the block's irreducibles chi, and
-    (phi, zeta, I_mu(zeta)) over the principal zeta_irr rows."""
+    """The block basis and its transfers of the two bases as value rows:
+    R_mu of each block irreducible, in block order, and (phi, zeta,
+    I_mu(zeta)) over the principal zeta_irr rows."""
     n = p * w + sum(rho)
-    mu_rows = build_mu(p, w, rho)
-    mu_cols = list(zip(*mu_rows))
-    chis = {lam: irr_class_function(lam) for lam in partitions_with_core(n, rho, p)}
-    principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
-    zetas = {phi: zeta_irr(p, w, phi) for phi in principal}
-    forward = [(lam, chi.values, R_mu(mu_cols, chi, p, w).values) for lam, chi in chis.items()]
-    inverse = [(phi, zeta.values, I_mu(mu_rows, zeta, n).values) for phi, zeta in zetas.items()]
-    return mu_cols, forward, inverse
+    basis = _basis(p, w, rho)
+    zetas = {phi: zeta_irr(p, w, phi) for phi in principal_block_filter(enumerate_irr_wreath(p, w), p)}
+    forward = [R_mu(basis, irr_class_function(lam), p, w).values for lam in partitions_with_core(n, rho, p)]
+    inverse = [(phi, zeta.values, I_mu(basis, zeta, n).values) for phi, zeta in zetas.items()]
+    return basis, forward, inverse
 
 
 def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     """The transforms restrict to the bijection and its inverse, and kill
     class functions orthogonal to the blocks."""
     rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
-    mu_cols, forward, inverse = _transfers(p, w, rho)
-    for lam, _, got in forward:
-        want = isometry_image(lam, rho, p).values
+    basis, forward, inverse = _transfers(p, w, rho)
+    block = partitions_with_core(p * w + sum(rho), rho, p)
+    for lam, want, got in zip(block, basis[1], forward):
         rep.add({"lambda": format_partition(lam), "map": "forward"}, got == want)
-    block = {lam for lam, _, _ in forward}
+    members = set(block)
     for lam in enumerate_partitions(p * w + sum(rho)):
-        if lam in block:
-            continue
-        got = R_mu(mu_cols, irr_class_function(lam), p, w)
-        rep.add({"lambda": format_partition(lam), "map": "kill"}, got.is_zero())
+        if lam not in members:
+            got = R_mu(basis, irr_class_function(lam), p, w)
+            rep.add({"lambda": format_partition(lam), "map": "kill"}, got.is_zero())
     # Reading phi at the hook with leg i inverts lambda_psi.
     hooks = [enumerate_partitions(p).index(hook_partition(i, p)) for i in range(p)]
     for phi, _, got in inverse:
@@ -145,12 +146,11 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
     side does the same with the principal irreducibles."""
     rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
-    _, forward, inverse = _transfers(p, w, rho)
+    (chis, _), chi_images, inverse = _transfers(p, w, rho)
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     sn_types = [tp_p(tau, p) for tau in classes]
     wr_types = [tp_wr(lbl, p) for lbl in labels]
-    _, chis, chi_images = zip(*forward)
     _, zetas, zeta_images = zip(*inverse)
     sn, wr = sn_space(n), wreath_space(p, w)
     for m in range(w + 1):

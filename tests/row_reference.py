@@ -8,12 +8,15 @@ pushdown built from `symchar.tilde_pi_rho`.  `combination_class_function`
 induces from factors whose top characters are integer combinations, by
 linearity over `wreath.zeta_class_function`.  `dense_mu` is the bicharacter
 accumulated block character by block character, each one's image added
-into every row where its character is nonzero.
+into every row where its character is nonzero.  `dense_R_mu` and
+`dense_I_mu` are the transfers paired against the bicharacter's columns and
+rows, the route the factored `R_mu`/`I_mu` are checked against.
 
 `block_projection` and `wreath_block_projection` are the orthogonal
 projections onto the block's irreducibles and onto the principal wreath
 irreducibles, each one Fraction inner product per row; `type_report` is the
-`verify type` loop that pushes each class's dense 0/1 indicator through them.
+`verify type` loop that pushes each class's dense 0/1 indicator through them
+and then through the dense transfers of `build_mu`.
 """
 
 import itertools
@@ -24,7 +27,7 @@ from blockiso.abacus import partitions_with_core
 from blockiso.classfn import ClassFunction
 from blockiso.isometry import isometry_image
 from blockiso.partitions import enumerate_partitions, format_partition
-from blockiso.perfect import I_mu, R_mu, build_mu, in_L_lambda, tp_p
+from blockiso.perfect import build_mu, in_L_lambda, tp_p
 from blockiso.reporting import Report
 from blockiso.symchar import (
     SnClassFunction,
@@ -97,6 +100,18 @@ def dense_mu(p: int, w: int, rho):
     return rows
 
 
+def dense_R_mu(mu_rows, xi, p: int, w: int):
+    """R_mu by the bicharacter's columns: the value at a label is the inner
+    product of xi with that column."""
+    return WreathClassFunction(p, w, xi.space.pairings(xi.values, list(zip(*mu_rows))))
+
+
+def dense_I_mu(mu_rows, theta, n: int):
+    """I_mu by the bicharacter's rows: the value at a class is the inner
+    product of theta with that row."""
+    return SnClassFunction(n, theta.space.pairings(theta.values, mu_rows))
+
+
 def _project(xi, rows):
     """Orthogonal projection of xi onto the span of orthonormal integer rows."""
     coeffs = [xi.space.inner(xi.values, row) for row in rows]
@@ -125,7 +140,6 @@ def type_report(p: int, w: int, rho):
     rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
     mu_rows = build_mu(p, w, rho)
-    mu_cols = list(zip(*mu_rows))
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     sn_types = [tp_p(tau, p) for tau in classes]
@@ -142,13 +156,13 @@ def type_report(p: int, w: int, rho):
                 if not in_L_lambda(xi.values, sn_types, lam):
                     rep.add(dict(cls, side="projection"), False)
                     continue
-                image = R_mu(mu_cols, xi, p, w)
+                image = dense_R_mu(mu_rows, xi, p, w)
                 rep.add(dict(cls, side="forward"), in_L_lambda(image.values, wr_types, lam))
             for j, lbl in enumerate(labels):
                 if wr_types[j] != lam:
                     continue
                 indicator = WreathClassFunction(p, w, (int(k == j) for k in range(len(labels))))
-                image = I_mu(mu_rows, wreath_block_projection(indicator), n)
+                image = dense_I_mu(mu_rows, wreath_block_projection(indicator), n)
                 rep.add(
                     {"type": typ, "label": format_class_label(lbl), "side": "backward"},
                     in_L_lambda(image.values, sn_types, lam),

@@ -11,7 +11,7 @@ import pytest
 
 from blockiso.abacus import partitions_with_core
 from blockiso.partitions import enumerate_partitions
-from blockiso.perfect import I_mu, R_mu, build_mu
+from blockiso.perfect import I_mu, R_mu, _basis, build_mu
 from blockiso.symchar import (
     SnClassFunction,
     centralizer_order_sn,
@@ -24,9 +24,10 @@ from blockiso.wreath import (
     centralizer_order_wreath,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
+    wreath_space,
     zeta_irr,
 )
-from row_reference import block_projection, wreath_block_projection
+from row_reference import block_projection, dense_I_mu, dense_R_mu, wreath_block_projection
 
 
 def sn_reference(a, b, n):
@@ -73,8 +74,7 @@ def test_wreath_orthonormality_matches_reference():
 def test_transfers_on_fraction_inputs_match_reference():
     p, w, rho = 3, 2, (1,)
     n = p * w + sum(rho)
-    mu_rows = build_mu(p, w, rho)
-    mu_cols = list(zip(*mu_rows))
+    mu_rows, basis = build_mu(p, w, rho), _basis(p, w, rho)
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     fractional = 0
@@ -85,13 +85,37 @@ def test_transfers_on_fraction_inputs_match_reference():
         want = tuple(
             sn_reference(xi.values, [row[j] for row in mu_rows], n) for j in range(len(labels))
         )
-        assert R_mu(mu_cols, xi, p, w).values == want
+        assert R_mu(basis, xi, p, w).values == want
     assert fractional
     for j in range(len(labels)):
         indicator = WreathClassFunction(p, w, (int(k == j) for k in range(len(labels))))
         theta = wreath_block_projection(indicator)
         want = tuple(wreath_reference(theta.values, row, p, w) for row in mu_rows)
-        assert I_mu(mu_rows, theta, n).values == want
+        assert I_mu(basis, theta, n).values == want
+
+
+@pytest.mark.parametrize("p, w, rho", [(5, 2, ()), (5, 2, (1,))])
+def test_factored_transfers_match_the_dense_bicharacter(p, w, rho):
+    # At p = 5 both groups have irreducibles outside the block, and every
+    # input keeps a component there, which the transfers must kill.
+    st = pytest.importorskip("hypothesis.strategies")
+    from hypothesis import assume, given, settings
+
+    n = p * w + sum(rho)
+    mu_rows, basis = build_mu(p, w, rho), _basis(p, w, rho)
+    entries = st.integers(-50, 50) | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+    sn_values = st.tuples(*[entries] * len(sn_space(n).labels))
+    wr_values = st.tuples(*[entries] * len(wreath_space(p, w).labels))
+
+    @settings(max_examples=30, deadline=None, database=None)
+    @given(sn_values, wr_values)
+    def check(a, b):
+        xi, theta = SnClassFunction(n, a), WreathClassFunction(p, w, b)
+        assume(block_projection(xi, p, rho) != xi and wreath_block_projection(theta) != theta)
+        assert R_mu(basis, xi, p, w).values == dense_R_mu(mu_rows, xi, p, w).values
+        assert I_mu(basis, theta, n).values == dense_I_mu(mu_rows, theta, n).values
+
+    check()
 
 
 def test_block_projection_matches_reference():

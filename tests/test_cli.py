@@ -385,6 +385,10 @@ def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):
         # a core larger than n leaves a negative multiple of p
         ("table", "--n", "2", "--p", "2", "--core", "3,2,1"),
         ("table", "--n", "4", "--p", "2", "--core", "3,2,1"),
+        # an --out that cannot be written: a missing directory, or a directory
+        ("core", "--p", "2", "--partition", "1", "--out", "/nonexistent/x"),
+        ("verify", "type", "--p", "5", "--w", "4", "--out", "/nonexistent/x"),
+        ("core", "--p", "2", "--partition", "1", "--out", "."),
     ] + weight_zero + unread:
         rc = cli.main(list(argv))
         captured = capsys.readouterr()

@@ -25,7 +25,6 @@ from blockiso.wreath import (
     principal_block_filter,
     zeta_irr,
 )
-import row_reference
 from lattice_reference import perfproj_report
 from row_reference import dense_mu, type_report
 
@@ -67,23 +66,22 @@ def test_mu_matrix_matches_dense_reference():
 
 def test_transform_recovers_images():
     for p, w, rho in ((2, 1, ()), (2, 2, ())):
-        rows = build_mu(p, w, rho)
-        cols = list(zip(*rows))
+        basis = perfect._basis(p, w, rho)
         n = p * w + sum(rho)
         for lam in partitions_with_core(n, rho, p):
             xi = irr_class_function(lam)
             image = isometry_image(lam, rho, p)
-            assert R_mu(cols, xi, p, w).values == image.values
-            back = I_mu(rows, image, n)
+            assert R_mu(basis, xi, p, w).values == image.values
+            back = I_mu(basis, image, n)
             assert back.values == xi.values
 
 
 def test_transform_kills_other_blocks():
     # a character from a different block transforms to zero: for p = 2 and
     # n = 3 the core (1) block misses (2,1), which is its own core
-    rows = build_mu(2, 1, (1,))
+    basis = perfect._basis(2, 1, (1,))
     xi = irr_class_function((2, 1))
-    assert all(v == 0 for v in R_mu(list(zip(*rows)), xi, 2, 1).values)
+    assert all(v == 0 for v in R_mu(basis, xi, 2, 1).values)
 
 
 def test_verify_transfer():
@@ -116,18 +114,19 @@ def test_verify_type_matches_dense_projection_reference():
 
 
 def test_verify_type_fails_on_an_off_type_entry(monkeypatch):
-    real_build_mu = build_mu
+    real_basis = perfect._basis
 
     def injected(p, w, rho):
-        # one entry at the identity class and the first label, whose types
-        # differ, so the identity's forward image and the first label's
-        # backward image leave their strata
-        rows = real_build_mu(p, w, rho)
-        rows[-1][0] += 1
-        return rows
+        # the last block member's image gains 1 at the first label, so the
+        # bicharacter gains that member's character in the first label's
+        # column: nonzero at the identity class, whose type differs from the
+        # first label's, so the identity's forward image and the first
+        # label's backward image leave their strata.  The oracle reads the
+        # same fault through build_mu.
+        chis, images = real_basis(p, w, rho)
+        return chis, images[:-1] + [(images[-1][0] + 1,) + images[-1][1:]]
 
-    monkeypatch.setattr(perfect, "build_mu", injected)
-    monkeypatch.setattr(row_reference, "build_mu", injected)
+    monkeypatch.setattr(perfect, "_basis", injected)
     for p, w, rho in ((3, 2, ()), (2, 3, ()), (3, 3, (1,))):
         rep = verify_type(p, w, rho)
         n = p * w + sum(rho)
