@@ -19,8 +19,10 @@ one stderr line.  Only the ArgumentError of an argument check exits 2; any
 other ValueError raised inside the library is an internal error, exit 4.
 
 Every subcommand is one row of COMMANDS; the parser lists them all but
-gives options only to the one a run names.  One check (`_check`) runs
-right after parsing, before any work.  In order: each integer option
+gives options only to the one a run names, and names its body in
+`blockiso.commands`, which (like `abacus` and `json`) loads only after the
+argument check.  One check (`_check`) runs right after parsing, before any
+work.  In order: each integer option
 against MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
 verify verb's --w >= 1, then every verify option the verb does not read
 (its VERIFY row names those it does) at its default, --p prime where the
@@ -42,21 +44,11 @@ insists on a prime.
 """
 
 import argparse
-import io
-import json
 import os
 import sys
 from importlib import import_module
 
-from . import abacus
-from .partitions import (
-    ArgumentError,
-    Partition,
-    enumerate_partitions,
-    format_partition,
-    is_prime,
-    parse_partition,
-)
+from .partitions import ArgumentError, Partition, is_prime, parse_partition
 
 # Smallest accepted value of each integer option, checked right after parsing.
 MINIMUM = {"p": 2, "w": 0, "e": 0, "n": 0, "max_group_order": 1}
@@ -82,10 +74,14 @@ def _lib(name: str):
     return import_module(f".{name}", __package__)
 
 
-_ENCODER = json.JSONEncoder(sort_keys=True)
+_ENCODER = None
 
 
 def _json_line(obj) -> str:
+    global _ENCODER
+    if _ENCODER is None:  # one encoder per process, built at the first record
+        import json
+        _ENCODER = json.JSONEncoder(sort_keys=True)
     return _ENCODER.encode(obj)
 
 
@@ -99,21 +95,12 @@ def _emit(text: str, out: str | None) -> None:
 
 def _csv_text(header: list, rows: list[list]) -> str:
     import csv
+    import io
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _table_text(fmt: str, meta: dict, row_key: str, values_key: str, columns: list, rows) -> str:
-    """(name, values) rows as JSON Lines, a meta line first, or as CSV under
-    a header of row_key and the column names."""
-    if fmt == "json":
-        lines = [_json_line(meta)]
-        lines.extend(_json_line({row_key: name, values_key: vals}) for name, vals in rows)
-        return "\n".join(lines) + "\n"
-    return _csv_text([row_key] + columns, [[name] + vals for name, vals in rows])
 
 
 def _guards(max_group_order: int) -> dict:
@@ -138,153 +125,7 @@ def _report_text(rep, params: dict, orderings: dict, max_group_order: int) -> st
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------- commands
-#
-# Each command takes the parsed arguments and the core `_check` returned,
-# and gives back its output text and exit code.
-
-
-def cmd_core(args, _rho) -> tuple[str, int]:
-    lam = parse_partition(args.partition)
-    out = {
-        "p": args.p,
-        "partition": format_partition(lam),
-        "core": format_partition(abacus.p_core(lam, args.p)),
-        "weight": abacus.block_weight(lam, args.p),
-    }
-    return _json_line(out) + "\n", 0
-
-
-def cmd_quotient(args, _rho) -> tuple[str, int]:
-    lam = parse_partition(args.partition)
-    quot = abacus.p_quotient(lam, args.p)
-    out = {
-        "p": args.p,
-        "partition": format_partition(lam),
-        "quotient": [format_partition(q) for q in quot],
-    }
-    return _json_line(out) + "\n", 0
-
-
-def cmd_sign(args, _rho) -> tuple[str, int]:
-    lam = parse_partition(args.partition)
-    mu = parse_partition(args.over) if args.over is not None else abacus.p_core(lam, args.p)
-    if not abacus.contains_p(lam, mu, args.p):
-        raise ArgumentError("the first partition must p-contain the second")
-    out = {
-        "p": args.p,
-        "partition": format_partition(lam),
-        "over": format_partition(mu),
-        "sign": abacus.p_sign(lam, mu, args.p),
-    }
-    return _json_line(out) + "\n", 0
-
-
-def cmd_gamma(args, rho) -> tuple[str, int]:
-    out = {
-        "p": args.p,
-        "core": format_partition(rho),
-        "gamma": list(abacus.runner_permutation(rho, args.p)),
-        "circular_start": abacus.circularly_nondecreasing(rho, args.p),
-    }
-    return _json_line(out) + "\n", 0
-
-
-def cmd_char(args, _rho) -> tuple[str, int]:
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu) if args.mu is not None else ()
-    tau = parse_partition(args.cls)
-    if sum(lam) != args.n:
-        raise ArgumentError(f"--lambda must be a partition of n={args.n}")
-    if sum(tau) != args.n - sum(mu):
-        raise ArgumentError(f"--class must be a partition of n - |mu| = {args.n - sum(mu)}")
-    out = {
-        "n": args.n,
-        "lambda": format_partition(lam),
-        "mu": format_partition(mu),
-        "class": format_partition(tau),
-        "value": _lib("symchar").mn_value(lam, mu, tau),
-    }
-    return _json_line(out) + "\n", 0
-
-
-def cmd_table(args, rho) -> tuple[str, int]:
-    n = args.n
-    if args.p is not None and (n < sum(rho) or (n - sum(rho)) % args.p):
-        raise ArgumentError("n minus the core size must be a nonnegative multiple of p")
-    classes = enumerate_partitions(n)
-    labels = classes if args.p is None else abacus.partitions_with_core(n, rho, args.p)
-    irr = _lib("symchar").irr_class_function
-    names = [format_partition(t) for t in classes]
-    rows = [(format_partition(lam), list(irr(lam).values)) for lam in labels]
-    return _table_text(args.format, {"n": n, "classes": names}, "lambda", "values", names, rows), 0
-
-
-def cmd_wchar(args, _rho) -> tuple[str, int]:
-    wreath = _lib("wreath")
-    phi = wreath.parse_pmap(args.phi, args.p, args.w)
-    label = wreath.parse_class_label(args.cls, args.p, args.w)
-    out = {
-        "p": args.p,
-        "w": args.w,
-        "phi": wreath.format_assignment(wreath.irr_names(args.p), phi),
-        "class": wreath.format_class_label(label),
-        "value": wreath.zeta_row(args.p, wreath.factors_from_pmap(phi, args.p), [label])[0],
-    }
-    return _json_line(out) + "\n", 0
-
-
-def cmd_isometry(args, rho) -> tuple[str, int]:
-    rows = _lib("isometry").build_isometry(args.p, args.w, rho)
-    lines = [
-        _json_line(
-            {
-                "lambda": format_partition(lam),
-                "sign": sign,
-                "psi": [format_partition(q) for q in psi],
-            }
-        )
-        for lam, sign, psi in rows
-    ]
-    return "\n".join(lines) + "\n", 0
-
-
-def cmd_decomp(args, _rho) -> tuple[str, int]:
-    modular, wreath = _lib("modular"), _lib("wreath")
-    matrix = modular.decomposition_matrix(args.p, args.w)
-    all_irr = wreath.enumerate_irr_wreath(args.p, args.w)
-    principal = set(wreath.principal_block_filter(all_irr, args.p))
-    cols, irr = modular.gibr_texts(args.p, args.w), wreath.irr_names(args.p)
-    rows = [(wreath.format_assignment(irr, phi), row) for phi, row in zip(all_irr, matrix) if phi in principal]
-    meta = {"p": args.p, "w": args.w, "gibr": cols}
-    return _table_text(args.format, meta, "phi", "numbers", cols, rows), 0
-
-
-def cmd_mu(args, rho) -> tuple[str, int]:
-    matrix = _lib("perfect").build_mu(args.p, args.w, rho)
-    wreath = _lib("wreath")
-    classes = [format_partition(t) for t in enumerate_partitions(args.p * args.w + sum(rho))]
-    labels = [wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(args.p, args.w)]
-    meta = {"p": args.p, "w": args.w, "core": format_partition(rho), "classes": classes, "labels": labels}
-    return _table_text(args.format, meta, "class", "values", labels, zip(classes, matrix)), 0
-
-
-def _verify_orderings(keys, p: int, w: int, rho: Partition) -> dict:
-    n = p * w + sum(rho)
-    wreath = _lib("wreath")
-    build = {
-        "block": lambda: [format_partition(lam) for lam in abacus.partitions_with_core(n, rho, p)],
-        "sn_classes": lambda: [format_partition(t) for t in enumerate_partitions(n)],
-        "wreath_classes": lambda: [
-            wreath.format_class_label(l) for l in wreath.enumerate_wreath_classes(p, w)
-        ],
-        "gibr": lambda: _lib("modular").gibr_texts(p, w),
-        "regular_classes": lambda: [
-            wreath.format_class_label(l) for l in _lib("modular").regular_wreath_classes(p, w)
-        ],
-    }
-    return {key: build[key]() for key in keys}
-
+# ------------------------------------------------------------ verify verbs
 
 _BLOCK_WREATH = ("block", "wreath_classes")
 _BLOCK_SN_WREATH = ("block", "sn_classes", "wreath_classes")
@@ -293,9 +134,9 @@ _BLOCK_SN_WREATH = ("block", "sn_classes", "wreath_classes")
 # library function, the verify options the verb reads besides --p and --w,
 # and the keys of the orderings its meta line carries.  The function is
 # looked up when the verb runs, so a wrapper later bound on its module is
-# the one run.  `cmd_verify` passes the read options on (--max-group-order
-# only feeds the group-order guard), and `_check` refuses every other
-# verify option away from its default.
+# the one run.  `commands.cmd_verify` passes the read options on
+# (--max-group-order only feeds the group-order guard), and `_check`
+# refuses every other verify option away from its default.
 VERIFY = {
     "main": (False, lambda: _lib("isometry").verify_main, "core", _BLOCK_WREATH),
     "val": (True, lambda: _lib("isometry").verify_val, "", _BLOCK_WREATH),
@@ -314,17 +155,6 @@ VERIFY = {
 VERIFY_VERBS = tuple(VERIFY)
 # Every option some verify verb reads besides --p and --w, each with a default.
 _VERIFY_OPTIONS = sorted({name for _, _, reads, _ in VERIFY.values() for name in reads.split()})
-
-
-def cmd_verify(args, rho) -> tuple[str, int]:
-    _, verb_fn, reads, keys = VERIFY[args.what]
-    given = {"core": rho, "e": args.e}
-    rep = verb_fn()(args.p, args.w, *(given[name] for name in reads.split() if name in given))
-    if not rep.records:
-        raise RuntimeError(f"verify {args.what} produced no records")
-    params = {"p": args.p, "w": args.w, "e": args.e, "core": format_partition(rho)}
-    orderings = _verify_orderings(keys, args.p, args.w, rho)
-    return _report_text(rep, params, orderings, args.max_group_order), 0 if rep.ok else 1
 
 
 # ------------------------------------------------------------------ parser
@@ -357,23 +187,39 @@ _OPTIONS = {
     "wchar class": ("--class", dict(dest="cls", required=True, help="label k1:c1,k2:c2,...")),
 }
 
-# Every subcommand, in help order: its help line, its command, whether --p
-# must be prime (None: as VERIFY says for the verb), whether it builds wreath
-# classes (and so is held to the wreath guard), and its options.
+# Every subcommand, in help order: its help line, its body (read off the
+# `commands` module when the command runs, so a wrapper later bound there is
+# the one run), whether --p must be prime (None: as VERIFY says for the
+# verb), whether it builds wreath classes (and so is held to the wreath
+# guard), and its options.
 COMMANDS = {
-    "core": ("p-core of a partition", cmd_core, False, False, "p out partition"),
-    "quotient": ("p-quotient of a partition", cmd_quotient, False, False, "p out partition"),
-    "sign": ("bead-push sign between p-compatible partitions", cmd_sign, False, False, "p out partition over"),
-    "gamma": ("runner permutation of a p-core", cmd_gamma, False, False, "p out core"),
-    "char": ("one symmetric-group (skew) character value", cmd_char, False, False, "n lambda mu class out"),
-    "table": (
-        "symmetric-group character table, optionally one block", cmd_table, True, False, "n p core out format"
+    "core": ("p-core of a partition", lambda c: c.cmd_core, False, False, "p out partition"),
+    "quotient": ("p-quotient of a partition", lambda c: c.cmd_quotient, False, False, "p out partition"),
+    "sign": (
+        "bead-push sign between p-compatible partitions", lambda c: c.cmd_sign, False, False, "p out partition over"
     ),
-    "wchar": ("one wreath-product irreducible character value", cmd_wchar, True, True, "p w out phi class"),
-    "isometry": ("signed bijection table for one block", cmd_isometry, False, False, "p w out core"),
-    "verify": ("run one verification suite", cmd_verify, None, True, "what p w out e core max-group-order"),
-    "decomp": ("decomposition matrix of the wreath principal block", cmd_decomp, True, True, "p w out format"),
-    "mu": ("bicharacter matrix of the block bijection", cmd_mu, True, True, "p w out format core"),
+    "gamma": ("runner permutation of a p-core", lambda c: c.cmd_gamma, False, False, "p out core"),
+    "char": (
+        "one symmetric-group (skew) character value", lambda c: c.cmd_char, False, False, "n lambda mu class out"
+    ),
+    "table": (
+        "symmetric-group character table, optionally one block",
+        lambda c: c.cmd_table,
+        True,
+        False,
+        "n p core out format",
+    ),
+    "wchar": (
+        "one wreath-product irreducible character value", lambda c: c.cmd_wchar, True, True, "p w out phi class"
+    ),
+    "isometry": ("signed bijection table for one block", lambda c: c.cmd_isometry, False, False, "p w out core"),
+    "verify": (
+        "run one verification suite", lambda c: c.cmd_verify, None, True, "what p w out e core max-group-order"
+    ),
+    "decomp": (
+        "decomposition matrix of the wreath principal block", lambda c: c.cmd_decomp, True, True, "p w out format"
+    ),
+    "mu": ("bicharacter matrix of the block bijection", lambda c: c.cmd_mu, True, True, "p w out format core"),
 }
 
 
@@ -425,7 +271,7 @@ def _check(args) -> Partition | None:
             raise ArgumentError(f"p={p} must be prime for this command")
         if hasattr(args, "core"):
             rho = parse_partition(args.core)
-            if not abacus.is_core(rho, p):
+            if not _lib("abacus").is_core(rho, p):
                 raise ArgumentError(f"{args.core!r} is not a {p}-core")
     if args.out and (os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or ".")):
         raise ArgumentError(f"--out={args.out} names no file in an existing directory")
@@ -468,7 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text, code = COMMANDS[args.command][1](args, _check(args))
+        rho = _check(args)
+        text, code = COMMANDS[args.command][1](_lib("commands"))(args, rho)
         _emit(text, args.out)
         return code
     except GuardExceeded as exc:

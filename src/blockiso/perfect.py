@@ -104,7 +104,10 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
     basis, forward, inverse = _transfers(p, w, rho)
     block = partitions_with_core(p * w + sum(rho), rho, p)
-    for lam, want, got in zip(block, basis[1], forward):
+    # Each image is read from isometry_row, not from the basis R_mu combines.
+    for lam, got in zip(block, forward):
+        sign, psi = isometry_row(lam, rho, p)
+        want = zeta_irr(p, w, lambda_psi(psi, p)).scaled(sign).values
         rep.add({"lambda": format_partition(lam), "map": "forward"}, got == want)
     members = set(block)
     for lam in enumerate_partitions(p * w + sum(rho)):

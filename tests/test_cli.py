@@ -7,6 +7,7 @@ passes.
 """
 
 import argparse
+import ast
 import csv
 import hashlib
 import importlib
@@ -581,3 +582,41 @@ def test_parser_surface_frozen():
             if not isinstance(a, argparse._HelpAction)
         }
         assert surface == PARSER_SURFACE[name], name
+
+
+def _bench_emit_names() -> tuple:
+    """`EMIT` of the benchmark's tracer, read from its source: the output
+    boundaries of `cli` whose spans make up the traced `cli.emit_s`."""
+    tree = ast.parse((Path(__file__).resolve().parent.parent / "bench" / "tracer.py").read_text(encoding="utf-8"))
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["EMIT"]
+    )
+
+
+def test_bench_emit_names_are_cli_functions():
+    names = _bench_emit_names()
+    assert {"cli._json_line", "cli._csv_text"} <= set(names)
+    for name in names:
+        module, attr = name.split(".")
+        assert module == "cli" and callable(getattr(cli, attr)), name
+
+
+def test_output_passes_through_the_cli_emit_helpers(capsys, monkeypatch):
+    # Loaded before the patch, so a helper it bound at import would miss the counters.
+    importlib.import_module("blockiso.commands")
+    calls = {"_json_line": 0, "_csv_text": 0}
+    for name in calls:
+
+        def counted(*args, _real=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    rc, out = run(capsys, "core", "--p", "3", "--partition", "4,2,1")
+    assert (rc, out) == (0, '{"core": "1", "p": 3, "partition": "4,2,1", "weight": 2}\n')
+    assert calls == {"_json_line": 1, "_csv_text": 0}
+    rc, out = run(capsys, "decomp", "--p", "2", "--w", "2")
+    assert rc == 0 and out.startswith("phi,")
+    assert calls == {"_json_line": 1, "_csv_text": 1}

@@ -14,15 +14,19 @@ from pathlib import Path
 import blockiso
 
 SRC = str(Path(blockiso.__file__).resolve().parent.parent)
-# What `import blockiso.cli` and a parser build may load.
-LIGHT = {f"blockiso.{m}" for m in ("cli", "partitions", "abacus")}
+# What `import blockiso.cli` and a parser build load: the command bodies
+# (`blockiso.commands`) and `abacus` wait until the arguments pass their check.
+LIGHT = {f"blockiso.{m}" for m in ("cli", "partitions")}
 # Standard modules that neither the import nor a `core` run may load.
 UNUSED = {"__future__", "csv", "dataclasses", "fractions"}
+# Standard modules that only output needs, loaded with its first record (`io`
+# is not among them: the interpreter loads it at start-up for sys.stdout).
+OUTPUT = {"csv", "json"}
 # Exact-rational modules that runs with integral inner products never need.
 RATIONAL = {"fractions", "decimal"}
 
 PRELUDE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 start = set(sys.modules)
 
 def loaded():
@@ -31,6 +35,10 @@ def loaded():
 def run(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return main(argv)
+
+def report(**fields):
+    import json
+    print(json.dumps(fields))
 """
 
 
@@ -48,31 +56,43 @@ def test_parser_build_loads_no_library_module():
     got = fresh(
         "from blockiso.cli import build_parser, main\n"
         "build_parser()\n"
-        "print(json.dumps({'loaded': loaded(), 'new': sorted(set(sys.modules) - start)}))\n"
+        "report(loaded=loaded(), new=sorted(set(sys.modules) - start))\n"
     )
-    assert set(got["loaded"]) <= LIGHT, got
-    assert not UNUSED & set(got["new"]), got
+    assert set(got["loaded"]) == LIGHT, got
+    assert not (UNUSED | OUTPUT) & set(got["new"]), got
 
 
-def test_core_adds_at_most_abacus():
+def test_core_adds_only_abacus_and_commands():
     got = fresh(
         "from blockiso.cli import build_parser, main\n"
         "build_parser()\n"
         "before, modules = loaded(), set(sys.modules)\n"
         "rc = run(['core', '--p', '3', '--partition', '4,2,1'])\n"
-        "print(json.dumps({'rc': rc, 'added': sorted(set(loaded()) - set(before)),"
-        " 'new': sorted(set(sys.modules) - modules)}))\n"
+        "report(rc=rc, added=sorted(set(loaded()) - set(before)), new=sorted(set(sys.modules) - modules))\n"
     )
     assert got["rc"] == 0
-    assert set(got["added"]) <= {"blockiso.abacus"}, got
+    assert set(got["added"]) == {"blockiso.abacus", "blockiso.commands"}, got
+    assert "json" in got["new"]
     assert not UNUSED & set(got["new"]), got
+
+
+def test_help_and_early_argument_errors_load_no_command_body():
+    # --p 1 fails the first check, before the --core step loads abacus.
+    got = fresh(
+        "from blockiso.cli import main\n"
+        "rcs = [run(['core', '--help']), run(['core', '--p', '1', '--partition', '2'])]\n"
+        "report(rcs=rcs, loaded=loaded(), new=sorted(set(sys.modules) - start))\n"
+    )
+    assert got["rcs"] == [0, 2]
+    assert set(got["loaded"]) == LIGHT, got
+    assert not OUTPUT & set(got["new"]), got
 
 
 def test_verify_main_skips_perfect_and_modular():
     got = fresh(
         "from blockiso.cli import main\n"
         "rc = run(['verify', 'main', '--p', '2', '--w', '2'])\n"
-        "print(json.dumps({'rc': rc, 'loaded': loaded()}))\n"
+        "report(rc=rc, loaded=loaded())\n"
     )
     assert got["rc"] == 0
     assert "blockiso.isometry" in got["loaded"]
@@ -83,7 +103,7 @@ def test_mu_and_verify_sep_skip_modular():
     got = fresh(
         "from blockiso.cli import main\n"
         "rcs = [run(['mu', '--p', '2', '--w', '2']), run(['verify', 'sep', '--p', '2', '--w', '2'])]\n"
-        "print(json.dumps({'rcs': rcs, 'loaded': loaded(), 'new': sorted(set(sys.modules) - start)}))\n"
+        "report(rcs=rcs, loaded=loaded(), new=sorted(set(sys.modules) - start))\n"
     )
     assert got["rcs"] == [0, 0]
     assert "blockiso.perfect" in got["loaded"]
@@ -98,7 +118,7 @@ def test_lattice_loads_only_for_perfproj():
         " run(['decomp', '--p', '2', '--w', '2'])]\n"
         "before, new = loaded(), sorted(set(sys.modules) - start)\n"
         "rcs.append(run(['verify', 'perfproj', '--p', '2', '--w', '2']))\n"
-        "print(json.dumps({'rcs': rcs, 'before': before, 'new': new, 'after': loaded()}))\n"
+        "report(rcs=rcs, before=before, new=new, after=loaded())\n"
     )
     assert got["rcs"] == [0, 0, 0]
     assert {"blockiso.wreath", "blockiso.modular"} <= set(got["before"]), got
@@ -115,7 +135,7 @@ def test_public_names_resolve_to_their_home_objects():
         "names = [n for n in blockiso.__all__ if n != '__version__']\n"
         "same = {n: getattr(blockiso, n) is getattr("
         "importlib.import_module('blockiso.' + blockiso._HOME[n]), n) for n in names}\n"
-        "print(json.dumps({'bare': bare, 'same': same, 'version': blockiso.__version__}))\n"
+        "report(bare=bare, same=same, version=blockiso.__version__)\n"
     )
     assert got["bare"] == []
     assert got["version"] == blockiso.__version__
@@ -130,8 +150,7 @@ def test_no_module_imports_dataclasses():
         "names = [info.name for info in pkgutil.iter_modules(blockiso.__path__)]\n"
         "for name in names:\n"
         "    importlib.import_module('blockiso.' + name)\n"
-        "print(json.dumps({'names': names,"
-        " 'dataclasses': 'dataclasses' in sys.modules and 'dataclasses' not in start}))\n"
+        "report(names=names, dataclasses='dataclasses' in sys.modules and 'dataclasses' not in start)\n"
     )
     assert {"cli", "classfn", "reporting", "perfect"} <= set(got["names"])
     assert not got["dataclasses"]

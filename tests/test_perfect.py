@@ -92,6 +92,15 @@ def test_verify_transfer():
         assert rep.ok, rep.failures()
 
 
+def test_verify_transfer_fails_on_a_wrong_image(monkeypatch):
+    # R_mu combines the negated images, so every forward and inverse record
+    # fails: the forward records read each image from isometry_row instead.
+    monkeypatch.setattr(perfect, "isometry_image", lambda lam, rho, p: isometry_image(lam, rho, p).scaled(-1))
+    rep = verify_transfer(3, 2, ())
+    failed = [r["parameters"]["map"] for r in rep.failures()]
+    assert failed == ["forward"] * 9 + ["inverse"] * 9, failed
+
+
 def test_verify_sep():
     small = ((2, 1, ()), (2, 2, ()), (3, 1, ()), (2, 2, (1,)))
     cases = ((2, 8, ()), (3, 5, ()), (7, 2, ()), (3, 4, (1,)), (2, 6, (1,)), (7, 2, (1,)))
