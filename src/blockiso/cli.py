@@ -19,11 +19,11 @@ one stderr line.  Only the ArgumentError of an argument check exits 2; any
 other ValueError raised inside the library is an internal error, exit 4.
 
 Every subcommand is one row of COMMANDS; the parser lists them all but
-gives options only to the one a run names, and names its body in
-`blockiso.commands`, which (like `abacus` and `json`) loads only after the
-argument check.  One check (`_check`) runs right after parsing, before any
-work.  In order: each integer option
-against MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
+gives options only to the one a run names.  Its body is
+`blockiso.commands._cmd_<name>`; that module (like `abacus` and `json`)
+loads only after the argument check.  One check (`_check`) runs right
+after parsing, before any work.  In order: each integer option against
+MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
 verify verb's --w >= 1, then every verify option the verb does not read
 (its VERIFY row names those it does) at its default, --p prime where the
 command needs it, and --core a --p-core wherever the command takes --core;
@@ -134,7 +134,7 @@ _BLOCK_SN_WREATH = ("block", "sn_classes", "wreath_classes")
 # library function, the verify options the verb reads besides --p and --w,
 # and the keys of the orderings its meta line carries.  The function is
 # looked up when the verb runs, so a wrapper later bound on its module is
-# the one run.  `commands.cmd_verify` passes the read options on
+# the one run.  `commands._cmd_verify` passes the read options on
 # (--max-group-order only feeds the group-order guard), and `_check`
 # refuses every other verify option away from its default.
 VERIFY = {
@@ -187,39 +187,23 @@ _OPTIONS = {
     "wchar class": ("--class", dict(dest="cls", required=True, help="label k1:c1,k2:c2,...")),
 }
 
-# Every subcommand, in help order: its help line, its body (read off the
-# `commands` module when the command runs, so a wrapper later bound there is
-# the one run), whether --p must be prime (None: as VERIFY says for the
-# verb), whether it builds wreath classes (and so is held to the wreath
-# guard), and its options.
+# Every subcommand, in help order: its help line, whether --p must be prime
+# (None: as VERIFY says for the verb), whether it builds wreath classes (and
+# so is held to the wreath guard), and its options.  Its body is
+# `commands._cmd_<name>`, looked up when the command runs, so a wrapper
+# later bound there is the one run.
 COMMANDS = {
-    "core": ("p-core of a partition", lambda c: c.cmd_core, False, False, "p out partition"),
-    "quotient": ("p-quotient of a partition", lambda c: c.cmd_quotient, False, False, "p out partition"),
-    "sign": (
-        "bead-push sign between p-compatible partitions", lambda c: c.cmd_sign, False, False, "p out partition over"
-    ),
-    "gamma": ("runner permutation of a p-core", lambda c: c.cmd_gamma, False, False, "p out core"),
-    "char": (
-        "one symmetric-group (skew) character value", lambda c: c.cmd_char, False, False, "n lambda mu class out"
-    ),
-    "table": (
-        "symmetric-group character table, optionally one block",
-        lambda c: c.cmd_table,
-        True,
-        False,
-        "n p core out format",
-    ),
-    "wchar": (
-        "one wreath-product irreducible character value", lambda c: c.cmd_wchar, True, True, "p w out phi class"
-    ),
-    "isometry": ("signed bijection table for one block", lambda c: c.cmd_isometry, False, False, "p w out core"),
-    "verify": (
-        "run one verification suite", lambda c: c.cmd_verify, None, True, "what p w out e core max-group-order"
-    ),
-    "decomp": (
-        "decomposition matrix of the wreath principal block", lambda c: c.cmd_decomp, True, True, "p w out format"
-    ),
-    "mu": ("bicharacter matrix of the block bijection", lambda c: c.cmd_mu, True, True, "p w out format core"),
+    "core": ("p-core of a partition", False, False, "p out partition"),
+    "quotient": ("p-quotient of a partition", False, False, "p out partition"),
+    "sign": ("bead-push sign between p-compatible partitions", False, False, "p out partition over"),
+    "gamma": ("runner permutation of a p-core", False, False, "p out core"),
+    "char": ("one symmetric-group (skew) character value", False, False, "n lambda mu class out"),
+    "table": ("symmetric-group character table, optionally one block", True, False, "n p core out format"),
+    "wchar": ("one wreath-product irreducible character value", True, True, "p w out phi class"),
+    "isometry": ("signed bijection table for one block", False, False, "p w out core"),
+    "verify": ("run one verification suite", None, True, "what p w out e core max-group-order"),
+    "decomp": ("decomposition matrix of the wreath principal block", True, True, "p w out format"),
+    "mu": ("bicharacter matrix of the block bijection", True, True, "p w out format core"),
 }
 
 
@@ -232,7 +216,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Exact block/wreath character computations and verifications.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _, _, options) in COMMANDS.items():
+    for name, (help_text, _, _, options) in COMMANDS.items():
         sub = subs.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
             for option in options.split():
@@ -252,7 +236,7 @@ def _check(args) -> Partition | None:
         if value is not None and value < low:
             option = name.replace("_", "-")
             raise ArgumentError(f"--{option}={value} must be >= {low}")
-    _, _, prime, wreath, _ = COMMANDS[args.command]
+    _, prime, wreath, _ = COMMANDS[args.command]
     if args.command == "verify":
         if args.w < 1:
             raise ArgumentError(f"verify {args.what} needs w >= 1, got w={args.w}")
@@ -315,7 +299,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         rho = _check(args)
-        text, code = COMMANDS[args.command][1](_lib("commands"))(args, rho)
+        text, code = getattr(_lib("commands"), f"_cmd_{args.command}")(args, rho)
         _emit(text, args.out)
         return code
     except GuardExceeded as exc:

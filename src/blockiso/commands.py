@@ -2,7 +2,8 @@
 
 `cli.main` loads this module only once the arguments have passed `_check`,
 so `--help`, an argument error and a bare `import blockiso.cli` compile
-none of it.  Each command takes the parsed arguments and the core `_check`
+none of it.  The body of command `name` is `_cmd_<name>`, which `cli.main`
+looks up by name; it takes the parsed arguments and the core `_check`
 returned, and gives back its output text and exit code.  Output is built
 through `cli`'s emit helpers and `cli.VERIFY`, read as attributes of `cli`
 when a command runs, so a wrapper later bound on `cli` is the one run.
@@ -23,7 +24,7 @@ def _table_text(fmt: str, meta: dict, row_key: str, values_key: str, columns: li
     return cli._csv_text([row_key] + columns, [[name] + vals for name, vals in rows])
 
 
-def cmd_core(args, _rho) -> tuple[str, int]:
+def _cmd_core(args, _rho) -> tuple[str, int]:
     lam = parse_partition(args.partition)
     out = {
         "p": args.p,
@@ -34,7 +35,7 @@ def cmd_core(args, _rho) -> tuple[str, int]:
     return cli._json_line(out) + "\n", 0
 
 
-def cmd_quotient(args, _rho) -> tuple[str, int]:
+def _cmd_quotient(args, _rho) -> tuple[str, int]:
     lam = parse_partition(args.partition)
     quot = abacus.p_quotient(lam, args.p)
     out = {
@@ -45,7 +46,7 @@ def cmd_quotient(args, _rho) -> tuple[str, int]:
     return cli._json_line(out) + "\n", 0
 
 
-def cmd_sign(args, _rho) -> tuple[str, int]:
+def _cmd_sign(args, _rho) -> tuple[str, int]:
     lam = parse_partition(args.partition)
     mu = parse_partition(args.over) if args.over is not None else abacus.p_core(lam, args.p)
     if not abacus.contains_p(lam, mu, args.p):
@@ -59,7 +60,7 @@ def cmd_sign(args, _rho) -> tuple[str, int]:
     return cli._json_line(out) + "\n", 0
 
 
-def cmd_gamma(args, rho) -> tuple[str, int]:
+def _cmd_gamma(args, rho) -> tuple[str, int]:
     out = {
         "p": args.p,
         "core": format_partition(rho),
@@ -69,7 +70,7 @@ def cmd_gamma(args, rho) -> tuple[str, int]:
     return cli._json_line(out) + "\n", 0
 
 
-def cmd_char(args, _rho) -> tuple[str, int]:
+def _cmd_char(args, _rho) -> tuple[str, int]:
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu) if args.mu is not None else ()
     tau = parse_partition(args.cls)
@@ -87,7 +88,7 @@ def cmd_char(args, _rho) -> tuple[str, int]:
     return cli._json_line(out) + "\n", 0
 
 
-def cmd_table(args, rho) -> tuple[str, int]:
+def _cmd_table(args, rho) -> tuple[str, int]:
     n = args.n
     if args.p is not None and (n < sum(rho) or (n - sum(rho)) % args.p):
         raise ArgumentError("n minus the core size must be a nonnegative multiple of p")
@@ -99,7 +100,7 @@ def cmd_table(args, rho) -> tuple[str, int]:
     return _table_text(args.format, {"n": n, "classes": names}, "lambda", "values", names, rows), 0
 
 
-def cmd_wchar(args, _rho) -> tuple[str, int]:
+def _cmd_wchar(args, _rho) -> tuple[str, int]:
     wreath = _lib("wreath")
     phi = wreath.parse_pmap(args.phi, args.p, args.w)
     label = wreath.parse_class_label(args.cls, args.p, args.w)
@@ -113,7 +114,7 @@ def cmd_wchar(args, _rho) -> tuple[str, int]:
     return cli._json_line(out) + "\n", 0
 
 
-def cmd_isometry(args, rho) -> tuple[str, int]:
+def _cmd_isometry(args, rho) -> tuple[str, int]:
     rows = _lib("isometry").build_isometry(args.p, args.w, rho)
     lines = [
         cli._json_line(
@@ -128,7 +129,7 @@ def cmd_isometry(args, rho) -> tuple[str, int]:
     return "\n".join(lines) + "\n", 0
 
 
-def cmd_decomp(args, _rho) -> tuple[str, int]:
+def _cmd_decomp(args, _rho) -> tuple[str, int]:
     modular, wreath = _lib("modular"), _lib("wreath")
     matrix = modular.decomposition_matrix(args.p, args.w)
     all_irr = wreath.enumerate_irr_wreath(args.p, args.w)
@@ -139,7 +140,7 @@ def cmd_decomp(args, _rho) -> tuple[str, int]:
     return _table_text(args.format, meta, "phi", "numbers", cols, rows), 0
 
 
-def cmd_mu(args, rho) -> tuple[str, int]:
+def _cmd_mu(args, rho) -> tuple[str, int]:
     matrix = _lib("perfect").build_mu(args.p, args.w, rho)
     wreath = _lib("wreath")
     classes = [format_partition(t) for t in enumerate_partitions(args.p * args.w + sum(rho))]
@@ -165,7 +166,7 @@ def _verify_orderings(keys, p: int, w: int, rho: Partition) -> dict:
     return {key: build[key]() for key in keys}
 
 
-def cmd_verify(args, rho) -> tuple[str, int]:
+def _cmd_verify(args, rho) -> tuple[str, int]:
     _, verb_fn, reads, keys = cli.VERIFY[args.what]
     given = {"core": rho, "e": args.e}
     rep = verb_fn()(args.p, args.w, *(given[name] for name in reads.split() if name in given))

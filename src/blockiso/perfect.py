@@ -26,6 +26,7 @@ from .symchar import (
     centralizer_order_sn,
     character_value,
     irr_class_function,
+    mn_value,
     sn_space,
 )
 from .wreath import (
@@ -35,6 +36,7 @@ from .wreath import (
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     format_class_label,
+    labels_in_U_s,
     lambda_psi,
     principal_block_filter,
     tp_wr,
@@ -104,11 +106,15 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
     basis, forward, inverse = _transfers(p, w, rho)
     block = partitions_with_core(p * w + sum(rho), rho, p)
-    # Each image is read from isometry_row, not from the basis R_mu combines.
-    for lam, got in zip(block, forward):
-        sign, psi = isometry_row(lam, rho, p)
-        want = zeta_irr(p, w, lambda_psi(psi, p)).scaled(sign).values
-        rep.add({"lambda": format_partition(lam), "map": "forward"}, got == want)
+    # mu is built from the images, so R_mu giving them back checks the
+    # transform alone.  The pushdown lam/rho (mn_value, which never reads the
+    # bijection) checks the images too, on the labels in U_w, where the two
+    # agree (verify main).
+    labels = labels_in_U_s(p, w, w)
+    at, taus = [wreath_space(p, w).index[lbl] for lbl in labels], [embed_to_sn(lbl) for lbl in labels]
+    for lam, image, got in zip(block, basis[1], forward):
+        pushed = [mn_value(lam, rho, tau) for tau in taus]
+        rep.add({"lambda": format_partition(lam), "map": "forward"}, got == image and [got[i] for i in at] == pushed)
     members = set(block)
     for lam in enumerate_partitions(p * w + sum(rho)):
         if lam not in members:

@@ -16,7 +16,7 @@ def build_full_parser() -> argparse.ArgumentParser:
         description="Exact block/wreath character computations and verifications.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _, _, _, options) in COMMANDS.items():
+    for command, (help_text, _, _, options) in COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
         for name in options.split():
             flag, spec = _OPTIONS.get(f"{command} {name}", _OPTIONS[name])

@@ -154,3 +154,17 @@ def test_no_module_imports_dataclasses():
     )
     assert {"cli", "classfn", "reporting", "perfect"} <= set(got["names"])
     assert not got["dataclasses"]
+
+
+def test_python_m_blockiso_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    ok = subprocess.run(
+        [sys.executable, "-m", "blockiso", "core", "--p", "3", "--partition", "4,2,1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (ok.returncode, ok.stdout) == (0, '{"core": "1", "p": 3, "partition": "4,2,1", "weight": 2}\n')
+    bad = subprocess.run(
+        [sys.executable, "-m", "blockiso", "core", "--p", "1", "--partition", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert bad.returncode == 2 and bad.stderr.startswith("invalid arguments:")

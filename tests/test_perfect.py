@@ -1,5 +1,7 @@
 """Transfer, separation, and lattice behaviour of the signed bijection."""
 
+import pytest
+
 from blockiso import modular, perfect
 from blockiso.abacus import partitions_with_core
 from blockiso.classfn import ClassFunction
@@ -92,10 +94,15 @@ def test_verify_transfer():
         assert rep.ok, rep.failures()
 
 
-def test_verify_transfer_fails_on_a_wrong_image(monkeypatch):
-    # R_mu combines the negated images, so every forward and inverse record
-    # fails: the forward records read each image from isometry_row instead.
-    monkeypatch.setattr(perfect, "isometry_image", lambda lam, rho, p: isometry_image(lam, rho, p).scaled(-1))
+@pytest.mark.parametrize("shift", [0, 1])
+def test_verify_transfer_fails_on_a_wrong_image(monkeypatch, shift):
+    # Negated images (shift 0), or each member sent to the next one's image
+    # (shift 1).  mu is built from the same wrong images, so R_mu still gives
+    # them back; the forward records fail on the pushdown lam/rho instead.
+    block = partitions_with_core(6, (), 3)
+    wrong = {lam: block[(i + shift) % len(block)] for i, lam in enumerate(block)}
+    sign = -1 if shift == 0 else 1
+    monkeypatch.setattr(perfect, "isometry_image", lambda lam, rho, p: isometry_image(wrong[lam], rho, p).scaled(sign))
     rep = verify_transfer(3, 2, ())
     failed = [r["parameters"]["map"] for r in rep.failures()]
     assert failed == ["forward"] * 9 + ["inverse"] * 9, failed
