@@ -88,41 +88,32 @@ def in_L_lambda(values, types, lam: Partition) -> bool:
     return all(v == 0 for t, v in zip(types, values) if t != lam)
 
 
-def _transfers(p: int, w: int, rho: Partition):
-    """The block basis and its transfers of the two bases as value rows:
-    R_mu of each block irreducible, in block order, and (phi, zeta,
-    I_mu(zeta)) over the principal zeta_irr rows."""
-    n = p * w + sum(rho)
-    basis = _basis(p, w, rho)
-    zetas = {phi: zeta_irr(p, w, phi) for phi in principal_block_filter(enumerate_irr_wreath(p, w), p)}
-    forward = [R_mu(basis, irr_class_function(lam), p, w).values for lam in partitions_with_core(n, rho, p)]
-    inverse = [(phi, zeta.values, I_mu(basis, zeta, n).values) for phi, zeta in zetas.items()]
-    return basis, forward, inverse
-
-
 def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     """The transforms restrict to the bijection and its inverse, and kill
     class functions orthogonal to the blocks."""
     rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
-    basis, forward, inverse = _transfers(p, w, rho)
-    block = partitions_with_core(p * w + sum(rho), rho, p)
+    n = p * w + sum(rho)
+    basis = _basis(p, w, rho)
+    block = partitions_with_core(n, rho, p)
     # mu is built from the images, so R_mu giving them back checks the
     # transform alone.  The pushdown lam/rho (mn_value, which never reads the
     # bijection) checks the images too, on the labels in U_w, where the two
     # agree (verify main).
     labels = labels_in_U_s(p, w, w)
     at, taus = [wreath_space(p, w).index[lbl] for lbl in labels], [embed_to_sn(lbl) for lbl in labels]
-    for lam, image, got in zip(block, basis[1], forward):
+    for lam, image in zip(block, basis[1]):
+        got = R_mu(basis, irr_class_function(lam), p, w).values
         pushed = [mn_value(lam, rho, tau) for tau in taus]
         rep.add({"lambda": format_partition(lam), "map": "forward"}, got == image and [got[i] for i in at] == pushed)
     members = set(block)
-    for lam in enumerate_partitions(p * w + sum(rho)):
+    for lam in enumerate_partitions(n):
         if lam not in members:
             got = R_mu(basis, irr_class_function(lam), p, w)
             rep.add({"lambda": format_partition(lam), "map": "kill"}, got.is_zero())
     # Reading phi at the hook with leg i inverts lambda_psi.
     hooks = [enumerate_partitions(p).index(hook_partition(i, p)) for i in range(p)]
-    for phi, _, got in inverse:
+    for phi in principal_block_filter(enumerate_irr_wreath(p, w), p):
+        got = I_mu(basis, zeta_irr(p, w, phi), n).values
         lam = isometry_inverse(tuple(phi[k] for k in hooks), rho, p)
         want = irr_class_function(lam).scaled(isometry_row(lam, rho, p)[0]).values
         rep.add({"phi": format_multipartition(phi), "map": "inverse"}, got == want)
@@ -147,40 +138,38 @@ def verify_sep(p: int, w: int, rho: Partition) -> Report:
 def verify_type(p: int, w: int, rho: Partition) -> Report:
     """Transfer preserves the stratification by p-multiplied data.
 
-    Class i's indicator projects onto the block as (|c_i|/|G|) * sum over
-    the block's irreducibles chi of chi(c_i) * chi, a positive multiple of
-    those rows combined by their column i.  Only support is tested, so that
-    combination stands in for the projection, and by linearity its image
-    combines the transferred irreducibles by the same column; the wreath
-    side does the same with the principal irreducibles."""
+    R_mu of the indicator of class c is (|c|/|G|) * mu(c, .), and I_mu of
+    the indicator of label l is (|l|/|H|) * mu(., l), so class i's forward
+    image is row i of the bicharacter and label j's backward image is its
+    column j.  The indicator of class i projects onto the block as
+    (|c_i|/|G|) * sum over the block's irreducibles chi of chi(c_i) * chi,
+    which is those rows combined by their column i.  Only support is
+    tested, so the positive factors drop."""
     rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
-    (chis, _), chi_images, inverse = _transfers(p, w, rho)
+    mu_rows = build_mu(p, w, rho)
+    chis = [irr_class_function(lam).values for lam in partitions_with_core(n, rho, p)]
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     sn_types = [tp_p(tau, p) for tau in classes]
     wr_types = [tp_wr(lbl, p) for lbl in labels]
-    _, zetas, zeta_images = zip(*inverse)
-    sn, wr = sn_space(n), wreath_space(p, w)
+    sn = sn_space(n)
     for m in range(w + 1):
         for lam in enumerate_partitions(m):
             typ = format_partition(lam)
             for i, tau in enumerate(classes):
                 if sn_types[i] != lam:
                     continue
-                column = [chi[i] for chi in chis]
                 cls = {"type": typ, "class": format_partition(tau)}
-                if not in_L_lambda(sn.combine(column, chis), sn_types, lam):
+                if not in_L_lambda(sn.combine([chi[i] for chi in chis], chis), sn_types, lam):
                     rep.add(dict(cls, side="projection"), False)
                     continue
-                image = wr.combine(column, chi_images)
-                rep.add(dict(cls, side="forward"), in_L_lambda(image, wr_types, lam))
+                rep.add(dict(cls, side="forward"), in_L_lambda(mu_rows[i], wr_types, lam))
             for j, lbl in enumerate(labels):
                 if wr_types[j] != lam:
                     continue
-                image = sn.combine([z[j] for z in zetas], zeta_images)
                 key = {"type": typ, "label": format_class_label(lbl), "side": "backward"}
-                rep.add(key, in_L_lambda(image, sn_types, lam))
+                rep.add(key, in_L_lambda([row[j] for row in mu_rows], sn_types, lam))
     return rep
 
 

@@ -116,6 +116,18 @@ def test_factored_transfers_match_the_dense_bicharacter(p, w, rho):
         assert I_mu(basis, theta, n).values == dense_I_mu(mu_rows, theta, n).values
 
     check()
+    # R_mu of class c's raw indicator is (|c|/|G|) * mu(c, .), a row of the
+    # bicharacter, and I_mu of label l's is (|l|/|H|) * mu(., l), a column;
+    # verify type reads its images there.
+    classes, labels = enumerate_partitions(n), enumerate_wreath_classes(p, w)
+    for i, tau in enumerate(classes):
+        indicator = SnClassFunction(n, (int(k == i) for k in range(len(classes))))
+        want = tuple(Fraction(m, centralizer_order_sn(tau)) for m in mu_rows[i])
+        assert R_mu(basis, indicator, p, w).values == want, tau
+    for j, lbl in enumerate(labels):
+        indicator = WreathClassFunction(p, w, (int(k == j) for k in range(len(labels))))
+        want = tuple(Fraction(row[j], centralizer_order_wreath(lbl, p)) for row in mu_rows)
+        assert I_mu(basis, indicator, n).values == want, lbl
 
 
 def test_block_projection_matches_reference():

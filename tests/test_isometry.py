@@ -257,6 +257,67 @@ def test_verify_lemma_f_suites():
         assert rep.ok, rep.failures()
 
 
+def test_verify_heights_fails_on_a_wrong_tower_height(monkeypatch):
+    real = isometry.height_by_tower
+    for p, w, rho in ((2, 2, ()), (3, 2, (1,))):
+        first = partitions_with_core(p * w + sum(rho), rho, p)[0]
+        monkeypatch.setattr(isometry, "height_by_tower", lambda lam, p_: real(lam, p_) + (lam == first))
+        h = real(first, p)
+        params = {"p": p, "w": w, "core": format_partition(rho), "lambda": format_partition(first)}
+        witness = {"tower": h + 1, "valuation": h, "wreath": h}
+        assert verify_heights(p, w, rho).failures() == [record("heights", params, False, witness)], (p, w, rho)
+
+
+def test_verify_uniqueness_fails_on_two_equal_restrictions(monkeypatch):
+    # The second member restricts like the first, so their difference
+    # vanishes on every label and that one pair fails.
+    real = isometry.character_value
+    for p, w in ((2, 2), (3, 2)):
+        first, second = partitions_with_core(p * w, (), p)[:2]
+        monkeypatch.setattr(isometry, "character_value", lambda lam, tau: real(first if lam == second else lam, tau))
+        params = {"p": p, "w": w, "lambda1": format_partition(first), "lambda2": format_partition(second), "sign": "-"}
+        assert verify_uniqueness(p, w).failures() == [record("unique", params, False)], (p, w)
+
+
+def test_verify_diagram_fails_on_a_negated_image(monkeypatch):
+    # With the first member's image negated, its right square still commutes
+    # at alpha = () (both sides negate), and fails wherever adjunction
+    # leaves it nonzero: the block route reads the smaller block's true
+    # images, the wreath route the negated one.
+    real = isometry.isometry_image
+    for p, w, rho in ((2, 2, ()), (3, 2, ())):
+        first = partitions_with_core(p * w + sum(rho), rho, p)[0]
+
+        def negated(lam, r, p_):
+            return real(lam, r, p_).scaled(-1 if lam == first else 1)
+
+        monkeypatch.setattr(isometry, "isometry_image", negated)
+        failures = verify_diagram(p, w, rho).failures()
+        assert failures, (p, w, rho)
+        for r in failures:
+            params, witness = r["parameters"], r["witness"]
+            assert (params["lambda"], params["square"]) == (format_partition(first), "right"), r
+            assert params["alpha"] != "" and any(v != "0" for v in witness["via_block"]), r
+            assert witness["via_wreath"] == [str(-int(v)) for v in witness["via_block"]], r
+
+
+def test_verify_lemma_f_fails_on_a_flipped_bead_sign(monkeypatch):
+    # The expansion changes sign for the first member, so its record fails
+    # at the first nonzero value of its tensor.
+    real = isometry.p_sign
+    for p, w in ((2, 2), (3, 2)):
+        first = partitions_with_core(p * w, (), p)[0]
+
+        def flipped(lam, rho, p_):
+            return real(lam, rho, p_) * (-1 if lam == first else 1)
+
+        monkeypatch.setattr(isometry, "p_sign", flipped)
+        (alpha, beta), val = next((key, v) for key, v in isometry.f_tensor(first, p).items() if v)
+        witness = {"alpha": format_partition(alpha), "beta": format_partition(beta), "direct": val, "expansion": -val}
+        params = {"p": p, "w": w, "lambda": format_partition(first)}
+        assert verify_lemma_f(p, w).failures() == [record("lemma_f", params, False, witness)], (p, w)
+
+
 def test_verify_centp_small():
     cases = (
         (2, 1, 0), (2, 1, 1), (2, 2, 0), (2, 2, 1), (3, 1, 0), (3, 1, 1),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from blockiso import modular
 from blockiso.modular import (
     brauer_labels,
     brauer_values,
@@ -17,7 +18,8 @@ from blockiso.modular import (
     zeta_projective,
 )
 from blockiso.modular import _factors
-from blockiso.partitions import enumerate_partitions
+from blockiso.partitions import enumerate_partitions, format_multipartition
+from blockiso.reporting import record
 from blockiso.wreath import enumerate_irr_wreath, enumerate_wreath_classes, span_generators, zeta_irr
 
 
@@ -78,6 +80,22 @@ def test_orthogonality_reports():
     for p, w in ((2, 2), (2, 3), (3, 2), (3, 5), (7, 2), (2, 8)):
         rep = verify_orth(p, w)
         assert rep.ok, rep.failures()
+
+
+def test_verify_orth_fails_on_a_spoiled_brauer_tuple(monkeypatch):
+    # The first Brauer tuple doubled: its Gram entry with its own projective
+    # tuple is 2, and every other entry stays.
+    real = modular.zeta_brauer
+    for p, w in ((2, 2), (3, 2)):
+        first = enumerate_gibr(p, w)[0]
+
+        def doubled(p_, w_, psi):
+            return real(p_, w_, psi).scaled(2 if psi == first else 1)
+
+        monkeypatch.setattr(modular, "zeta_brauer", doubled)
+        text = format_multipartition(first)
+        params = {"p": p, "w": w, "psi": text, "phi": text}
+        assert verify_orth(p, w).failures() == [record("orth", params, False, {"gram": "2"})], (p, w)
 
 
 def test_decomposition_matrix_frozen():

@@ -19,6 +19,7 @@ from blockiso.perfect import (
     verify_transfer,
     verify_type,
 )
+from blockiso.reporting import record
 from blockiso.symchar import irr_class_function
 from blockiso.wreath import (
     enumerate_irr_wreath,
@@ -114,6 +115,29 @@ def test_verify_sep():
     for p, w, rho in small + cases:
         rep = verify_sep(p, w, rho)
         assert rep.ok, rep.failures()
+
+
+def test_sep_and_type_fail_on_an_off_type_entry(monkeypatch):
+    real_build_mu = build_mu
+
+    def injected(p, w, rho):
+        # 1 at the identity class and the first label, whose p-multiplied
+        # data differ
+        rows = real_build_mu(p, w, rho)
+        rows[-1][0] += 1
+        return rows
+
+    monkeypatch.setattr(perfect, "build_mu", injected)
+    for p, w, rho in ((3, 2, ()), (2, 3, ()), (3, 3, (1,))):
+        identity = format_partition((1,) * (p * w + sum(rho)))
+        first = format_class_label(enumerate_wreath_classes(p, w)[0])
+        params = {"p": p, "w": w, "core": format_partition(rho), "class": identity, "label": first}
+        assert verify_sep(p, w, rho).failures() == [record("sep", params, False, {"mu": 1})], (p, w, rho)
+        failed = {
+            (r["parameters"].get("class") or r["parameters"]["label"], r["parameters"]["side"])
+            for r in verify_type(p, w, rho).failures()
+        }
+        assert failed == {(identity, "forward"), (first, "backward")}, (p, w, rho)
 
 
 def test_verify_type():
