@@ -152,10 +152,12 @@ def verify_val(p: int, w: int) -> Report:
     main's evaluation at the empty core, where pushdown is restriction."""
     rep = Report("val", {"p": p, "w": w})
     labels, rows = _pointwise(p, w, (), w - 1)
+    texts = [format_class_label(lbl) for lbl in labels]
     for lam, image, restricted in rows:
-        for lbl, lhs, rhs in zip(labels, image, restricted):
+        lam_text = format_partition(lam)
+        for text, lhs, rhs in zip(texts, image, restricted):
             rep.add(
-                {"lambda": format_partition(lam), "label": format_class_label(lbl)},
+                {"lambda": lam_text, "label": text},
                 lhs == rhs,
                 None if lhs == rhs else {"image": str(lhs), "restricted": str(rhs)},
             )

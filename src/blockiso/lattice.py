@@ -1,4 +1,4 @@
-"""Integer row lattices: Hermite normal form, kernels, containment, saturation.
+"""Integer row lattices: Hermite normal form, containment, saturation.
 
 Everything here is exact integer arithmetic on lists of Python ints; an
 entry that is not an integer (a float, a Fraction) raises TypeError.  The
@@ -14,21 +14,20 @@ from operator import index
 Matrix = list[list[int]]
 
 
-def hnf(rows: Matrix) -> tuple[Matrix, Matrix]:
-    """HNF bases (H, K) of the row lattice of M and of {x : x * M = 0}.
+def hnf_basis(rows: Matrix) -> Matrix:
+    """The canonical basis of the row lattice.
 
-    One echelon of [M | I].  Each column is cleared by Euclid: the rows
+    One echelon of the rows.  Each column is cleared by Euclid: the rows
     below are reduced by the one of least absolute entry until one is left,
-    and the entries above its pivot are then reduced.  The rows nonzero on
-    M give H; the others, read on I, give K.
+    and the entries above its pivot are then reduced.
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     if any(len(r) != ncols for r in rows):
         raise ValueError("ragged matrix")
-    m = [[*map(index, r), *(int(i == j) for j in range(nrows))] for i, r in enumerate(rows)]
+    m = [list(map(index, r)) for r in rows]
     top = 0
-    for col in range(ncols + nrows):
+    for col in range(ncols):
         while live := [r for r in range(top, nrows) if m[r][col]]:
             least = min(live, key=lambda r: abs(m[r][col]))
             m[top], m[least] = m[least], m[top]
@@ -47,18 +46,7 @@ def hnf(rows: Matrix) -> tuple[Matrix, Matrix]:
             if q := m[r][col] // piv[col]:
                 m[r] = [a - q * b for a, b in zip(m[r], piv)]
         top += 1
-    rank = sum(any(r[:ncols]) for r in m)
-    return [r[:ncols] for r in m[:rank]], [r[ncols:] for r in m[rank:]]
-
-
-def hnf_basis(rows: Matrix) -> Matrix:
-    """The canonical basis of the row lattice."""
-    return hnf(rows)[0]
-
-
-def kernel_lattice(rows: Matrix) -> Matrix:
-    """Basis of {x integral : x * M = 0}; always a saturated lattice."""
-    return hnf(rows)[1]
+    return m[:top]
 
 
 def lattice_le(rows_a: Matrix, rows_b: Matrix) -> bool:

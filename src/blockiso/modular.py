@@ -156,12 +156,13 @@ def verify_orth(p: int, w: int) -> Report:
         len(gibr) == len(regular_wreath_classes(p, w)),
     )
     brauer_side = [zeta_brauer(p, w, psi).values for psi in gibr]
-    for a in gibr:
+    texts = [format_multipartition(psi) for psi in gibr]
+    for a, a_text in zip(gibr, texts):
         hat = zeta_projective(p, w, a)
-        for b, val in zip(gibr, hat.space.pairings(hat.values, brauer_side)):
+        for b, b_text, val in zip(gibr, texts, hat.space.pairings(hat.values, brauer_side)):
             want = 1 if a == b else 0
             rep.add(
-                {"psi": format_multipartition(a), "phi": format_multipartition(b)},
+                {"psi": a_text, "phi": b_text},
                 val == want,
                 None if val == want else {"gram": str(val)},
             )

@@ -10,6 +10,8 @@ valuation probe fails only where theory gives a verdict (w < p), since the
 divisibility half genuinely fails once the weight reaches p.
 """
 
+from operator import mul
+
 from .abacus import hook_partition, partitions_with_core
 from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row
@@ -173,33 +175,21 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
     return rep
 
 
-def block_projective_lattice(p: int, w: int, rho: Partition):
-    """Integer combinations of block irreducibles vanishing p-singularly.
-
-    Returned as coefficient rows over the block's canonical label list.
-    """
-    from .lattice import kernel_lattice
-    n = p * w + sum(rho)
-    block = partitions_with_core(n, rho, p)
-    singular = [tau for tau in enumerate_partitions(n) if tp_p(tau, p) != ()]
-    matrix = [[character_value(lam, tau) for tau in singular] for lam in block]
-    return kernel_lattice(matrix)
-
-
 def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     """Transfer matches the block projective lattice with the span of the
     principal projective tuples.  A signed bijection onto the principal
     irreducibles is a unimodular change of coordinates, so the tuples are
     pulled back: row psi of Y holds, at each block member, its sign times
     psi's coefficient at its image, and with every tuple principal the
-    lattice's image is their span exactly when Y has the lattice's HNF
-    basis.  The final record also checks that premise, and its rank_image
-    is the kernel's rank, which is the image's under a bijection."""
-    from .lattice import hnf_basis
+    lattice's image is their span exactly when Y spans the lattice.  The
+    final record also checks that premise, and its rank_image is the
+    lattice's rank, which is the image's under a bijection."""
+    from .lattice import hnf_basis, is_saturated
     from .modular import enumerate_gibr, principal_gibr_filter, zeta_projective
     rep = Report("perfproj", {"p": p, "w": w})
     n = p * w + sum(rho)
-    bijection = [isometry_row(lam, rho, p) for lam in partitions_with_core(n, rho, p)]
+    block = partitions_with_core(n, rho, p)
+    bijection = [isometry_row(lam, rho, p) for lam in block]
     images = [(sign, lambda_psi(comps, p)) for sign, comps in bijection]
     irr_wr = enumerate_irr_wreath(p, w)
     principal_wr = set(principal_block_filter(irr_wr, p))
@@ -216,11 +206,18 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
         proj_rows.append(list(at.values()))
         pulled.append([sign * at[phi] for sign, phi in images])
 
-    kernel = block_projective_lattice(p, w, rho)
+    # The lattice is {x : x * M = 0} for M, the block's values on the
+    # p-singular classes: saturated, of rank |B| - rank M.  So Y spans it
+    # exactly when Y * M = 0, rank Y = |B| - rank M and Y is saturated.
+    singular = [tau for tau in enumerate_partitions(n) if tp_p(tau, p) != ()]
+    matrix = [[character_value(lam, tau) for tau in singular] for lam in block]
+    rank = len(block) - len(hnf_basis(matrix))
+    basis = hnf_basis(pulled)
+    contained = all(sum(map(mul, y, col)) == 0 for col in zip(*matrix) for y in basis)
     onto = len(images) == len(principal_wr) and {phi for _, phi in images} == principal_wr
     rep.add(
-        {"core": format_partition(rho), "rank_image": len(kernel), "rank_projective": len(hnf_basis(proj_rows))},
-        rep.ok and onto and hnf_basis(pulled) == kernel,
+        {"core": format_partition(rho), "rank_image": rank, "rank_projective": len(hnf_basis(proj_rows))},
+        rep.ok and onto and contained and len(basis) == rank and is_saturated(basis),
     )
     return rep
 

@@ -5,22 +5,32 @@
 with H keeping the full row count (zero rows at the bottom).  The kernel
 is the HNF of the rows of U against the zero rows of H, a second HNF, and
 saturation is double annihilation through that kernel.  Containment
-reduces each vector against an HNF basis, pivot by pivot.  The library now
-reads both bases off one echelon of [M | I] and answers containment and
-saturation by comparing HNF bases; these must agree with it.
+reduces each vector against an HNF basis, pivot by pivot.  The library
+answers containment and saturation by comparing HNF bases; these must
+agree with it.
+
+`echelon_with_kernel` is the echelon of [M | I] the library ran before it
+stopped computing kernels: the rows nonzero on M give the HNF basis of
+M's row lattice, and the others, read on I, the HNF basis of M's integer
+kernel.  `block_projective_lattice` takes that kernel of the block's
+values on the p-singular classes.
 
 `perfproj_report` is the `verify perfproj` route the library replaced: it
-pushes the block's projective lattice forward through the signed bijection
-into wreath coordinates and compares HNF bases there, where the library
-pulls the projective tuples back into block coordinates.  It reads
-`perfect.isometry_row` and `modular.zeta_projective` at call time, so a
-test that patches either patches both routes.
+pushes that kernel forward through the signed bijection into wreath
+coordinates and compares HNF bases there, where the library pulls the
+projective tuples back into block coordinates and certifies that they
+span the kernel without computing it.  It reads `perfect.isometry_row`,
+`modular.principal_gibr_filter` and `modular.zeta_projective` at call
+time, so a test that patches any of them patches both routes.
 """
+
+from operator import index
 
 from blockiso import modular, perfect
 from blockiso.abacus import partitions_with_core
-from blockiso.partitions import format_multipartition, format_partition
+from blockiso.partitions import enumerate_partitions, format_multipartition, format_partition
 from blockiso.reporting import Report
+from blockiso.symchar import character_value
 from blockiso.wreath import enumerate_irr_wreath, lambda_psi, principal_block_filter, zeta_irr
 
 
@@ -101,6 +111,50 @@ def is_saturated(rows):
     return hnf_basis(basis) == hnf_basis(sat)
 
 
+def echelon_with_kernel(rows):
+    """HNF bases (H, K) of the row lattice of M and of {x : x * M = 0}.
+
+    One echelon of [M | I], each column cleared by Euclid as in the
+    library's `hnf_basis`, which runs the same steps on M alone.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("ragged matrix")
+    m = [[*map(index, r), *(int(i == j) for j in range(nrows))] for i, r in enumerate(rows)]
+    top = 0
+    for col in range(ncols + nrows):
+        while live := [r for r in range(top, nrows) if m[r][col]]:
+            least = min(live, key=lambda r: abs(m[r][col]))
+            m[top], m[least] = m[least], m[top]
+            if len(live) == 1:
+                break
+            piv = m[top]
+            for r in range(top + 1, nrows):
+                if q := m[r][col] // piv[col]:
+                    m[r] = [a - q * b for a, b in zip(m[r], piv)]
+        if not live:
+            continue
+        if m[top][col] < 0:
+            m[top] = [-x for x in m[top]]
+        piv = m[top]
+        for r in range(top):
+            if q := m[r][col] // piv[col]:
+                m[r] = [a - q * b for a, b in zip(m[r], piv)]
+        top += 1
+    rank = sum(any(r[:ncols]) for r in m)
+    return [r[:ncols] for r in m[:rank]], [r[ncols:] for r in m[rank:]]
+
+
+def block_projective_lattice(p, w, rho):
+    """Integer combinations of block irreducibles vanishing p-singularly,
+    as coefficient rows over the block's canonical label list."""
+    n = p * w + sum(rho)
+    singular = [tau for tau in enumerate_partitions(n) if perfect.tp_p(tau, p) != ()]
+    matrix = [[character_value(lam, tau) for tau in singular] for lam in partitions_with_core(n, rho, p)]
+    return echelon_with_kernel(matrix)[1]
+
+
 def reduces(basis, vec):
     """Whether vec reduces to zero against an HNF basis."""
     v = list(map(int, vec))
@@ -136,7 +190,7 @@ def perfproj_report(p, w, rho):
         sign, psi = perfect.isometry_row(lam, rho, p)
         targets.append((sign, idx[lambda_psi(psi, p)]))
     image_rows = []
-    for coeff_row in perfect.block_projective_lattice(p, w, rho):
+    for coeff_row in block_projective_lattice(p, w, rho):
         vec = [0] * len(irr_wr)
         for c, (sign, k) in zip(coeff_row, targets):
             if c:

@@ -19,7 +19,6 @@ import blockiso.cli as cli
 
 PACKAGE = Path(blockiso.__file__).parent
 PAPER_ROLE = (
-    "lattice.is_saturated",
     "wreath.in_K_s",
     "wreath.omega_lambda",
     "wreath.shr_m",

@@ -6,13 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from blockiso.lattice import (
-    hnf,
-    hnf_basis,
-    is_saturated,
-    kernel_lattice,
-    lattice_le,
-)
+from blockiso.lattice import hnf_basis, is_saturated, lattice_le
 import lattice_reference as ref
 
 
@@ -32,10 +26,12 @@ def test_hnf_shape_and_transform():
     rng = random.Random(7)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(rng.randint(1, 5))]
-        h, k = hnf(rows)
-        # K is a kernel basis, and the two bases share out the input rows
+        h, k = ref.echelon_with_kernel(rows)
+        # K is a kernel basis, the two bases share out the input rows, and
+        # the library's echelon of M alone gives the same H
         assert all(not any(r) for r in matmul(k, rows))
         assert len(h) + len(k) == len(rows)
+        assert hnf_basis(rows) == h
         pivots = []
         for r in h:
             nz = [j for j, x in enumerate(r) if x]
@@ -53,9 +49,10 @@ def test_hnf_shape_and_transform():
 
 
 def test_hnf_matches_the_extended_gcd_oracle():
-    """Both bases equal the old route's: an extended-gcd HNF that carries a
-    unimodular U (checked here, U * M = H) and takes the kernel by a second
-    HNF of U's rows.  The rows mix rank-deficient spans, scaled rows (so the
+    """The library's basis, and the kernel read off the echelon of [M | I],
+    equal the old route's: an extended-gcd HNF that carries a unimodular U
+    (checked here, U * M = H) and takes the kernel by a second HNF of U's
+    rows.  The rows mix rank-deficient spans, scaled rows (so the
     span need not be saturated), zero rows and columns, and no rows at all.
     Containment agrees with reducing each vector against the old HNF basis,
     for lattices A of members, of arbitrary vectors and of no rows."""
@@ -84,7 +81,7 @@ def test_hnf_matches_the_extended_gcd_oracle():
         assert matmul(u, rows) == h
         assert len(u) == len(rows) and all(len(r) == len(rows) for r in u)
         assert hnf_basis(rows) == ref.hnf_basis(rows), rows
-        assert kernel_lattice(rows) == ref.kernel_lattice(rows), rows
+        assert ref.echelon_with_kernel(rows)[1] == ref.kernel_lattice(rows), rows
         assert is_saturated(rows) == ref.is_saturated(rows), rows
         assert lattice_le(a, rows) == ref.lattice_le(a, rows), (a, rows)
 
@@ -97,7 +94,6 @@ def test_non_integer_entries_raise():
         lambda: lattice_le([[Fraction(5, 2), 0]], [[2, 0], [0, 2]]),
         lambda: lattice_le([[2.9, 0]], [[2, 0], [0, 2]]),
         lambda: hnf_basis([[Fraction(1, 2), 1]]),
-        lambda: kernel_lattice([[Fraction(1, 2)], [0]]),
         lambda: is_saturated([[1.0, 0]]),
     ):
         with pytest.raises(TypeError):
@@ -176,19 +172,19 @@ def test_lattice_le_and_equal():
 
 def test_kernel_lattice():
     rows = [[1, 2, 0], [0, 1, 1], [1, 3, 1]]
-    ker = kernel_lattice(rows)
+    ker = ref.echelon_with_kernel(rows)[1]
     # third row is the sum of the first two
     assert len(ker) == 1
     dep = ker[0]
     for j in range(3):
         assert sum(dep[i] * rows[i][j] for i in range(3)) == 0
     assert is_saturated(ker)
-    assert kernel_lattice([[1, 0], [0, 1]]) == []
+    assert ref.echelon_with_kernel([[1, 0], [0, 1]])[1] == []
 
 
 def test_kernel_is_saturated_even_with_multiplicity():
     rows = [[2, 4], [1, 2], [3, 6]]
-    ker = kernel_lattice(rows)
+    ker = ref.echelon_with_kernel(rows)[1]
     assert len(ker) == 2
     for dep in ker:
         for j in range(2):
@@ -234,14 +230,12 @@ def test_hnf_lattice_matches_sympy_oracle():
     from sympy import Matrix
     from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form
 
-    from blockiso.perfect import block_projective_lattice
-
     rng = random.Random(31)
     cases = [
         [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(rng.randint(1, 5))]
         for ncols in (rng.randint(1, 5) for _ in range(60))
     ]
-    cases += [block_projective_lattice(2, 2, ()), block_projective_lattice(3, 2, ())]
+    cases += [ref.block_projective_lattice(2, 2, ()), ref.block_projective_lattice(3, 2, ())]
     for rows in cases:
         dim = len(rows[0])
         ours = _sympy_columns(hnf_basis(rows), dim)
@@ -257,14 +251,15 @@ def test_hnf_lattice_matches_sympy_oracle():
 def test_block_projective_lattice_is_the_saturated_kernel():
     """At 2/2 and 3/2 the lattice is the whole integer kernel of the block's
     values on p-singular classes: it has the kernel's rank, each row is in
-    the kernel, and sympy's Smith form of its rows has only unit invariants."""
+    the kernel, and sympy's Smith form of its rows has only unit invariants.
+    This is the kernel the perfproj oracle pushes forward, so sympy vouches
+    for what the library's certificate is compared against."""
     pytest.importorskip("sympy")
     from sympy import Matrix
     from sympy.matrices.normalforms import smith_normal_form
 
     from blockiso.abacus import partitions_with_core
     from blockiso.partitions import enumerate_partitions
-    from blockiso.perfect import block_projective_lattice
     from blockiso.symchar import character_value
 
     for p, w in ((2, 2), (3, 2)):
@@ -272,7 +267,7 @@ def test_block_projective_lattice_is_the_saturated_kernel():
         singular = [tau for tau in enumerate_partitions(n) if any(part % p == 0 for part in tau)]
         block = partitions_with_core(n, (), p)
         values = Matrix([[character_value(lam, tau) for tau in singular] for lam in block])
-        lattice = Matrix(block_projective_lattice(p, w, ()))
+        lattice = Matrix(ref.block_projective_lattice(p, w, ()))
         assert lattice.rows == values.rows - values.rank()
         assert lattice * values == Matrix.zeros(lattice.rows, values.cols)
         snf = smith_normal_form(lattice)

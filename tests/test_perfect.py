@@ -221,6 +221,33 @@ def test_perfproj_fails_alike_on_a_wrong_sign_or_target(monkeypatch):
         monkeypatch.setattr(perfect, "isometry_row", real_row)
 
 
+def test_perfproj_fails_alike_on_a_dropped_or_doubled_tuple(monkeypatch):
+    """The other two ways the certificate can fail.  Without its first
+    principal tuple Y loses a rank; with that tuple doubled Y keeps its rank
+    and still vanishes p-singularly, but it is not saturated.  Either way
+    only the final record fails, as in the kernel route."""
+    real_filter, real_projective = modular.principal_gibr_filter, modular.zeta_projective
+    for p, w in ((2, 3), (3, 2), (3, 3), (5, 2)):
+        first = real_filter(modular.enumerate_gibr(p, w), p)[0]
+
+        def doubled(p_, w_, psi):
+            hat = real_projective(p_, w_, psi)
+            return hat.scaled(2) if psi == first else hat
+
+        monkeypatch.setattr(modular, "principal_gibr_filter", lambda gibr, p_: real_filter(gibr, p_)[1:])
+        rep = _both_routes_fail_alike(p, w)
+        final = rep.records[-1]["parameters"]
+        assert final["rank_projective"] == final["rank_image"] - 1, (p, w)
+        monkeypatch.setattr(modular, "principal_gibr_filter", real_filter)
+
+        monkeypatch.setattr(modular, "zeta_projective", doubled)
+        rep = _both_routes_fail_alike(p, w)
+        final = rep.records[-1]["parameters"]
+        assert final["rank_projective"] == final["rank_image"], (p, w)
+        assert len(rep.failures()) == 1, (p, w)
+        monkeypatch.setattr(modular, "zeta_projective", real_projective)
+
+
 def test_perfproj_fails_alike_on_a_non_principal_coefficient(monkeypatch):
     real_projective = modular.zeta_projective
     for p, w in ((5, 1), (5, 2), (7, 2)):
