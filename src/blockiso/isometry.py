@@ -34,8 +34,6 @@ from .partitions import (
 )
 from .reporting import Report
 from .symchar import (
-    d_alpha,
-    decompose,
     character_value,
     degree,
     height_by_tower,
@@ -43,7 +41,7 @@ from .symchar import (
     induced_row,
     irr_class_function,
     mn_value,
-    tilde_pi_rho,
+    sn_space,
 )
 from .wreath import (
     canonical_label,
@@ -371,47 +369,59 @@ def verify_centp(p: int, w: int, e: int) -> Report:
 
 
 def verify_diagram(p: int, w: int, rho: Partition) -> Report:
-    """Both squares: pushdown commutes with cycle adjunction, and the
-    bijection intertwines adjunction with its wreath counterpart."""
+    """Both squares, from one pairing per member and alpha.  Adjoining the
+    cycles p*alpha to lam's character leaves a class function of the smaller
+    group; c holds its inner products with the smaller block's irreducibles
+    nu.  Left: the pushdown of sum c_nu nu, the skew sum c_nu nu/rho, is
+    lam/rho with p*alpha adjoined.  Right: sum c_nu nu gives back the
+    adjoined character (so nothing of it lies off the smaller block), each
+    c_nu is integral, and sum c_nu I(nu) is the wreath adjunction of I(lam),
+    I the signed bijection."""
     rep = Report("diagram", {"p": p, "w": w, "core": format_partition(rho)})
     e = sum(rho)
     n = p * w + e
-    members = []
-    for lam in partitions_with_core(n, rho, p):
-        xi = irr_class_function(lam)
-        members.append((lam, xi, tilde_pi_rho(xi, rho), isometry_image(lam, rho, p)))
-    for alpha in (alpha for m in range(w + 1) for alpha in enumerate_partitions(m)):
-        m = sum(alpha)
-        small = partitions_with_core(p * (w - m) + e, rho, p)
-        for lam, xi, down, image in members:
-            base = {"alpha": format_partition(alpha), "lambda": format_partition(lam)}
-            dxi = d_alpha(xi, alpha, p)
-            pushed = d_alpha(down, alpha, p)
-            rep.add(dict(base, square="left"), tilde_pi_rho(dxi, rho).values == pushed.values)
+    index = sn_space(n).index
+    members = [
+        (lam, format_partition(lam), irr_class_function(lam).values, isometry_image(lam, rho, p))
+        for lam in partitions_with_core(n, rho, p)
+    ]
+    for m in range(w + 1):
+        space, down = sn_space(p * (w - m) + e), sn_space(p * (w - m))
+        sigmas = down.labels
+        small = partitions_with_core(space.n, rho, p)
+        chis = [irr_class_function(nu).values for nu in small]
+        skews = [[mn_value(nu, rho, sigma) for sigma in sigmas] for nu in small]
+        images = [isometry_image(nu, rho, p).values for nu in small]
+        for alpha in enumerate_partitions(m):
+            stretched = scale(p, alpha)
+            at = [index[sqcup(stretched, tau)] for tau in space.labels]
+            tops = [sqcup(stretched, sigma) for sigma in sigmas]
+            alpha_text = format_partition(alpha)
+            for lam, text, xi, image in members:
+                base = {"alpha": alpha_text, "lambda": text}
+                adjoined = [xi[i] for i in at]
+                c = space.pairings(adjoined, chis)
+                pushed = [mn_value(lam, rho, top) for top in tops]
+                rep.add(dict(base, square="left"), down.combine(c, skews) == pushed)
 
-            coeffs: dict[Partition, int] = {}
-            ok = True
-            witness = None
-            for nu, c in decompose(dxi).items():
-                if c.denominator != 1:
-                    ok, witness = False, {"nu": format_partition(nu), "coeff": str(c)}
-                    break
-                if nu not in small:
-                    ok, witness = False, {"nu": format_partition(nu), "outside_block": True}
-                    break
-                coeffs[nu] = int(c)
-            if ok:
-                total = wreath_space(p, w - m).combine(
-                    coeffs.values(), (isometry_image(nu, rho, p).values for nu in coeffs)
-                )
-                direct = delta_alpha(image, alpha).values
-                ok = tuple(total) == direct
-                if not ok:
-                    witness = {
-                        "via_block": [str(v) for v in total],
-                        "via_wreath": [str(v) for v in direct],
-                    }
-            rep.add(dict(base, square="right"), ok, witness)
+                witness = None
+                rebuilt = space.combine(c, chis)
+                fractional = [(nu, x) for nu, x in zip(small, c) if type(x) is not int]
+                if rebuilt != adjoined:
+                    tau = next(t for t, a, b in zip(space.labels, rebuilt, adjoined) if a != b)
+                    witness = {"outside_block": True, "class": format_partition(tau)}
+                elif fractional:
+                    nu, x = fractional[0]
+                    witness = {"nu": format_partition(nu), "coeff": str(x)}
+                else:
+                    total = wreath_space(p, w - m).combine(c, images)
+                    direct = delta_alpha(image, alpha).values
+                    if tuple(total) != direct:
+                        witness = {
+                            "via_block": [str(v) for v in total],
+                            "via_wreath": [str(v) for v in direct],
+                        }
+                rep.add(dict(base, square="right"), witness is None, witness)
     return rep
 
 

@@ -4,8 +4,9 @@ A partition with L parts is held as its bead mask: the int whose L set
 bits are its first-column hook lengths.  Removing a border strip of length
 k moves one bead from slot s to the empty slot s - k, two bit flips, and
 its sign is the parity of the beads jumped over.  Skew shapes recurse the
-same way and count the paths that end on the inner shape.  Everything
-returns exact ints or Fractions.
+same way and count the paths that end on the inner shape, so the pushdown
+of lam by a core rho is the skew character lam/rho, read one class at a
+time.  Everything returns exact ints.
 """
 
 from functools import cache
@@ -23,8 +24,6 @@ from .partitions import (
     contains,
     enumerate_partitions,
     p_adic_digits,
-    scale,
-    sqcup,
     v_p,
 )
 
@@ -176,43 +175,6 @@ def irr_class_function(lam: Partition) -> ClassFunction:
     """Irreducible character of lam; the row is built once and shared."""
     n, mask = sum(lam), _mask(lam)
     return SnClassFunction(n, (_mn(mask, 0, tau) for tau in enumerate_partitions(n)))
-
-
-def decompose(xi: ClassFunction) -> "dict[Partition, Fraction]":
-    """Coefficients of xi on the irreducible basis."""
-    labels = enumerate_partitions(xi.n)
-    coeffs = xi.space.pairings(xi.values, [irr_class_function(lam).values for lam in labels])
-    return {lam: c for lam, c in zip(labels, coeffs) if c}
-
-
-def tilde_pi_rho(xi: ClassFunction, rho: Partition) -> ClassFunction:
-    """Push a class function down by the fixed small partition rho.
-
-    The value at a class of the smaller group averages xi over all ways of
-    adjoining a cycle type of size |rho|, weighted by the character of rho
-    over the centralizer order of the adjoined type.  On an irreducible
-    this produces exactly the skew character by rho; at rho = () it is xi.
-    """
-    if not rho:
-        return xi
-    e = sum(rho)
-    m = xi.n - e
-    if m < 0:
-        raise ValueError("rho larger than the domain")
-    sigmas = enumerate_partitions(e)
-    adjoined = [[xi.value(sqcup(tau, s)) for s in sigmas] for tau in enumerate_partitions(m)]
-    return SnClassFunction(m, sn_space(e).pairings(irr_class_function(rho).values, adjoined))
-
-
-def d_alpha(xi: ClassFunction, alpha: Partition, p: int) -> ClassFunction:
-    """Evaluate xi with disjoint cycles of lengths p*alpha adjoined."""
-    m = xi.n - p * sum(alpha)
-    if m < 0:
-        raise ValueError("alpha too large")
-    stretched = scale(p, alpha)
-    return SnClassFunction(
-        m, tuple(xi.value(sqcup(stretched, tau)) for tau in enumerate_partitions(m))
-    )
 
 
 def height_by_tower(lam: Partition, p: int) -> int:

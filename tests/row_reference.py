@@ -4,7 +4,12 @@ The verify verbs evaluate the pushdown of a block character one class at a
 time, as the skew character lam/rho at the label's cycle type.  The
 whole-row maps below are the route it is checked against: the skew
 character as a row, restriction along the wreath embedding, and the
-pushdown built from `symchar.tilde_pi_rho`.  `combination_class_function`
+pushdown `tilde_pi_rho`, which averages a whole row over the cycle types
+adjoined for rho.  `decompose` pairs a row with every irreducible of its
+group and `d_alpha` adjoins p-multiplied cycles to a whole row;
+`diagram_report` is the `verify diagram` loop built on the three, which
+decomposes each adjoined character against all of S_m and compares the
+pushdown of the adjoined row with the adjoined pushdown.  `combination_class_function`
 induces from factors whose top characters are integer combinations, by
 linearity over `wreath.zeta_class_function`.  `dense_mu` is the bicharacter
 accumulated block character by block character, each one's image added
@@ -26,26 +31,110 @@ from math import prod
 from blockiso.abacus import partitions_with_core
 from blockiso.classfn import ClassFunction
 from blockiso.isometry import isometry_image
-from blockiso.partitions import enumerate_partitions, format_partition
+from blockiso.partitions import Partition, enumerate_partitions, format_partition, scale, sqcup
 from blockiso.perfect import build_mu, in_L_lambda, tp_p
 from blockiso.reporting import Report
 from blockiso.symchar import (
     SnClassFunction,
     irr_class_function,
     mn_value,
-    tilde_pi_rho,
+    sn_space,
 )
 from blockiso.wreath import (
     WreathClassFunction,
+    delta_alpha,
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     format_class_label,
     principal_block_filter,
     tp_wr,
+    wreath_space,
     zeta_class_function,
     zeta_irr,
 )
+
+
+def decompose(xi: ClassFunction) -> "dict[Partition, Fraction]":
+    """Coefficients of xi on the irreducible basis."""
+    labels = enumerate_partitions(xi.n)
+    coeffs = xi.space.pairings(xi.values, [irr_class_function(lam).values for lam in labels])
+    return {lam: c for lam, c in zip(labels, coeffs) if c}
+
+
+def tilde_pi_rho(xi: ClassFunction, rho: Partition) -> ClassFunction:
+    """Push a class function down by the fixed small partition rho.
+
+    The value at a class of the smaller group averages xi over all ways of
+    adjoining a cycle type of size |rho|, weighted by the character of rho
+    over the centralizer order of the adjoined type.  On an irreducible
+    this produces exactly the skew character by rho; at rho = () it is xi.
+    """
+    if not rho:
+        return xi
+    e = sum(rho)
+    m = xi.n - e
+    if m < 0:
+        raise ValueError("rho larger than the domain")
+    sigmas = enumerate_partitions(e)
+    adjoined = [[xi.value(sqcup(tau, s)) for s in sigmas] for tau in enumerate_partitions(m)]
+    return SnClassFunction(m, sn_space(e).pairings(irr_class_function(rho).values, adjoined))
+
+
+def d_alpha(xi: ClassFunction, alpha: Partition, p: int) -> ClassFunction:
+    """Evaluate xi with disjoint cycles of lengths p*alpha adjoined."""
+    m = xi.n - p * sum(alpha)
+    if m < 0:
+        raise ValueError("alpha too large")
+    stretched = scale(p, alpha)
+    return SnClassFunction(
+        m, tuple(xi.value(sqcup(stretched, tau)) for tau in enumerate_partitions(m))
+    )
+
+
+def diagram_report(p: int, w: int, rho):
+    """The `verify diagram` records, from whole-row adjunction, pushdown and
+    decomposition against every irreducible of the smaller group."""
+    rep = Report("diagram", {"p": p, "w": w, "core": format_partition(rho)})
+    e = sum(rho)
+    n = p * w + e
+    members = []
+    for lam in partitions_with_core(n, rho, p):
+        xi = irr_class_function(lam)
+        members.append((lam, xi, tilde_pi_rho(xi, rho), isometry_image(lam, rho, p)))
+    for alpha in (alpha for m in range(w + 1) for alpha in enumerate_partitions(m)):
+        m = sum(alpha)
+        small = partitions_with_core(p * (w - m) + e, rho, p)
+        for lam, xi, down, image in members:
+            base = {"alpha": format_partition(alpha), "lambda": format_partition(lam)}
+            dxi = d_alpha(xi, alpha, p)
+            pushed = d_alpha(down, alpha, p)
+            rep.add(dict(base, square="left"), tilde_pi_rho(dxi, rho).values == pushed.values)
+
+            coeffs = {}
+            ok = True
+            witness = None
+            for nu, c in decompose(dxi).items():
+                if c.denominator != 1:
+                    ok, witness = False, {"nu": format_partition(nu), "coeff": str(c)}
+                    break
+                if nu not in small:
+                    ok, witness = False, {"nu": format_partition(nu), "outside_block": True}
+                    break
+                coeffs[nu] = int(c)
+            if ok:
+                total = wreath_space(p, w - m).combine(
+                    coeffs.values(), (isometry_image(nu, rho, p).values for nu in coeffs)
+                )
+                direct = delta_alpha(image, alpha).values
+                ok = tuple(total) == direct
+                if not ok:
+                    witness = {
+                        "via_block": [str(v) for v in total],
+                        "via_wreath": [str(v) for v in direct],
+                    }
+            rep.add(dict(base, square="right"), ok, witness)
+    return rep
 
 
 def skew_class_function(lam, mu):

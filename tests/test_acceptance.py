@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial, gcd
 
 from deal_reference import reference_induced_mn
-from row_reference import combination_class_function
+from row_reference import combination_class_function, decompose
 
 from blockiso.abacus import contains_p, p_quotient, p_sign
 from blockiso.isometry import (
@@ -287,7 +287,7 @@ def _farahat_shrink(p, t_max):
 
 
 def _top_shrink(p, w_max):
-    from blockiso.symchar import SnClassFunction, character_value, decompose
+    from blockiso.symchar import SnClassFunction, character_value
 
     def shrunk(mu, m):
         d = sum(mu) // m

@@ -17,7 +17,6 @@ from blockiso.symchar import (
     centralizer_order_sn,
     irr_class_function,
     sn_space,
-    tilde_pi_rho,
 )
 from blockiso.wreath import (
     WreathClassFunction,
@@ -27,7 +26,13 @@ from blockiso.wreath import (
     wreath_space,
     zeta_irr,
 )
-from row_reference import block_projection, dense_I_mu, dense_R_mu, wreath_block_projection
+from row_reference import (
+    block_projection,
+    dense_I_mu,
+    dense_R_mu,
+    tilde_pi_rho,
+    wreath_block_projection,
+)
 
 
 def sn_reference(a, b, n):

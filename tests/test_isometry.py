@@ -1,10 +1,12 @@
 """The signed bijection between block characters and wreath characters."""
 
 import itertools
-from math import comb, lcm
+from math import lcm
 
 import pytest
-from row_reference import pushdown_to_wreath
+import row_reference
+from core_sweep import degree_residues, reduced_cores
+from row_reference import diagram_report, pushdown_to_wreath
 
 from blockiso.abacus import circularly_nondecreasing, is_core, p_sign, partitions_with_core
 from blockiso import isometry
@@ -27,9 +29,10 @@ from blockiso.isometry import (
     verify_val,
     wreath_irr_degree,
 )
-from blockiso.partitions import enumerate_partitions, format_partition, v_p
+from blockiso.classfn import ClassFunction
+from blockiso.partitions import enumerate_partitions, format_partition, scale, sqcup
 from blockiso.reporting import record
-from blockiso.symchar import centralizer_order_sn, degree
+from blockiso.symchar import centralizer_order_sn, character_value
 from blockiso.wreath import (
     enumerate_irr_wreath,
     enumerate_wreath_classes,
@@ -251,6 +254,21 @@ def test_verify_diagram_suites():
         assert rep.ok, rep.failures()
 
 
+# Every (p, w, core) at which tier-1 runs verify_diagram, here or in the
+# acceptance criteria.
+DIAGRAM_CASES = (
+    (2, 2, ()), (2, 3, ()), (2, 4, ()), (3, 2, ()), (3, 3, ()), (5, 2, ()),
+    (2, 2, (1,)), (2, 3, (2, 1)), (3, 2, (1,)), (3, 2, (1, 1)),
+)
+
+
+def test_verify_diagram_matches_the_whole_row_route():
+    # The whole-row route decomposes each adjoined character against every
+    # irreducible of the smaller group and pushes whole rows down.
+    for p, w, rho in DIAGRAM_CASES:
+        assert verify_diagram(p, w, rho).records == diagram_report(p, w, rho).records, (p, w, rho)
+
+
 def test_verify_lemma_f_suites():
     for p, w in ((2, 2), (2, 3), (3, 2)):
         rep = verify_lemma_f(p, w)
@@ -292,13 +310,66 @@ def test_verify_diagram_fails_on_a_negated_image(monkeypatch):
             return real(lam, r, p_).scaled(-1 if lam == first else 1)
 
         monkeypatch.setattr(isometry, "isometry_image", negated)
-        failures = verify_diagram(p, w, rho).failures()
+        monkeypatch.setattr(row_reference, "isometry_image", negated)
+        rep = verify_diagram(p, w, rho)
+        assert rep.records == diagram_report(p, w, rho).records, (p, w, rho)
+        failures = rep.failures()
         assert failures, (p, w, rho)
         for r in failures:
             params, witness = r["parameters"], r["witness"]
             assert (params["lambda"], params["square"]) == (format_partition(first), "right"), r
             assert params["alpha"] != "" and any(v != "0" for v in witness["via_block"]), r
             assert witness["via_wreath"] == [str(-int(v)) for v in witness["via_block"]], r
+
+
+def test_verify_diagram_fails_on_a_wrong_skew_value(monkeypatch):
+    # The first member's skew values are off by one.  At alpha = () the
+    # smaller block is the block itself, so its pushdown carries the same
+    # error and the left square holds; at every other alpha only the first
+    # member's own left record reads the wrong values.  The whole-row route
+    # reads no skew value, and its left square passes whatever they are.
+    real = isometry.mn_value
+    for p, w, rho in ((2, 2, (1,)), (3, 2, (2,)), (2, 2, (2, 1))):
+        first = partitions_with_core(p * w + sum(rho), rho, p)[0]
+        monkeypatch.setattr(isometry, "mn_value", lambda lam, mu, tau: real(lam, mu, tau) + (lam == first))
+        failing = [r["parameters"] for r in verify_diagram(p, w, rho).failures()]
+        alphas = [format_partition(a) for m in range(1, w + 1) for a in enumerate_partitions(m)]
+        want = [{"alpha": a, "lambda": format_partition(first), "square": "left"} for a in alphas]
+        assert [{k: f[k] for k in ("alpha", "lambda", "square")} for f in failing] == want, (p, w, rho)
+        assert diagram_report(p, w, rho).ok, (p, w, rho)
+
+
+def test_verify_diagram_fails_on_a_component_outside_the_smaller_block(monkeypatch):
+    # The first member's character also carries a member of another block,
+    # of the same size and of weight at least w.  Adjoining p * alpha leaves
+    # that member's part off the smaller block, so the first member's right
+    # record fails at every alpha != (), and its witness is the first class
+    # where that part is nonzero.  (At alpha = () the smaller block is the
+    # block itself, whose rows then include the carried one.)
+    real = isometry.irr_class_function
+    for p, w, rho, elsewhere in ((2, 2, (2, 1), (1,)), (3, 2, (2,), (1, 1))):
+        n = p * w + sum(rho)
+        first = partitions_with_core(n, rho, p)[0]
+        other = partitions_with_core(n, elsewhere, p)[0]
+
+        def carried(lam):
+            row = real(lam)
+            if lam != first:
+                return row
+            return ClassFunction(row.space, tuple(a + b for a, b in zip(row.values, real(other).values)))
+
+        monkeypatch.setattr(isometry, "irr_class_function", carried)
+        run = {"p": p, "w": w, "core": format_partition(rho)}
+        want = []
+        for m in range(1, w + 1):
+            for alpha in enumerate_partitions(m):
+                stretched = scale(p, alpha)
+                tau = next(t for t in enumerate_partitions(n - p * m) if character_value(other, sqcup(stretched, t)))
+                params = dict(run, alpha=format_partition(alpha), square="right", **{"lambda": format_partition(first)})
+                want.append(record("diagram", params, False, {"outside_block": True, "class": format_partition(tau)}))
+        failures = verify_diagram(p, w, rho).failures()
+        assert all(r["parameters"]["lambda"] == format_partition(first) for r in failures), (p, w, rho)
+        assert [r for r in failures if r["parameters"]["alpha"]] == want, (p, w, rho)
 
 
 def test_verify_lemma_f_fails_on_a_flipped_bead_sign(monkeypatch):
@@ -465,29 +536,29 @@ def test_degrees_agree_mod_p_across_the_bijection():
     c_rho = C(n, |rho|)_{p'} * deg(rho)_{p'}.  This is an observation with
     the shape of the Isaacs-Navarro refinement of McKay, not the paper's
     claim.  It is checked at every p-core of at most 6 boxes for p in
-    3, 5, 7, with 1 <= w <= 3 and n <= 24.  A flipped sign breaks it: both
-    signs would need p to divide 2 * deg(lam)_{p'}, and p is odd."""
+    3, 5, 7, with 1 <= w <= 3 and n <= 24, and at every Scopes-reduced core
+    of (3, 2 <= w <= 4) and (5, 2).  A flipped sign breaks it: both signs
+    would need p to divide 2 * deg(lam)_{p'}, and p is odd."""
 
-    def p_prime(x, p):
-        return x // p ** v_p(x, p)
+    def check(cases):
+        members = 0
+        for p, w, rho in cases:
+            for lam, sign, lhs, rhs in degree_residues(p, w, rho):
+                members += 1
+                assert (lhs - sign * rhs) % p == 0, (p, w, rho, lam)
+                assert (lhs + sign * rhs) % p != 0, (p, w, rho, lam)
+        return len(cases), members
 
-    blocks = members = 0
-    for p in (3, 5, 7):
-        for rho in (r for k in range(7) for r in enumerate_partitions(k) if is_core(r, p)):
-            for w in range(1, 4):
-                n = p * w + sum(rho)
-                if n > 24:
-                    continue
-                blocks += 1
-                c_rho = p_prime(comb(n, sum(rho)), p) * p_prime(degree(rho), p)
-                for lam in partitions_with_core(n, rho, p):
-                    members += 1
-                    sign, psi = isometry_row(lam, rho, p)
-                    lhs = p_prime(degree(lam), p)
-                    rhs = c_rho * p_prime(wreath_irr_degree(p, w, lambda_psi(psi, p)), p)
-                    assert (lhs - sign * rhs) % p == 0, (p, w, rho, lam)
-                    assert (lhs + sign * rhs) % p != 0, (p, w, rho, lam)
-    assert (blocks, members) == (154, 4346)
+    small = [
+        (p, w, rho)
+        for p in (3, 5, 7)
+        for rho in (r for k in range(7) for r in enumerate_partitions(k) if is_core(r, p))
+        for w in range(1, 4)
+        if p * w + sum(rho) <= 24
+    ]
+    assert check(small) == (154, 4346)
+    reduced = [(p, w, rho) for p, w in ((3, 2), (3, 3), (3, 4), (5, 2)) for rho in reduced_cores(p, w)]
+    assert check(reduced) == (81, 2271)
 
 
 def test_epsilon_spot_values():

@@ -111,6 +111,17 @@ def test_mu_and_verify_sep_skip_modular():
     assert not RATIONAL & set(got["new"]), got
 
 
+def test_verify_diagram_needs_no_rationals():
+    # Every pairing of an adjoined character with the smaller block is integral.
+    got = fresh(
+        "from blockiso.cli import main\n"
+        "rc = run(['verify', 'diagram', '--p', '3', '--w', '2', '--core', '2'])\n"
+        "report(rc=rc, new=sorted(set(sys.modules) - start))\n"
+    )
+    assert got["rc"] == 0
+    assert not RATIONAL & set(got["new"]), got
+
+
 def test_lattice_loads_only_for_perfproj():
     got = fresh(
         "from blockiso.cli import main\n"

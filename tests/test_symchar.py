@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 import strip_reference
 from deal_reference import reference_induced_mn
-from row_reference import block_projection, skew_class_function
+from row_reference import block_projection, d_alpha, decompose, skew_class_function, tilde_pi_rho
 from strip_reference import mask_of, shape_of
 
 from blockiso.abacus import partitions_with_core
@@ -18,8 +18,6 @@ from blockiso.symchar import (
     SnClassFunction,
     centralizer_order_sn,
     character_value,
-    d_alpha,
-    decompose,
     degree,
     height_by_tower,
     height_by_valuation,
@@ -27,7 +25,6 @@ from blockiso.symchar import (
     irr_class_function,
     mn_value,
     strips,
-    tilde_pi_rho,
 )
 
 

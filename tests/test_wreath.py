@@ -7,12 +7,12 @@ from math import factorial, gcd
 
 import pytest
 from deal_reference import reference_zeta_value
-from row_reference import combination_class_function, restrict_from_sn
+from row_reference import combination_class_function, decompose, restrict_from_sn
 
 from blockiso.lattice import hnf_basis
 from blockiso.modular import brauer_labels, brauer_values, enumerate_gibr, projective_values
 from blockiso.partitions import enumerate_partitions, scale
-from blockiso.symchar import SnClassFunction, character_value, decompose, irr_class_function
+from blockiso.symchar import SnClassFunction, character_value, irr_class_function
 from blockiso.wreath import (
     WreathClassFunction,
     canonical_label,
