@@ -47,43 +47,26 @@ def brauer_labels(p: int) -> tuple[BrauerLabel, ...]:
     return tuple(labels)
 
 
-def brauer_coeffs(label: BrauerLabel, p: int) -> dict[Partition, int]:
-    """Ordinary-character coefficients restricting to the Brauer character."""
-    kind, data = label
-    if kind == "leg":
-        i = int(data)
-        return {hook_partition(j, p): (-1) ** (i - j) for j in range(i + 1)}
-    return {data: 1}
-
-
-def projective_coeffs(label: BrauerLabel, p: int) -> dict[Partition, int]:
-    """Ordinary-character coefficients of the projective partner."""
-    kind, data = label
-    if kind == "leg":
-        i = int(data)
-        return {hook_partition(i, p): 1, hook_partition(i + 1, p): 1}
-    return {data: 1}
-
-
-def _values_on_classes(coeffs: dict[Partition, int], p: int, regular_only: bool) -> tuple:
-    out = []
-    for c in enumerate_partitions(p):
-        if regular_only and c == (p,):
-            out.append(0)
-        else:
-            out.append(sum(k * character_value(mu, c) for mu, k in coeffs.items()))
-    return tuple(out)
-
-
 @cache
 def brauer_values(label: BrauerLabel, p: int) -> tuple:
-    """Brauer character extended by zero on the p-singular class."""
-    return _values_on_classes(brauer_coeffs(label, p), p, regular_only=True)
+    """Brauer character extended by zero on the p-singular class: at leg i
+    the alternating sum of the hooks of leg at most i, at a defect-zero
+    label its ordinary character."""
+    kind, data = label
+    terms = [((-1) ** (data - j), hook_partition(j, p)) for j in range(data + 1)] if kind == "leg" else [(1, data)]
+    return tuple(
+        0 if c == (p,) else sum(k * character_value(mu, c) for k, mu in terms)
+        for c in enumerate_partitions(p)
+    )
 
 
 @cache
 def projective_values(label: BrauerLabel, p: int) -> tuple:
-    vals = _values_on_classes(projective_coeffs(label, p), p, regular_only=False)
+    """Projective partner: at leg i the sum of the hooks of legs i and i + 1,
+    at a defect-zero label its ordinary character."""
+    kind, data = label
+    terms = (hook_partition(data, p), hook_partition(data + 1, p)) if kind == "leg" else (data,)
+    vals = tuple(sum(character_value(mu, c) for mu in terms) for c in enumerate_partitions(p))
     if vals[sn_space(p).index[(p,)]] != 0:
         raise AssertionError("projective character fails to vanish at the p-cycle")
     return vals
@@ -169,28 +152,36 @@ def verify_orth(p: int, w: int) -> Report:
     return rep
 
 
+def projective_coefficients(p: int, w: int, psis) -> list[list[int]]:
+    """Per tuple psi, the coefficients of the projective tuple on the ordinary
+    wreath irreducibles in `enumerate_irr_wreath` order: the decomposition
+    numbers of column psi, checked integral."""
+    irr_rows = [zeta_irr(p, w, phi).values for phi in enumerate_irr_wreath(p, w)]
+    space = wreath_space(p, w)
+    out = []
+    for psi in psis:
+        numbers = space.pairings(zeta_projective(p, w, psi).values, irr_rows)
+        if any(d.denominator != 1 for d in numbers):
+            raise AssertionError("decomposition number is not an integer")
+        out.append([int(d) for d in numbers])
+    return out
+
+
 def decomposition_matrix(p: int, w: int):
     """Integer matrix of ordinary wreath irreducibles against Brauer tuples.
 
     Rows follow the ordinary labels, columns the assignments; entries are
-    inner products with the projective tuples, checked integral, and the
-    restriction of each row to the regular classes must match the integer
-    combination of Brauer tuples.
+    the projective tuples' coefficients, and the restriction of each row to
+    the regular classes must match the integer combination of Brauer tuples.
     """
     gibr = enumerate_gibr(p, w)
-    proj = [zeta_projective(p, w, psi).values for psi in gibr]
+    rows = [list(row) for row in zip(*projective_coefficients(p, w, gibr))]
     brau = [zeta_brauer(p, w, psi).values for psi in gibr]
     space = wreath_space(p, w)
     regular = [space.index[lbl] for lbl in regular_wreath_classes(p, w)]
-    rows = []
-    for theta_label in enumerate_irr_wreath(p, w):
+    for theta_label, row in zip(enumerate_irr_wreath(p, w), rows):
         theta = zeta_irr(p, w, theta_label).values
-        numbers = space.pairings(theta, proj)
-        if any(d.denominator != 1 for d in numbers):
-            raise AssertionError("decomposition number is not an integer")
-        row = [int(d) for d in numbers]
         recon = space.combine(row, brau)
         if any(recon[k] != theta[k] for k in regular):
             raise AssertionError("Brauer expansion fails on a regular class")
-        rows.append(row)
     return rows

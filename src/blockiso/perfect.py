@@ -185,7 +185,7 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     final record also checks that premise, and its rank_image is the
     lattice's rank, which is the image's under a bijection."""
     from .lattice import hnf_basis, is_saturated
-    from .modular import enumerate_gibr, principal_gibr_filter, zeta_projective
+    from .modular import enumerate_gibr, principal_gibr_filter, projective_coefficients
     rep = Report("perfproj", {"p": p, "w": w})
     n = p * w + sum(rho)
     block = partitions_with_core(n, rho, p)
@@ -193,17 +193,13 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     images = [(sign, lambda_psi(comps, p)) for sign, comps in bijection]
     irr_wr = enumerate_irr_wreath(p, w)
     principal_wr = set(principal_block_filter(irr_wr, p))
-    irr_rows = [zeta_irr(p, w, phi).values for phi in irr_wr]
-    proj_rows, pulled = [], []
-    for psi in principal_gibr_filter(enumerate_gibr(p, w), p):
-        hat = zeta_projective(p, w, psi)
-        coeffs = hat.space.pairings(hat.values, irr_rows)
-        if any(c.denominator != 1 for c in coeffs):
-            raise AssertionError("projective tuple has fractional coefficients")
-        at = dict(zip(irr_wr, map(int, coeffs)))
+    principal = principal_gibr_filter(enumerate_gibr(p, w), p)
+    proj_rows = projective_coefficients(p, w, principal)
+    pulled = []
+    for psi, row in zip(principal, proj_rows):
+        at = dict(zip(irr_wr, row))
         ok_support = all(phi in principal_wr for phi, c in at.items() if c)
         rep.add({"psi": format_multipartition(psi), "support": "principal"}, ok_support)
-        proj_rows.append(list(at.values()))
         pulled.append([sign * at[phi] for sign, phi in images])
 
     # The lattice is {x : x * M = 0} for M, the block's values on the

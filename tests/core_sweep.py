@@ -12,8 +12,9 @@ runners takes k beads off the core and gives a core whose weight-w block is
 Morita equivalent (J. Scopes, J. Algebra 142, 1991).  A core is reduced when
 no such move applies, that is when max d_i <= w - 1; then each d_i is also at
 least -1 - (p - 1)(w - 1), so there are finitely many.  `reduced_cores`
-lists them from the difference vectors, and `scopes_reduce` walks any core
-down by moves, so that a test can check that every walk ends in the list.
+lists them from the difference vectors, `scopes_moves` lists the moves from
+any core, and `scopes_reduce` walks a core down by them, so that a test can
+check that every walk ends in the list.
 
 `degree_residues` reads the degree congruence across the signed bijection
 (an observation with the shape of the Isaacs-Navarro refinement of McKay,
@@ -59,31 +60,31 @@ def reduced_cores(p: int, w: int) -> tuple:
     return tuple(sorted(out, key=lambda rho: (sum(rho), [-x for x in rho])))
 
 
-def scopes_move(rho, p: int, w: int):
-    """The core after the first Scopes move that applies, or None."""
+def scopes_moves(rho, p: int, w: int) -> list:
+    """The core after each Scopes move that applies, runner pairs (i - 1, i)
+    in order of i and the wrap pair last."""
     counts = _core_beads(rho, p)  # on an abacus of N = 0 (mod p) beads
     d = differences(counts)
+    out = []
     for i in range(1, p):
         if d[i] >= w:
             swapped = list(counts)
             swapped[i - 1], swapped[i] = counts[i], counts[i - 1]
-            return core_from_counts(swapped)
+            out.append(core_from_counts(swapped))
     if d[0] >= w:
         # With one more bead runner p - 1 becomes runner 0, one bead longer,
         # and the wrap pair becomes the pair of runners 0 and 1.
-        return core_from_counts((counts[0], counts[-1] + 1) + counts[1:-1])
-    return None
+        out.append(core_from_counts((counts[0], counts[-1] + 1) + counts[1:-1]))
+    return out
 
 
 def scopes_reduce(rho, p: int, w: int):
-    """rho walked down by Scopes moves until none applies."""
-    while True:
-        smaller = scopes_move(rho, p, w)
-        if smaller is None:
-            return rho
-        if sum(smaller) >= sum(rho):
+    """rho walked down by the first Scopes move until none applies."""
+    while moves := scopes_moves(rho, p, w):
+        if sum(moves[0]) >= sum(rho):
             raise AssertionError(f"a Scopes move did not shrink {rho}")
-        rho = smaller
+        rho = moves[0]
+    return rho
 
 
 def p_prime(x: int, p: int) -> int:

@@ -1,8 +1,10 @@
 """Transfer, separation, and lattice behaviour of the signed bijection."""
 
+from fractions import Fraction
+
 import pytest
 
-from blockiso import modular, perfect
+from blockiso import cli, modular, perfect
 from blockiso.abacus import partitions_with_core
 from blockiso.classfn import ClassFunction
 from blockiso.isometry import isometry_image
@@ -265,6 +267,33 @@ def test_perfproj_fails_alike_on_a_non_principal_coefficient(monkeypatch):
         monkeypatch.setattr(modular, "zeta_projective", spoiled)
         rep = _both_routes_fail_alike(p, w)
         assert len(rep.failures()) == 2, (p, w)
+
+
+def test_decomp_and_perfproj_share_one_integrality_check(monkeypatch, capsys):
+    """With the first principal tuple halved, some decomposition number is
+    a half: `decomposition_matrix` and `verify_perfproj` stop at the same
+    check with the same message, and so do their commands."""
+    real_projective = modular.zeta_projective
+    for p, w in ((2, 2), (3, 2), (5, 2)):
+        first = modular.principal_gibr_filter(modular.enumerate_gibr(p, w), p)[0]
+
+        def halved(p_, w_, psi):
+            hat = real_projective(p_, w_, psi)
+            return hat.scaled(Fraction(1, 2)) if psi == first else hat
+
+        monkeypatch.setattr(modular, "zeta_projective", halved)
+        messages = []
+        for run in (lambda: modular.decomposition_matrix(p, w), lambda: verify_perfproj(p, w, ())):
+            with pytest.raises(AssertionError) as err:
+                run()
+            messages.append(str(err.value))
+        assert messages == ["decomposition number is not an integer"] * 2, (p, w)
+        lines = []
+        for argv in (["decomp"], ["verify", "perfproj"]):
+            assert cli.main(argv + ["--p", str(p), "--w", str(w)]) == 4, (p, w, argv)
+            lines.append(capsys.readouterr().err)
+        assert lines == ["internal error: AssertionError: decomposition number is not an integer\n"] * 2, (p, w)
+        monkeypatch.setattr(modular, "zeta_projective", real_projective)
 
 
 def test_perfectness_probe_grid():
