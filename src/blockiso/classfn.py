@@ -9,6 +9,7 @@ when the values are Fractions).  Every linear combination of rows is one
 conjugation is needed.
 """
 
+from collections import namedtuple
 from math import lcm
 from operator import mul
 
@@ -61,33 +62,11 @@ def _ratio(num: int, den: int):
     return Fraction(num, den)
 
 
-class ClassFunction:
-    """Dense class function over a space, in the space's label order.
-    Immutable; equal when the space is the same object and the values are
-    equal."""
+class ClassFunction(namedtuple("ClassFunction", "space values")):
+    """Dense class function over a space, in the space's label order; an
+    immutable (space, values) pair, equal on the same space object with equal values."""
 
-    __slots__ = ("space", "values")
-
-    def __init__(self, space: ClassSpace, values: tuple):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ClassFunction is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ClassFunction is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if type(other) is not ClassFunction:
-            return NotImplemented
-        return self.space is other.space and self.values == other.values
-
-    def __hash__(self):
-        return hash((self.space, self.values))
-
-    def __repr__(self):
-        return f"ClassFunction(space={self.space!r}, values={self.values!r})"
+    __slots__ = ()
 
     @property
     def n(self):

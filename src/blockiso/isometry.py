@@ -45,7 +45,6 @@ from .symchar import (
 )
 from .wreath import (
     canonical_label,
-    delta_alpha,
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
@@ -369,40 +368,38 @@ def verify_centp(p: int, w: int, e: int) -> Report:
 
 
 def verify_diagram(p: int, w: int, rho: Partition) -> Report:
-    """Both squares, from one pairing per member and alpha.  Adjoining the
-    cycles p*alpha to lam's character leaves a class function of the smaller
-    group; c holds its inner products with the smaller block's irreducibles
-    nu.  Left: the pushdown of sum c_nu nu, the skew sum c_nu nu/rho, is
-    lam/rho with p*alpha adjoined.  Right: sum c_nu nu gives back the
-    adjoined character (so nothing of it lies off the smaller block), each
-    c_nu is integral, and sum c_nu I(nu) is the wreath adjunction of I(lam),
-    I the signed bijection."""
+    """Both squares, from one pairing per member and alpha.  Level m holds
+    the block of weight w - m: its characters nu, skews nu/rho and images
+    I(nu), I the signed bijection; the block is level 0.  Adjoining p*alpha
+    to lam's character leaves a class function of the smaller group; c holds
+    its inner products with level m's nu.  Left: sum c_nu nu/rho is lam/rho
+    at p*alpha + sigma.  Right: sum c_nu nu gives back the adjoined character
+    (so nothing of it lies off the smaller block), each c_nu is integral, and
+    sum c_nu I(nu) is I(lam) at the labels with (alpha_j, p-cycle) adjoined.
+    Each adjunction reads level 0's rows through one index map per alpha."""
     rep = Report("diagram", {"p": p, "w": w, "core": format_partition(rho)})
     e = sum(rho)
-    n = p * w + e
-    index = sn_space(n).index
-    members = [
-        (lam, format_partition(lam), irr_class_function(lam).values, isometry_image(lam, rho, p))
-        for lam in partitions_with_core(n, rho, p)
-    ]
     for m in range(w + 1):
-        space, down = sn_space(p * (w - m) + e), sn_space(p * (w - m))
-        sigmas = down.labels
+        space, down, wreath = sn_space(p * (w - m) + e), sn_space(p * (w - m)), wreath_space(p, w - m)
         small = partitions_with_core(space.n, rho, p)
         chis = [irr_class_function(nu).values for nu in small]
-        skews = [[mn_value(nu, rho, sigma) for sigma in sigmas] for nu in small]
+        skews = [[mn_value(nu, rho, sigma) for sigma in down.labels] for nu in small]
         images = [isometry_image(nu, rho, p).values for nu in small]
+        if not m:
+            members = list(zip(map(format_partition, small), chis, skews, images))
+            index, down_index, wreath_index = space.index, down.index, wreath.index
         for alpha in enumerate_partitions(m):
             stretched = scale(p, alpha)
+            extra = tuple((a, (p,)) for a in alpha)
             at = [index[sqcup(stretched, tau)] for tau in space.labels]
-            tops = [sqcup(stretched, sigma) for sigma in sigmas]
+            down_at = [down_index[sqcup(stretched, sigma)] for sigma in down.labels]
+            wreath_at = [wreath_index[canonical_label(lbl + extra)] for lbl in wreath.labels]
             alpha_text = format_partition(alpha)
-            for lam, text, xi, image in members:
+            for text, xi, skew, image in members:
                 base = {"alpha": alpha_text, "lambda": text}
                 adjoined = [xi[i] for i in at]
                 c = space.pairings(adjoined, chis)
-                pushed = [mn_value(lam, rho, top) for top in tops]
-                rep.add(dict(base, square="left"), down.combine(c, skews) == pushed)
+                rep.add(dict(base, square="left"), down.combine(c, skews) == [skew[i] for i in down_at])
 
                 witness = None
                 rebuilt = space.combine(c, chis)
@@ -414,9 +411,9 @@ def verify_diagram(p: int, w: int, rho: Partition) -> Report:
                     nu, x = fractional[0]
                     witness = {"nu": format_partition(nu), "coeff": str(x)}
                 else:
-                    total = wreath_space(p, w - m).combine(c, images)
-                    direct = delta_alpha(image, alpha).values
-                    if tuple(total) != direct:
+                    total = wreath.combine(c, images)
+                    direct = [image[i] for i in wreath_at]
+                    if total != direct:
                         witness = {
                             "via_block": [str(v) for v in total],
                             "via_wreath": [str(v) for v in direct],

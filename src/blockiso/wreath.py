@@ -35,13 +35,8 @@ ClassLabel = tuple[tuple[int, Partition], ...]
 PMapLabel = tuple[Partition, ...]
 
 
-def _pair_key(pair: tuple[int, Partition]):
-    k, c = pair
-    return (-k, tuple(-x for x in c))
-
-
 def canonical_label(pairs) -> ClassLabel:
-    return tuple(sorted(pairs, key=_pair_key))
+    return tuple(sorted(pairs, reverse=True))
 
 
 def format_class_label(label: ClassLabel) -> str:
@@ -107,15 +102,14 @@ def irr_names(p: int) -> list[str]:
 
 @cache
 def enumerate_wreath_classes(p: int, w: int) -> tuple[ClassLabel, ...]:
-    """All class labels of the wreath of S_p by S_w, canonical order.  Part k
+    """All class labels of the wreath of S_p by S_w, in descending order.  Part k
     of component c of a multipartition is a top k-cycle over base class c."""
     bases = enumerate_partitions(p)
-    labels = [
+    labels = (
         canonical_label((k, c) for c, mu in zip(bases, mp) for k in mu)
         for mp in multipartitions(len(bases), w)
-    ]
-    labels.sort(key=lambda lbl: tuple(_pair_key(pr) for pr in lbl))
-    return tuple(labels)
+    )
+    return tuple(sorted(labels, reverse=True))
 
 
 def wreath_group_order(p: int, w: int) -> int:
@@ -273,19 +267,6 @@ def shr_m(xi: ClassFunction, m: int) -> ClassFunction:
         for lbl in enumerate_wreath_classes(xi.p, d)
     )
     return WreathClassFunction(xi.p, d, values)
-
-
-def delta_alpha(xi: ClassFunction, alpha: Partition) -> ClassFunction:
-    """Adjoin pairs (alpha_j, base p-cycle) to every label, then evaluate xi."""
-    m = sum(alpha)
-    if m > xi.w:
-        raise ValueError("alpha too large")
-    extra = tuple((a, (xi.p,)) for a in alpha)
-    values = tuple(
-        xi.value(canonical_label(tuple(lbl) + extra))
-        for lbl in enumerate_wreath_classes(xi.p, xi.w - m)
-    )
-    return WreathClassFunction(xi.p, xi.w - m, values)
 
 
 def in_K_s(xi: ClassFunction, s: int) -> bool:

@@ -6,8 +6,9 @@ whole-row maps below are the route it is checked against: the skew
 character as a row, restriction along the wreath embedding, and the
 pushdown `tilde_pi_rho`, which averages a whole row over the cycle types
 adjoined for rho.  `decompose` pairs a row with every irreducible of its
-group and `d_alpha` adjoins p-multiplied cycles to a whole row;
-`diagram_report` is the `verify diagram` loop built on the three, which
+group, `d_alpha` adjoins p-multiplied cycles to a whole row and
+`delta_alpha` adjoins the pairs (alpha_j, base p-cycle) to every wreath
+label; `diagram_report` is the `verify diagram` loop built on them, which
 decomposes each adjoined character against all of S_m and compares the
 pushdown of the adjoined row with the adjoined pushdown.  `combination_class_function`
 induces from factors whose top characters are integer combinations, by
@@ -42,7 +43,7 @@ from blockiso.symchar import (
 )
 from blockiso.wreath import (
     WreathClassFunction,
-    delta_alpha,
+    canonical_label,
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
@@ -90,6 +91,19 @@ def d_alpha(xi: ClassFunction, alpha: Partition, p: int) -> ClassFunction:
     return SnClassFunction(
         m, tuple(xi.value(sqcup(stretched, tau)) for tau in enumerate_partitions(m))
     )
+
+
+def delta_alpha(xi: ClassFunction, alpha: Partition) -> ClassFunction:
+    """Adjoin pairs (alpha_j, base p-cycle) to every label, then evaluate xi."""
+    m = sum(alpha)
+    if m > xi.w:
+        raise ValueError("alpha too large")
+    extra = tuple((a, (xi.p,)) for a in alpha)
+    values = tuple(
+        xi.value(canonical_label(tuple(lbl) + extra))
+        for lbl in enumerate_wreath_classes(xi.p, xi.w - m)
+    )
+    return WreathClassFunction(xi.p, xi.w - m, values)
 
 
 def diagram_report(p: int, w: int, rho):

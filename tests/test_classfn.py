@@ -5,11 +5,13 @@ sum of a * b / z_c over the classes c, in exact rationals; the kernel's
 single weighted integer dot product must agree with it exactly.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
 
 from blockiso.abacus import partitions_with_core
+from blockiso.classfn import ClassFunction
 from blockiso.partitions import enumerate_partitions
 from blockiso.perfect import I_mu, R_mu, _basis, build_mu
 from blockiso.symchar import (
@@ -183,3 +185,16 @@ def test_cached_rows_are_shared_immutable_tuples():
         assert type(row.values) is tuple
         with pytest.raises(AttributeError):
             row.values = ()
+
+
+def test_class_function_is_a_pair_equal_over_one_space_object():
+    row = irr_class_function((2, 1))
+    space, values = row
+    assert row == (space, values) and hash(row) == hash((space, values))
+    assert repr(row) == f"ClassFunction(space={space!r}, values={values!r})"
+    assert ClassFunction(sn_space(3), values) == row
+    assert ClassFunction(copy.copy(space), values) != row
+    with pytest.raises(AttributeError):
+        row.extra = 1
+    with pytest.raises(AttributeError):
+        del row.values

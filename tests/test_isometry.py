@@ -255,10 +255,11 @@ def test_verify_diagram_suites():
 
 
 # Every (p, w, core) at which tier-1 runs verify_diagram, here or in the
-# acceptance criteria.
+# acceptance criteria, and cored and w >= p cases of the wreath index map.
 DIAGRAM_CASES = (
     (2, 2, ()), (2, 3, ()), (2, 4, ()), (3, 2, ()), (3, 3, ()), (5, 2, ()),
     (2, 2, (1,)), (2, 3, (2, 1)), (3, 2, (1,)), (3, 2, (1, 1)),
+    (3, 3, (1,)), (2, 4, (1,)), (3, 4, ()), (5, 2, (1,)),
 )
 
 

@@ -2,12 +2,13 @@
 permutation model of the order eight group (two blocks of two points).
 """
 
+import random
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
 from deal_reference import reference_zeta_value
-from row_reference import combination_class_function, decompose, restrict_from_sn
+from row_reference import combination_class_function, decompose, delta_alpha, restrict_from_sn
 
 from blockiso.lattice import hnf_basis
 from blockiso.modular import brauer_labels, brauer_values, enumerate_gibr, projective_values
@@ -17,7 +18,6 @@ from blockiso.wreath import (
     WreathClassFunction,
     canonical_label,
     centralizer_order_wreath,
-    delta_alpha,
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
@@ -105,6 +105,26 @@ def test_canonical_label_sorts():
     shuffled = ((1, (1, 1)), (2, (2,)), (1, (2,)))
     assert canonical_label(shuffled) == ((2, (2,)), (1, (2,)), (1, (1, 1)))
     assert canonical_label(canonical_label(shuffled)) == canonical_label(shuffled)
+
+
+def _pair_key(pair):
+    # Longer top cycles first, then larger base classes, by negating both.
+    k, c = pair
+    return (-k, tuple(-x for x in c))
+
+
+def test_canonical_order_is_the_negated_pair_key():
+    # Descending tuple order is the ascending negated key, since no partition
+    # of p is a proper prefix of another and no label of total w is a proper
+    # prefix of another label of total w.
+    rng = random.Random(0)
+    for p in (2, 3, 5, 7):
+        for w in range(5):
+            labels = enumerate_wreath_classes(p, w)
+            assert list(labels) == sorted(labels, key=lambda lbl: [_pair_key(pr) for pr in lbl])
+            for lbl in labels:
+                shuffled = rng.sample(lbl, len(lbl))
+                assert canonical_label(shuffled) == tuple(sorted(shuffled, key=_pair_key)) == lbl
 
 
 def test_embed_frozen():
