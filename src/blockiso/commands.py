@@ -11,7 +11,7 @@ when a command runs, so a wrapper later bound on `cli` is the one run.
 
 from . import abacus, cli
 from .cli import _lib
-from .partitions import ArgumentError, Partition, enumerate_partitions, format_partition, parse_partition
+from .partitions import ArgumentError, Partition, enumerate_partitions, format_partition, multipartitions, parse_partition
 
 
 def _table_text(fmt: str, meta: dict, row_key: str, values_key: str, columns: list, rows) -> str:
@@ -133,7 +133,7 @@ def _cmd_decomp(args, _rho) -> tuple[str, int]:
     modular, wreath = _lib("modular"), _lib("wreath")
     matrix = modular.decomposition_matrix(args.p, args.w)
     all_irr = wreath.enumerate_irr_wreath(args.p, args.w)
-    principal = set(wreath.principal_block_filter(all_irr, args.p))
+    principal = {wreath.lambda_psi(psi, args.p) for psi in multipartitions(args.p, args.w)}
     cols, irr = modular.gibr_texts(args.p, args.w), wreath.irr_names(args.p)
     rows = [(wreath.format_assignment(irr, phi), row) for phi, row in zip(all_irr, matrix) if phi in principal]
     meta = {"p": args.p, "w": args.w, "gibr": cols}

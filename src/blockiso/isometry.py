@@ -46,14 +46,12 @@ from .symchar import (
 from .wreath import (
     canonical_label,
     embed_to_sn,
-    enumerate_irr_wreath,
     enumerate_wreath_classes,
     factors_from_pmap,
     format_class_label,
     in_U_s,
     labels_in_U_s,
     lambda_psi,
-    principal_block_filter,
     wreath_space,
     zeta_irr,
     zeta_row,
@@ -177,8 +175,7 @@ def verify_heights(p: int, w: int, rho: Partition) -> Report:
     """Both height computations agree and transfer across the bijection."""
     rep = Report("heights", {"p": p, "w": w})
     n = p * w + sum(rho)
-    principal = principal_block_filter(enumerate_irr_wreath(p, w), p)
-    floor = min(v_p(wreath_irr_degree(p, w, phi), p) for phi in principal)
+    floor = min(v_p(wreath_irr_degree(p, w, lambda_psi(psi, p)), p) for psi in multipartitions(p, w))
     rep.add({"wreath_floor": floor}, floor == 0)
     for lam in partitions_with_core(n, rho, p):
         h_tower = height_by_tower(lam, p)

@@ -20,7 +20,6 @@ from .partitions import (
     format_partition,
     is_prime,
     multipartitions,
-    supported_on,
 )
 from .reporting import Report
 from .symchar import character_value, sn_space
@@ -96,9 +95,11 @@ def gibr_texts(p: int, w: int) -> list[str]:
     return [format_assignment(names, psi) for psi in enumerate_gibr(p, w)]
 
 
-def principal_gibr_filter(assignments, p: int) -> tuple[GIBrLabel, ...]:
-    """Keep assignments supported on the principal-block Brauer labels."""
-    return supported_on(assignments, [kind == "leg" for kind, _ in brauer_labels(p)])
+def principal_gibr(p: int, w: int) -> tuple[GIBrLabel, ...]:
+    """The Brauer tuples supported on the principal-block labels, the legs,
+    which brauer_labels lists first: empty at every defect-zero label."""
+    empty = ((),) * (len(brauer_labels(p)) - (p - 1))
+    return tuple(psi + empty for psi in multipartitions(p - 1, w))
 
 
 def _factors(psi: GIBrLabel, p: int, value_fn) -> list:

@@ -85,16 +85,14 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 
 @cache
 def multipartitions(k: int, w: int) -> tuple[tuple[Partition, ...], ...]:
-    """All k-tuples of partitions with total size w, descending lexicographic."""
-    if k == 0:
-        return ((),) if w == 0 else ()
+    """All k-tuples of partitions with total size w, descending lexicographic.
+    Built from the last component forward: tails[r] lists the tuples of the
+    components placed so far with total size r."""
     heads = sorted((mu for m in range(w + 1) for mu in enumerate_partitions(m)), reverse=True)
-    return tuple((mu,) + rest for mu in heads for rest in multipartitions(k - 1, w - sum(mu)))
-
-
-def supported_on(assignments, marked) -> tuple:
-    """Keep the assignments whose nonempty parts sit only where marked is true."""
-    return tuple(a for a in assignments if all(m or not mu for m, mu in zip(marked, a)))
+    tails = {0: [()]}
+    for _ in range(k):
+        tails = {r: [(mu,) + rest for mu in heads for rest in tails.get(r - sum(mu), ())] for r in range(w + 1)}
+    return tuple(tails.get(w, ()))
 
 
 def is_prime(p: int) -> bool:

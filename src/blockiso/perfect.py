@@ -12,7 +12,7 @@ divisibility half genuinely fails once the weight reaches p.
 
 from operator import mul
 
-from .abacus import hook_partition, partitions_with_core
+from .abacus import partitions_with_core
 from .classfn import ClassFunction
 from .isometry import isometry_image, isometry_inverse, isometry_row
 from .partitions import (
@@ -20,6 +20,7 @@ from .partitions import (
     enumerate_partitions,
     format_multipartition,
     format_partition,
+    multipartitions,
     v_p,
 )
 from .reporting import Report
@@ -40,7 +41,6 @@ from .wreath import (
     format_class_label,
     labels_in_U_s,
     lambda_psi,
-    principal_block_filter,
     tp_wr,
     wreath_space,
     zeta_irr,
@@ -112,11 +112,10 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
         if lam not in members:
             got = R_mu(basis, irr_class_function(lam), p, w)
             rep.add({"lambda": format_partition(lam), "map": "kill"}, got.is_zero())
-    # Reading phi at the hook with leg i inverts lambda_psi.
-    hooks = [enumerate_partitions(p).index(hook_partition(i, p)) for i in range(p)]
-    for phi in principal_block_filter(enumerate_irr_wreath(p, w), p):
+    for psi in multipartitions(p, w):
+        phi = lambda_psi(psi, p)
         got = I_mu(basis, zeta_irr(p, w, phi), n).values
-        lam = isometry_inverse(tuple(phi[k] for k in hooks), rho, p)
+        lam = isometry_inverse(psi, rho, p)
         want = irr_class_function(lam).scaled(isometry_row(lam, rho, p)[0]).values
         rep.add({"phi": format_multipartition(phi), "map": "inverse"}, got == want)
     return rep
@@ -185,15 +184,15 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     final record also checks that premise, and its rank_image is the
     lattice's rank, which is the image's under a bijection."""
     from .lattice import hnf_basis, is_saturated
-    from .modular import enumerate_gibr, principal_gibr_filter, projective_coefficients
+    from .modular import principal_gibr, projective_coefficients
     rep = Report("perfproj", {"p": p, "w": w})
     n = p * w + sum(rho)
     block = partitions_with_core(n, rho, p)
     bijection = [isometry_row(lam, rho, p) for lam in block]
     images = [(sign, lambda_psi(comps, p)) for sign, comps in bijection]
     irr_wr = enumerate_irr_wreath(p, w)
-    principal_wr = set(principal_block_filter(irr_wr, p))
-    principal = principal_gibr_filter(enumerate_gibr(p, w), p)
+    principal_wr = {lambda_psi(psi, p) for psi in multipartitions(p, w)}
+    principal = principal_gibr(p, w)
     proj_rows = projective_coefficients(p, w, principal)
     pulled = []
     for psi, row in zip(principal, proj_rows):

@@ -16,7 +16,7 @@ import re
 from functools import cache
 from math import factorial
 
-from .abacus import hook_partition, is_hook
+from .abacus import hook_partition
 from .classfn import ClassFunction, ClassSpace
 from .partitions import (
     ArgumentError,
@@ -27,7 +27,6 @@ from .partitions import (
     parse_partition,
     scale,
     sqcup,
-    supported_on,
 )
 from .symchar import centralizer_order_sn, character_value, induced_row, sn_space
 
@@ -102,14 +101,8 @@ def irr_names(p: int) -> list[str]:
 
 @cache
 def enumerate_wreath_classes(p: int, w: int) -> tuple[ClassLabel, ...]:
-    """All class labels of the wreath of S_p by S_w, in descending order.  Part k
-    of component c of a multipartition is a top k-cycle over base class c."""
-    bases = enumerate_partitions(p)
-    labels = (
-        canonical_label((k, c) for c, mu in zip(bases, mp) for k in mu)
-        for mp in multipartitions(len(bases), w)
-    )
-    return tuple(sorted(labels, reverse=True))
+    """All class labels of the wreath of S_p by S_w, in descending order."""
+    return labels_in_U_s(p, w, 0)
 
 
 def wreath_group_order(p: int, w: int) -> int:
@@ -146,8 +139,18 @@ def in_U_s(label: ClassLabel, p: int, s: int) -> bool:
 
 
 def labels_in_U_s(p: int, w: int, s: int) -> tuple[ClassLabel, ...]:
-    """The labels of the wreath product that lie in U_s, canonical order."""
-    return tuple(lbl for lbl in enumerate_wreath_classes(p, w) if in_U_s(lbl, p, s))
+    """The labels of the wreath product that lie in U_s, in descending order.
+    Each is a partition of some t >= s, its parts k the top k-cycles over the
+    base p-cycle, with a multipartition of w - t over the other base classes:
+    part k of component c is a top k-cycle over base class c."""
+    others = enumerate_partitions(p)[1:]
+    labels = (
+        canonical_label([(k, (p,)) for k in lam] + [(k, c) for c, mu in zip(others, mp) for k in mu])
+        for t in range(max(s, 0), w + 1)
+        for lam in enumerate_partitions(t)
+        for mp in multipartitions(len(others), w - t)
+    )
+    return tuple(sorted(labels, reverse=True))
 
 
 def identity_label(p: int, w: int) -> ClassLabel:
@@ -219,11 +222,6 @@ def zeta_irr(p: int, w: int, phi_label: PMapLabel) -> ClassFunction:
 def enumerate_irr_wreath(p: int, w: int) -> tuple[PMapLabel, ...]:
     """Assignments of partitions to base irreducibles with total size w."""
     return multipartitions(len(enumerate_partitions(p)), w)
-
-
-def principal_block_filter(labels, p: int) -> tuple[PMapLabel, ...]:
-    """Keep the assignments concentrated on hook base irreducibles."""
-    return supported_on(labels, [is_hook(kappa) for kappa in enumerate_partitions(p)])
 
 
 def lambda_psi(psi: tuple[Partition, ...], p: int) -> PMapLabel:

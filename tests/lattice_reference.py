@@ -20,7 +20,7 @@ pushes that kernel forward through the signed bijection into wreath
 coordinates and compares HNF bases there, where the library pulls the
 projective tuples back into block coordinates and certifies that they
 span the kernel without computing it.  It reads `perfect.isometry_row`,
-`modular.principal_gibr_filter` and `modular.zeta_projective` at call
+`modular.principal_gibr` and `modular.zeta_projective` at call
 time, so a test that patches any of them patches both routes.
 """
 
@@ -31,7 +31,8 @@ from blockiso.abacus import partitions_with_core
 from blockiso.partitions import enumerate_partitions, format_multipartition, format_partition
 from blockiso.reporting import Report
 from blockiso.symchar import character_value
-from blockiso.wreath import enumerate_irr_wreath, lambda_psi, principal_block_filter, zeta_irr
+from blockiso.wreath import enumerate_irr_wreath, lambda_psi, zeta_irr
+from label_reference import principal_block_filter
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -198,7 +199,7 @@ def perfproj_report(p, w, rho):
         image_rows.append(vec)
 
     proj_rows = []
-    principal = modular.principal_gibr_filter(modular.enumerate_gibr(p, w), p)
+    principal = modular.principal_gibr(p, w)
     irr_rows = [zeta_irr(p, w, phi).values for phi in irr_wr]
     for psi in principal:
         hat = modular.zeta_projective(p, w, psi)

@@ -41,19 +41,18 @@ from blockiso.symchar import (
     mn_value,
     sn_space,
 )
-from blockiso.wreath import (
-    WreathClassFunction,
+from blockiso.wreath import (    WreathClassFunction,
     canonical_label,
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     format_class_label,
-    principal_block_filter,
     tp_wr,
     wreath_space,
     zeta_class_function,
     zeta_irr,
 )
+from label_reference import principal_block_filter
 
 
 def decompose(xi: ClassFunction) -> "dict[Partition, Fraction]":

@@ -9,7 +9,7 @@ from core_sweep import degree_residues, reduced_cores
 from row_reference import diagram_report, pushdown_to_wreath
 
 from blockiso.abacus import circularly_nondecreasing, is_core, p_sign, partitions_with_core
-from blockiso import isometry
+from blockiso import isometry, wreath
 from blockiso.isometry import (
     _centralizer_scan,
     _in_wreath_times_tail,
@@ -149,6 +149,21 @@ REAL_ISOMETRY_ROW = isometry.isometry_row
 
 def _small_cores(p: int, size: int = 3):
     return [rho for e in range(size + 1) for rho in enumerate_partitions(e) if is_core(rho, p)]
+
+
+def test_pointwise_verbs_read_no_full_label_list(monkeypatch):
+    # main, val, unique and heights read only the labels in U_s and the
+    # principal irreducibles, each generated from its definition; the list
+    # of every class and of every irreducible stays unread.
+    def full_list(p, w):
+        raise AssertionError(f"a pointwise verb listed every label at ({p},{w})")
+
+    for module in (wreath, isometry):
+        for name in ("enumerate_wreath_classes", "enumerate_irr_wreath"):
+            monkeypatch.setattr(module, name, full_list, raising=False)
+    for p, w, rho in ((3, 3, ()), (5, 2, (1,)), (7, 2, ())):
+        reps = [verify_main(p, w, rho), verify_val(p, w), verify_uniqueness(p, w), verify_heights(p, w, rho)]
+        assert all(rep.records and rep.ok for rep in reps), (p, w, rho)
 
 
 def test_pointwise_pushdown_and_image_match_whole_rows():

@@ -8,7 +8,7 @@ from blockiso.modular import (
     brauer_values,
     decomposition_matrix,
     enumerate_gibr,
-    principal_gibr_filter,
+    principal_gibr,
     projective_values,
     regular_wreath_classes,
     validate_base_modular,
@@ -21,6 +21,7 @@ from blockiso.modular import _factors
 from blockiso.partitions import enumerate_partitions, format_multipartition
 from blockiso.reporting import record
 from blockiso.wreath import enumerate_irr_wreath, enumerate_wreath_classes, span_generators, zeta_irr
+from label_reference import principal_gibr_filter
 
 
 def test_base_biorthogonality():
@@ -69,11 +70,19 @@ def test_gibr_counts_match_regular_wreath_classes():
 
 def test_principal_filter():
     full = enumerate_gibr(5, 1)
-    principal = principal_gibr_filter(full, 5)
+    principal = principal_gibr(5, 1)
     assert len(full) == 6
     assert len(principal) == 4
     for a in principal:
         assert a[4] == () and a[5] == ()
+
+
+def test_principal_gibr_matches_the_leg_filter():
+    for p in (2, 3, 5, 7):
+        for w in range(5):
+            assert principal_gibr(p, w) == principal_gibr_filter(enumerate_gibr(p, w), p), (p, w)
+    with pytest.raises(ValueError):
+        principal_gibr(4, 1)
 
 
 def test_orthogonality_reports():

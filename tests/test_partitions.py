@@ -2,6 +2,7 @@
 
 import itertools
 
+import label_reference
 import pytest
 
 from blockiso.partitions import (
@@ -17,6 +18,7 @@ from blockiso.partitions import (
     sqcup,
     v_p,
 )
+from blockiso.wreath import labels_in_U_s
 
 
 def pentagonal_count(n: int, memo={0: 1}) -> int:
@@ -94,6 +96,15 @@ def test_multipartitions_match_product_filter():
             assert all(a > b for a, b in zip(got, got[1:]))
     assert multipartitions(0, 0) == ((),)
     assert multipartitions(0, 3) == ()
+    for k in range(9):
+        for w in range(7):
+            assert multipartitions(k, w) == label_reference.multipartitions(k, w), (k, w)
+    # The generator does not call itself, so it reaches the 490 classes of
+    # S_19 that a recursion per component could not: the labels in U_2 of
+    # S_19 wr S_3 are the partitions of 3, and the partitions of 2 with one
+    # more pair over any other class.
+    assert len(multipartitions(489, 1)) == 489
+    assert len(labels_in_U_s(19, 3, 2)) == 3 + 2 * 489
 
 
 def test_is_prime_small_table():

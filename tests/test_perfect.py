@@ -27,9 +27,9 @@ from blockiso.wreath import (
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     format_class_label,
-    principal_block_filter,
     zeta_irr,
 )
+from label_reference import principal_block_filter
 from lattice_reference import perfproj_report
 from row_reference import dense_mu, type_report
 
@@ -228,19 +228,19 @@ def test_perfproj_fails_alike_on_a_dropped_or_doubled_tuple(monkeypatch):
     principal tuple Y loses a rank; with that tuple doubled Y keeps its rank
     and still vanishes p-singularly, but it is not saturated.  Either way
     only the final record fails, as in the kernel route."""
-    real_filter, real_projective = modular.principal_gibr_filter, modular.zeta_projective
+    real_principal, real_projective = modular.principal_gibr, modular.zeta_projective
     for p, w in ((2, 3), (3, 2), (3, 3), (5, 2)):
-        first = real_filter(modular.enumerate_gibr(p, w), p)[0]
+        first = real_principal(p, w)[0]
 
         def doubled(p_, w_, psi):
             hat = real_projective(p_, w_, psi)
             return hat.scaled(2) if psi == first else hat
 
-        monkeypatch.setattr(modular, "principal_gibr_filter", lambda gibr, p_: real_filter(gibr, p_)[1:])
+        monkeypatch.setattr(modular, "principal_gibr", lambda p_, w_: real_principal(p_, w_)[1:])
         rep = _both_routes_fail_alike(p, w)
         final = rep.records[-1]["parameters"]
         assert final["rank_projective"] == final["rank_image"] - 1, (p, w)
-        monkeypatch.setattr(modular, "principal_gibr_filter", real_filter)
+        monkeypatch.setattr(modular, "principal_gibr", real_principal)
 
         monkeypatch.setattr(modular, "zeta_projective", doubled)
         rep = _both_routes_fail_alike(p, w)
@@ -255,7 +255,7 @@ def test_perfproj_fails_alike_on_a_non_principal_coefficient(monkeypatch):
     for p, w in ((5, 1), (5, 2), (7, 2)):
         irr = enumerate_irr_wreath(p, w)
         outside = next(phi for phi in irr if phi not in principal_block_filter(irr, p))
-        first = modular.principal_gibr_filter(modular.enumerate_gibr(p, w), p)[0]
+        first = modular.principal_gibr(p, w)[0]
 
         def spoiled(p_, w_, psi):
             hat = real_projective(p_, w_, psi)
@@ -275,7 +275,7 @@ def test_decomp_and_perfproj_share_one_integrality_check(monkeypatch, capsys):
     check with the same message, and so do their commands."""
     real_projective = modular.zeta_projective
     for p, w in ((2, 2), (3, 2), (5, 2)):
-        first = modular.principal_gibr_filter(modular.enumerate_gibr(p, w), p)[0]
+        first = modular.principal_gibr(p, w)[0]
 
         def halved(p_, w_, psi):
             hat = real_projective(p_, w_, psi)

@@ -6,13 +6,14 @@ import random
 from fractions import Fraction
 from math import factorial, gcd
 
+import label_reference
 import pytest
 from deal_reference import reference_zeta_value
 from row_reference import combination_class_function, decompose, delta_alpha, restrict_from_sn
 
 from blockiso.lattice import hnf_basis
 from blockiso.modular import brauer_labels, brauer_values, enumerate_gibr, projective_values
-from blockiso.partitions import enumerate_partitions, scale
+from blockiso.partitions import enumerate_partitions, multipartitions, scale
 from blockiso.symchar import SnClassFunction, character_value, irr_class_function
 from blockiso.wreath import (
     WreathClassFunction,
@@ -27,6 +28,7 @@ from blockiso.wreath import (
     in_U_s,
     induction_factors,
     irr_base_values,
+    labels_in_U_s,
     lambda_psi,
     omega_lambda,
     shr_m,
@@ -89,6 +91,24 @@ def test_classes_match_pair_multiset_reference():
         for w in range(5):
             assert enumerate_wreath_classes(p, w) == pair_multiset_classes(p, w)
     assert enumerate_wreath_classes(7, 1) == pair_multiset_classes(7, 1)
+
+
+def test_labels_in_U_s_match_the_filtered_list():
+    # U_s is generated from its definition, never from the list of every
+    # class; the filter of that list is the reference, at composite p too.
+    for p in range(2, 8):
+        for w in range(6):
+            for s in range(-1, w + 2):
+                assert labels_in_U_s(p, w, s) == label_reference.labels_in_U_s(p, w, s), (p, w, s)
+
+
+def test_principal_irreducibles_match_the_hook_filter():
+    # lambda_psi of the p-multipartitions, in their order, is the filter of
+    # every irreducible to those supported on the hooks.
+    for p in range(1, 8):
+        for w in range(5):
+            want = label_reference.principal_block_filter(enumerate_irr_wreath(p, w), p)
+            assert tuple(lambda_psi(psi, p) for psi in multipartitions(p, w)) == want, (p, w)
 
 
 def test_class_equation():
