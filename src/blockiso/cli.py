@@ -23,13 +23,14 @@ gives options only to the one a run names.  Its body is
 `blockiso.commands._cmd_<name>`; that module (like `abacus` and `json`)
 loads only after the argument check.  One check (`_check`) runs right
 after parsing, before any work.  In order: each integer option against
-MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), a
-verify verb's --w >= 1, then every verify option the verb does not read
-(its VERIFY row names those it does) at its default, --p prime where the
-command needs it, and --core a --p-core wherever the command takes --core;
---core without --p (possible only for table) is rejected; then --out, if
-given, names no directory and sits in an existing one.  Last come the
-size limits, which are the CLI's alone (the library runs any size it is
+MINIMUM (--p >= 2; --n, --w, --e >= 0; --max-group-order >= 1), then
+--p <= MAX_ENUM_N (else exit 3) ahead of the prime and core tests, whose
+work grows with p; a verify verb's --w >= 1, then every verify option the
+verb does not read (its VERIFY row names those it does) at its default,
+--p prime where the command needs it, and --core a --p-core wherever the
+command takes --core; --core without --p (possible only for table) is
+rejected; then --out, if given, names no directory and sits in an
+existing one.  Last come the other size limits, which are the CLI's alone (the library runs any size it is
 asked for): the wreath guard (p <= MAX_P, w <= MAX_W) for every command
 that builds wreath classes, --n <= MAX_TABLE_N for `table`, n = p*w + |core|
 <= MAX_ENUM_N for every command that takes --w and --core (isometry, mu,
@@ -55,7 +56,8 @@ MINIMUM = {"p": 2, "w": 0, "e": 0, "n": 0, "max_group_order": 1}
 # The wreath guard: the largest p and w of a command that builds wreath classes.
 MAX_P = 5
 MAX_W = 4
-# The largest n of `table`, and of p*w + |core| for a command taking --w and --core.
+# The largest n of `table`; the largest --p, and p*w + |core| for a command
+# taking --w and --core.
 MAX_TABLE_N = 12
 MAX_ENUM_N = 64
 # The most members of the block that `isometry` tabulates (p=2 w=22 has 49,010).
@@ -236,6 +238,9 @@ def _check(args) -> Partition | None:
         if value is not None and value < low:
             option = name.replace("_", "-")
             raise ArgumentError(f"--{option}={value} must be >= {low}")
+    p = getattr(args, "p", None)
+    if p is not None and p > MAX_ENUM_N:
+        raise GuardExceeded(f"p guard: p={p} > {MAX_ENUM_N}")
     _, prime, wreath, _ = COMMANDS[args.command]
     if args.command == "verify":
         if args.w < 1:
@@ -245,7 +250,6 @@ def _check(args) -> Partition | None:
             default = _OPTIONS[name][1]["default"]
             if name not in reads.split() and getattr(args, name.replace("-", "_")) != default:
                 raise ArgumentError(f"verify {args.what} takes no --{name}")
-    p = getattr(args, "p", None)
     rho = None
     if p is None:
         if getattr(args, "core", ""):

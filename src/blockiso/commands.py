@@ -109,7 +109,7 @@ def _cmd_wchar(args, _rho) -> tuple[str, int]:
         "w": args.w,
         "phi": wreath.format_assignment(wreath.irr_names(args.p), phi),
         "class": wreath.format_class_label(label),
-        "value": wreath.zeta_row(args.p, wreath.factors_from_pmap(phi, args.p), [label])[0],
+        "value": wreath.zeta_row(args.p, wreath.induction_factors(wreath.irr_base_rows(args.p), phi), [label])[0],
     }
     return cli._json_line(out) + "\n", 0
 

@@ -47,9 +47,10 @@ from .wreath import (
     canonical_label,
     embed_to_sn,
     enumerate_wreath_classes,
-    factors_from_pmap,
     format_class_label,
     in_U_s,
+    induction_factors,
+    irr_base_rows,
     labels_in_U_s,
     lambda_psi,
     wreath_space,
@@ -95,6 +96,14 @@ def isometry_image(lam: Partition, rho: Partition, p: int) -> ClassFunction:
     return zeta_irr(p, w, lambda_psi(psi, p)).scaled(sign)
 
 
+def block_basis(p: int, w: int, rho: Partition):
+    """The block's members in block order, their irr_class_function rows and
+    their signed isometry_image rows.  Not cached: the rows are."""
+    members = partitions_with_core(p * w + sum(rho), rho, p)
+    chis = [irr_class_function(lam).values for lam in members]
+    return members, chis, [isometry_image(lam, rho, p).values for lam in members]
+
+
 def _pointwise(p: int, w: int, rho: Partition, s: int):
     """The labels in U_s, and per block member lam, lam with its image's row
     (sign * zeta_row, the wreath Murnaghan-Nakayama rule) and the pushdown's
@@ -104,7 +113,7 @@ def _pointwise(p: int, w: int, rho: Partition, s: int):
     rows = []
     for lam in partitions_with_core(p * w + sum(rho), rho, p):
         sign, psi = isometry_row(lam, rho, p)
-        image = zeta_row(p, factors_from_pmap(lambda_psi(psi, p), p), labels)
+        image = zeta_row(p, induction_factors(irr_base_rows(p), lambda_psi(psi, p)), labels)
         rows.append((lam, [sign * v for v in image], [mn_value(lam, rho, tau) for tau in taus]))
     return labels, rows
 
@@ -366,22 +375,21 @@ def verify_centp(p: int, w: int, e: int) -> Report:
 
 def verify_diagram(p: int, w: int, rho: Partition) -> Report:
     """Both squares, from one pairing per member and alpha.  Level m holds
-    the block of weight w - m: its characters nu, skews nu/rho and images
-    I(nu), I the signed bijection; the block is level 0.  Adjoining p*alpha
-    to lam's character leaves a class function of the smaller group; c holds
-    its inner products with level m's nu.  Left: sum c_nu nu/rho is lam/rho
-    at p*alpha + sigma.  Right: sum c_nu nu gives back the adjoined character
-    (so nothing of it lies off the smaller block), each c_nu is integral, and
-    sum c_nu I(nu) is I(lam) at the labels with (alpha_j, p-cycle) adjoined.
-    Each adjunction reads level 0's rows through one index map per alpha."""
+    the block of weight w - m: block_basis's characters nu and images I(nu),
+    I the signed bijection, and the skews nu/rho; the block is level 0.
+    Adjoining p*alpha to lam's character leaves a class function of the
+    smaller group; c holds its inner products with level m's nu.  Left: sum
+    c_nu nu/rho is lam/rho at p*alpha + sigma.  Right: sum c_nu nu gives
+    back the adjoined character (so nothing of it lies off the smaller
+    block), each c_nu is integral, and sum c_nu I(nu) is I(lam) at the
+    labels with (alpha_j, p-cycle) adjoined.  Each adjunction reads level
+    0's rows through one index map per alpha."""
     rep = Report("diagram", {"p": p, "w": w, "core": format_partition(rho)})
     e = sum(rho)
     for m in range(w + 1):
         space, down, wreath = sn_space(p * (w - m) + e), sn_space(p * (w - m)), wreath_space(p, w - m)
-        small = partitions_with_core(space.n, rho, p)
-        chis = [irr_class_function(nu).values for nu in small]
+        small, chis, images = block_basis(p, w - m, rho)
         skews = [[mn_value(nu, rho, sigma) for sigma in down.labels] for nu in small]
-        images = [isometry_image(nu, rho, p).values for nu in small]
         if not m:
             members = list(zip(map(format_partition, small), chis, skews, images))
             index, down_index, wreath_index = space.index, down.index, wreath.index

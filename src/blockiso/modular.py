@@ -102,22 +102,18 @@ def principal_gibr(p: int, w: int) -> tuple[GIBrLabel, ...]:
     return tuple(psi + empty for psi in multipartitions(p - 1, w))
 
 
-def _factors(psi: GIBrLabel, p: int, value_fn) -> list:
-    return induction_factors((value_fn(label, p) for label in brauer_labels(p)), psi)
-
-
 def zeta_brauer(p: int, w: int, psi: GIBrLabel) -> ClassFunction:
     """Induced class function with zero-extended Brauer base factors.
 
     Vanishes automatically on classes with a base p-cycle pair, and on the
     remaining classes is independent of the chosen extension.
     """
-    return zeta_class_function(p, w, _factors(psi, p, brauer_values))
+    return zeta_class_function(p, w, induction_factors([brauer_values(lbl, p) for lbl in brauer_labels(p)], psi))
 
 
 def zeta_projective(p: int, w: int, psi: GIBrLabel) -> ClassFunction:
     """Induced class function with projective base factors."""
-    return zeta_class_function(p, w, _factors(psi, p, projective_values))
+    return zeta_class_function(p, w, induction_factors([projective_values(lbl, p) for lbl in brauer_labels(p)], psi))
 
 
 def regular_wreath_classes(p: int, w: int):

@@ -14,7 +14,7 @@ from operator import mul
 
 from .abacus import partitions_with_core
 from .classfn import ClassFunction
-from .isometry import isometry_image, isometry_inverse, isometry_row
+from .isometry import block_basis, isometry_inverse, isometry_row
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -57,16 +57,11 @@ def label_p_regular(label, p: int) -> bool:
     return all(x % p for x in embed_to_sn(label))
 
 
-def _basis(p: int, w: int, rho: Partition):
-    """The block's irreducible rows and their signed wreath images, in block order."""
-    block = partitions_with_core(p * w + sum(rho), rho, p)
-    return [irr_class_function(lam).values for lam in block], [isometry_image(lam, rho, p).values for lam in block]
-
-
-def build_mu(p: int, w: int, rho: Partition):
+def build_mu(p: int, w: int, rho: Partition, basis=None):
     """Matrix of the bicharacter over (big class, wreath label): row i sums
-    the block's wreath images, each weighted by its character at class i."""
-    chis, images = _basis(p, w, rho)
+    the block's wreath images, each weighted by its character at class i.
+    basis is the pair (chis, images) of block_basis, built here if not given."""
+    chis, images = basis or block_basis(p, w, rho)[1:]
     return [wreath_space(p, w).combine(column, images) for column in zip(*chis)]
 
 
@@ -95,15 +90,15 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     class functions orthogonal to the blocks."""
     rep = Report("transfer", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
-    basis = _basis(p, w, rho)
-    block = partitions_with_core(n, rho, p)
+    block, chis, images = block_basis(p, w, rho)
+    basis = chis, images
     # mu is built from the images, so R_mu giving them back checks the
     # transform alone.  The pushdown lam/rho (mn_value, which never reads the
     # bijection) checks the images too, on the labels in U_w, where the two
     # agree (verify main).
     labels = labels_in_U_s(p, w, w)
     at, taus = [wreath_space(p, w).index[lbl] for lbl in labels], [embed_to_sn(lbl) for lbl in labels]
-    for lam, image in zip(block, basis[1]):
+    for lam, image in zip(block, images):
         got = R_mu(basis, irr_class_function(lam), p, w).values
         pushed = [mn_value(lam, rho, tau) for tau in taus]
         rep.add({"lambda": format_partition(lam), "map": "forward"}, got == image and [got[i] for i in at] == pushed)
@@ -148,8 +143,8 @@ def verify_type(p: int, w: int, rho: Partition) -> Report:
     tested, so the positive factors drop."""
     rep = Report("type", {"p": p, "w": w, "core": format_partition(rho)})
     n = p * w + sum(rho)
-    mu_rows = build_mu(p, w, rho)
-    chis = [irr_class_function(lam).values for lam in partitions_with_core(n, rho, p)]
+    _, chis, images = block_basis(p, w, rho)
+    mu_rows = build_mu(p, w, rho, (chis, images))
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     sn_types = [tp_p(tau, p) for tau in classes]

@@ -193,22 +193,15 @@ def irr_base_values(kappa: Partition, p: int) -> tuple:
 
 
 def induction_factors(rows, assignment) -> list:
-    """The factor (row, mu, ()) of each nonempty mu of the assignment."""
-    return [(row, mu, ()) for row, mu in zip(rows, assignment) if mu]
+    """The factor (row, mu, ()) of each nonempty mu of the assignment, which
+    holds one mu per base row; a length mismatch raises ValueError."""
+    return [(row, mu, ()) for row, mu in zip(rows, assignment, strict=True) if mu]
 
 
 @cache
-def _irr_base_rows(p: int) -> tuple:
+def irr_base_rows(p: int) -> tuple:
     """irr_base_values of every base irreducible, in canonical order."""
     return tuple(irr_base_values(kappa, p) for kappa in enumerate_partitions(p))
-
-
-def factors_from_pmap(phi_label: PMapLabel, p: int) -> list:
-    """Factors of the irreducible labelled by an assignment of partitions."""
-    rows = _irr_base_rows(p)
-    if len(phi_label) != len(rows):
-        raise ValueError("assignment length must match the base class count")
-    return induction_factors(rows, phi_label)
 
 
 @cache
@@ -216,7 +209,7 @@ def zeta_irr(p: int, w: int, phi_label: PMapLabel) -> ClassFunction:
     """Wreath irreducible labelled by phi; the row is built once and shared."""
     if sum(sum(mu) for mu in phi_label) != w:
         raise ValueError("assignment sizes must sum to w")
-    return zeta_class_function(p, w, factors_from_pmap(phi_label, p))
+    return zeta_class_function(p, w, induction_factors(irr_base_rows(p), phi_label))
 
 
 def enumerate_irr_wreath(p: int, w: int) -> tuple[PMapLabel, ...]:

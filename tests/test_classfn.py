@@ -12,8 +12,9 @@ import pytest
 
 from blockiso.abacus import partitions_with_core
 from blockiso.classfn import ClassFunction
+from blockiso.isometry import block_basis
 from blockiso.partitions import enumerate_partitions
-from blockiso.perfect import I_mu, R_mu, _basis, build_mu
+from blockiso.perfect import I_mu, R_mu, build_mu
 from blockiso.symchar import (
     SnClassFunction,
     centralizer_order_sn,
@@ -81,7 +82,7 @@ def test_wreath_orthonormality_matches_reference():
 def test_transfers_on_fraction_inputs_match_reference():
     p, w, rho = 3, 2, (1,)
     n = p * w + sum(rho)
-    mu_rows, basis = build_mu(p, w, rho), _basis(p, w, rho)
+    mu_rows, basis = build_mu(p, w, rho), block_basis(p, w, rho)[1:]
     classes = enumerate_partitions(n)
     labels = enumerate_wreath_classes(p, w)
     fractional = 0
@@ -109,7 +110,7 @@ def test_factored_transfers_match_the_dense_bicharacter(p, w, rho):
     from hypothesis import assume, given, settings
 
     n = p * w + sum(rho)
-    mu_rows, basis = build_mu(p, w, rho), _basis(p, w, rho)
+    mu_rows, basis = build_mu(p, w, rho), block_basis(p, w, rho)[1:]
     entries = st.integers(-50, 50) | st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
     sn_values = st.tuples(*[entries] * len(sn_space(n).labels))
     wr_values = st.tuples(*[entries] * len(wreath_space(p, w).labels))

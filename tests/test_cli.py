@@ -21,7 +21,7 @@ import pytest
 
 import blockiso
 import blockiso.cli as cli
-from blockiso import isometry, modular, partitions, perfect, symchar, wreath
+from blockiso import abacus, isometry, modular, partitions, perfect, symchar, wreath
 from blockiso.abacus import partitions_with_core
 from blockiso.partitions import multipartitions, parse_partition
 from blockiso.reporting import Report
@@ -351,6 +351,37 @@ def test_group_order_guard_never_builds_the_factorial(capsys):
     # (2 + 10**6)! would take minutes to build and cannot be printed
     rc, _ = run(capsys, "verify", "centp", "--p", "2", "--w", "1", "--e", "1000000")
     assert rc == 3
+
+
+def test_p_bound_before_any_work_that_grows_with_p(capsys, monkeypatch):
+    # The primality test divides up to sqrt(p) and the core test reads an
+    # abacus of about 2p beads, so --p is bounded before either runs.
+    rc, out = run(capsys, "core", "--p", "64", "--partition", "3")
+    assert (rc, out) == (0, '{"core": "3", "p": 64, "partition": "3", "weight": 0}\n')
+
+    def never(*args):
+        raise AssertionError("ran before the p bound")
+
+    monkeypatch.setattr(abacus, "_reading", never)
+    monkeypatch.setattr(cli, "is_prime", never)
+    big, prime = "99999999999", str(10**18 + 3)
+    for argv in (
+        ("core", "--p", "65", "--partition", "3"),
+        ("core", "--p", big, "--partition", "3"),
+        ("quotient", "--p", big, "--partition", "3"),
+        ("sign", "--p", big, "--partition", "3"),
+        ("gamma", "--p", big, "--core", "3"),
+        ("table", "--n", "3", "--p", big),
+        ("isometry", "--p", big, "--w", "0"),
+        ("verify", "main", "--p", big, "--w", "1"),
+        ("verify", "val", "--p", prime, "--w", "1"),
+        ("table", "--n", "3", "--p", prime),
+    ):
+        rc = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert rc == 3, argv
+        assert captured.out == "", argv
+        assert captured.err.startswith("guard exceeded: p guard: ") and captured.err.count("\n") == 1, argv
 
 
 def test_invalid_input_exits_two_before_any_work(capsys, monkeypatch):

@@ -36,10 +36,11 @@ from blockiso.symchar import centralizer_order_sn, character_value
 from blockiso.wreath import (
     enumerate_irr_wreath,
     enumerate_wreath_classes,
-    factors_from_pmap,
     format_class_label,
     identity_label,
     in_U_s,
+    induction_factors,
+    irr_base_rows,
     labels_in_U_s,
     lambda_psi,
     zeta_irr,
@@ -541,7 +542,7 @@ def test_wreath_irr_degree_is_the_identity_value():
     for p, w in ((2, 4), (3, 3), (3, 4), (5, 2), (5, 3)):
         ident = identity_label(p, w)
         for phi in enumerate_irr_wreath(p, w):
-            assert [wreath_irr_degree(p, w, phi)] == zeta_row(p, factors_from_pmap(phi, p), [ident])
+            assert [wreath_irr_degree(p, w, phi)] == zeta_row(p, induction_factors(irr_base_rows(p), phi), [ident])
     with pytest.raises(ValueError):
         wreath_irr_degree(2, 2, ((1,), ()))
 

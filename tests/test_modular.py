@@ -17,10 +17,9 @@ from blockiso.modular import (
     zeta_class_function,
     zeta_projective,
 )
-from blockiso.modular import _factors
 from blockiso.partitions import enumerate_partitions, format_multipartition
 from blockiso.reporting import record
-from blockiso.wreath import enumerate_irr_wreath, enumerate_wreath_classes, span_generators, zeta_irr
+from blockiso.wreath import enumerate_irr_wreath, enumerate_wreath_classes, induction_factors, span_generators, zeta_irr
 from label_reference import principal_gibr_filter
 
 
@@ -137,7 +136,7 @@ def test_zeta_brauer_extension_independent():
 
         for psi in enumerate_gibr(p, w):
             ref = zeta_brauer(p, w, psi)
-            alt = zeta_class_function(p, w, _factors(psi, p, junk))
+            alt = zeta_class_function(p, w, induction_factors([junk(label, p) for label in brauer_labels(p)], psi))
             for lbl in regular_wreath_classes(p, w):
                 assert ref.value(lbl) == alt.value(lbl)
             for lbl in enumerate_wreath_classes(p, w):

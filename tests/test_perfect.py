@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from blockiso import cli, modular, perfect
+from blockiso import cli, isometry, modular, perfect
 from blockiso.abacus import partitions_with_core
 from blockiso.classfn import ClassFunction
-from blockiso.isometry import isometry_image
+from blockiso.isometry import block_basis, isometry_image, verify_diagram
 from blockiso.partitions import enumerate_partitions, format_partition, sqcup
 from blockiso.perfect import (
     I_mu,
@@ -71,7 +71,7 @@ def test_mu_matrix_matches_dense_reference():
 
 def test_transform_recovers_images():
     for p, w, rho in ((2, 1, ()), (2, 2, ())):
-        basis = perfect._basis(p, w, rho)
+        basis = block_basis(p, w, rho)[1:]
         n = p * w + sum(rho)
         for lam in partitions_with_core(n, rho, p):
             xi = irr_class_function(lam)
@@ -84,7 +84,7 @@ def test_transform_recovers_images():
 def test_transform_kills_other_blocks():
     # a character from a different block transforms to zero: for p = 2 and
     # n = 3 the core (1) block misses (2,1), which is its own core
-    basis = perfect._basis(2, 1, (1,))
+    basis = block_basis(2, 1, (1,))[1:]
     xi = irr_class_function((2, 1))
     assert all(v == 0 for v in R_mu(basis, xi, 2, 1).values)
 
@@ -105,7 +105,7 @@ def test_verify_transfer_fails_on_a_wrong_image(monkeypatch, shift):
     block = partitions_with_core(6, (), 3)
     wrong = {lam: block[(i + shift) % len(block)] for i, lam in enumerate(block)}
     sign = -1 if shift == 0 else 1
-    monkeypatch.setattr(perfect, "isometry_image", lambda lam, rho, p: isometry_image(wrong[lam], rho, p).scaled(sign))
+    monkeypatch.setattr(isometry, "isometry_image", lambda lam, rho, p: isometry_image(wrong[lam], rho, p).scaled(sign))
     rep = verify_transfer(3, 2, ())
     failed = [r["parameters"]["map"] for r in rep.failures()]
     assert failed == ["forward"] * 9 + ["inverse"] * 9, failed
@@ -122,10 +122,10 @@ def test_verify_sep():
 def test_sep_and_type_fail_on_an_off_type_entry(monkeypatch):
     real_build_mu = build_mu
 
-    def injected(p, w, rho):
+    def injected(p, w, rho, basis=None):
         # 1 at the identity class and the first label, whose p-multiplied
         # data differ
-        rows = real_build_mu(p, w, rho)
+        rows = real_build_mu(p, w, rho, basis)
         rows[-1][0] += 1
         return rows
 
@@ -156,7 +156,7 @@ def test_verify_type_matches_dense_projection_reference():
 
 
 def test_verify_type_fails_on_an_off_type_entry(monkeypatch):
-    real_basis = perfect._basis
+    real_basis = isometry.block_basis
 
     def injected(p, w, rho):
         # the last block member's image gains 1 at the first label, so the
@@ -165,10 +165,12 @@ def test_verify_type_fails_on_an_off_type_entry(monkeypatch):
         # first label's, so the identity's forward image and the first
         # label's backward image leave their strata.  The oracle reads the
         # same fault through build_mu.
-        chis, images = real_basis(p, w, rho)
-        return chis, images[:-1] + [(images[-1][0] + 1,) + images[-1][1:]]
+        members, chis, images = real_basis(p, w, rho)
+        return members, chis, images[:-1] + [(images[-1][0] + 1,) + images[-1][1:]]
 
-    monkeypatch.setattr(perfect, "_basis", injected)
+    # Each reader looks block_basis up in its own module.
+    monkeypatch.setattr(perfect, "block_basis", injected)
+    monkeypatch.setattr(isometry, "block_basis", injected)
     for p, w, rho in ((3, 2, ()), (2, 3, ()), (3, 3, (1,))):
         rep = verify_type(p, w, rho)
         n = p * w + sum(rho)
@@ -180,6 +182,16 @@ def test_verify_type_fails_on_an_off_type_entry(monkeypatch):
         assert (format_partition((1,) * n), "forward") in failed, (p, w, rho)
         assert (first, "backward") in failed, (p, w, rho)
         assert rep.records == type_report(p, w, rho).records, (p, w, rho)
+        # The same fault reaches the transfers: the last member's forward
+        # image misses its pushdown, and the backward images pair against
+        # the wrong row.  In the commuting squares only the right square
+        # fails, and only where alpha is not empty: at alpha = () both of
+        # its sides read the one wrong image.
+        last = format_partition(real_basis(p, w, rho)[0][-1])
+        maps = [(r["parameters"].get("lambda"), r["parameters"]["map"]) for r in verify_transfer(p, w, rho).failures()]
+        assert maps[0] == (last, "forward") and {m for _, m in maps[1:]} == {"inverse"}, (p, w, rho)
+        squares = verify_diagram(p, w, rho).failures()
+        assert squares and all(r["parameters"]["square"] == "right" and r["parameters"]["alpha"] for r in squares)
 
 
 def test_verify_perfproj():

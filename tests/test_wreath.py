@@ -12,7 +12,14 @@ from deal_reference import reference_zeta_value
 from row_reference import combination_class_function, decompose, delta_alpha, restrict_from_sn
 
 from blockiso.lattice import hnf_basis
-from blockiso.modular import brauer_labels, brauer_values, enumerate_gibr, projective_values
+from blockiso.modular import (
+    brauer_labels,
+    brauer_values,
+    enumerate_gibr,
+    projective_values,
+    zeta_brauer,
+    zeta_projective,
+)
 from blockiso.partitions import enumerate_partitions, multipartitions, scale
 from blockiso.symchar import SnClassFunction, character_value, irr_class_function
 from blockiso.wreath import (
@@ -22,11 +29,11 @@ from blockiso.wreath import (
     embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
-    factors_from_pmap,
     identity_label,
     in_K_s,
     in_U_s,
     induction_factors,
+    irr_base_rows,
     irr_base_values,
     labels_in_U_s,
     lambda_psi,
@@ -442,7 +449,7 @@ def test_zeta_row_matches_deal_reference():
     # every irreducible, Brauer and projective factor list, as one row over
     # every class and as one row over the classes in reverse
     for p, w in ((2, 3), (2, 4), (3, 3), (3, 4), (5, 2)):
-        factor_lists = [factors_from_pmap(phi, p) for phi in enumerate_irr_wreath(p, w)]
+        factor_lists = [induction_factors(irr_base_rows(p), phi) for phi in enumerate_irr_wreath(p, w)]
         for value_fn in (brauer_values, projective_values):
             rows = [value_fn(label, p) for label in brauer_labels(p)]
             factor_lists += [induction_factors(rows, psi) for psi in enumerate_gibr(p, w)]
@@ -455,6 +462,13 @@ def test_zeta_row_matches_deal_reference():
             assert zeta_row(p, factors, labels[::-1]) == row[::-1]
     with pytest.raises(ValueError):
         zeta_row(2, [(irr_base_values((2,), 2), (1,), ())], [identity_label(2, 2)])
+    # induction_factors holds the one length check, so an assignment one
+    # component too long is refused for every base family, never truncated.
+    for p in (2, 3, 5):
+        irr, brauer = len(enumerate_partitions(p)), len(brauer_labels(p))
+        for zeta, count in ((zeta_irr, irr), (zeta_brauer, brauer), (zeta_projective, brauer)):
+            with pytest.raises(ValueError):
+                zeta(p, 1, ((1,),) + ((),) * count)
 
 
 def test_tilde_power_matches_trivial_top():
