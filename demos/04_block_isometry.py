@@ -8,10 +8,8 @@ pushed-down block character on every class rich in base p-cycles.
 """
 
 from blockiso.abacus import partitions_with_core
-from blockiso.isometry import build_isometry, isometry_image, isometry_row
+from blockiso.isometry import build_isometry, isometry_image, isometry_row, pushdown_to_wreath
 from blockiso.partitions import format_partition
-from blockiso.symchar import mn_value
-from blockiso.wreath import embed_to_sn, labels_in_U_s
 
 p, w, rho = 2, 2, ()
 n = p * w + sum(rho)
@@ -21,12 +19,13 @@ for lam, sign, psi in build_isometry(p, w, rho):
     pretty = ", ".join(format_partition(q) or "()" for q in psi)
     print(f"  {format_partition(lam):>8}  ->  sign {sign:+d}  legs ({pretty})")
 
-# spot check the agreement on the classes with at least w base p-cycles
-heavy = labels_in_U_s(p, w, w)
+# spot check the agreement on the classes with at least w base p-cycles,
+# where the pushdown lam/rho is read at each class's cycle type
+heavy, members, pushed = pushdown_to_wreath(p, w, rho, w)
 print("heavy classes:", heavy)
-for lam in partitions_with_core(n, rho, p):
+for lam, down in zip(members, pushed):
     image = isometry_image(lam, rho, p)
-    agree = all(image.value(lbl) == mn_value(lam, rho, embed_to_sn(lbl)) for lbl in heavy)
+    agree = [image.value(lbl) for lbl in heavy] == down
     print(f"  {format_partition(lam):>8}: agreement on heavy classes: {agree}")
 
 # a block with nonempty core works the same way

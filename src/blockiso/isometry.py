@@ -104,17 +104,25 @@ def block_basis(p: int, w: int, rho: Partition):
     return members, chis, [isometry_image(lam, rho, p).values for lam in members]
 
 
-def _pointwise(p: int, w: int, rho: Partition, s: int):
-    """The labels in U_s, and per block member lam, lam with its image's row
-    (sign * zeta_row, the wreath Murnaghan-Nakayama rule) and the pushdown's
-    row (the skew character lam/rho, mn_value) at those labels."""
+def pushdown_to_wreath(p: int, w: int, rho: Partition, s: int):
+    """The labels in U_s, the block's members in block order and each member's
+    skew row lam/rho at the labels' cycle types (mn_value; at the empty core,
+    the restriction): the one pushdown that the pointwise checks read."""
     labels = labels_in_U_s(p, w, s)
     taus = [embed_to_sn(lbl) for lbl in labels]
+    members = partitions_with_core(p * w + sum(rho), rho, p)
+    return labels, members, [[mn_value(lam, rho, tau) for tau in taus] for lam in members]
+
+
+def _pointwise(p: int, w: int, rho: Partition, s: int):
+    """pushdown_to_wreath's labels, and per member lam, lam with its image's row
+    (sign * zeta_row, the wreath Murnaghan-Nakayama rule) and its pushdown row."""
+    labels, members, pushed = pushdown_to_wreath(p, w, rho, s)
     rows = []
-    for lam in partitions_with_core(p * w + sum(rho), rho, p):
+    for lam, down in zip(members, pushed):
         sign, psi = isometry_row(lam, rho, p)
         image = zeta_row(p, induction_factors(irr_base_rows(p), lambda_psi(psi, p)), labels)
-        rows.append((lam, [sign * v for v in image], [mn_value(lam, rho, tau) for tau in taus]))
+        rows.append((lam, [sign * v for v in image], down))
     return labels, rows
 
 
@@ -184,13 +192,13 @@ def verify_heights(p: int, w: int, rho: Partition) -> Report:
     """Both height computations agree and transfer across the bijection."""
     rep = Report("heights", {"p": p, "w": w})
     n = p * w + sum(rho)
-    floor = min(v_p(wreath_irr_degree(p, w, lambda_psi(psi, p)), p) for psi in multipartitions(p, w))
+    valuation = {psi: v_p(wreath_irr_degree(p, w, lambda_psi(psi, p)), p) for psi in multipartitions(p, w)}
+    floor = min(valuation.values())
     rep.add({"wreath_floor": floor}, floor == 0)
     for lam in partitions_with_core(n, rho, p):
         h_tower = height_by_tower(lam, p)
         h_val = height_by_valuation(lam, p)
-        _, psi = isometry_row(lam, rho, p)
-        h_wr = v_p(wreath_irr_degree(p, w, lambda_psi(psi, p)), p) - floor
+        h_wr = valuation[isometry_row(lam, rho, p)[1]] - floor
         ok = h_tower == h_val == h_wr
         rep.add(
             {"core": format_partition(rho), "lambda": format_partition(lam)},
@@ -202,13 +210,10 @@ def verify_heights(p: int, w: int, rho: Partition) -> Report:
 
 def verify_uniqueness(p: int, w: int) -> Report:
     """Signed sums of distinct restricted block characters stay detectable.
-    The restrictions are evaluated only at the labels in U_{w-1}."""
+    The restrictions are pushdown_to_wreath's rows at the labels in U_{w-1}."""
     rep = Report("unique", {"p": p, "w": w})
-    block = partitions_with_core(p * w, (), p)
-    labels = labels_in_U_s(p, w, w - 1)
-    taus = [embed_to_sn(lbl) for lbl in labels]
+    labels, block, restricted = pushdown_to_wreath(p, w, (), w - 1)
     top = [in_U_s(lbl, p, w) for lbl in labels]
-    restricted = [[character_value(lam, tau) for tau in taus] for lam in block]
     texts = [format_partition(lam) for lam in block]
     for a in range(len(block)):
         for b in range(a + 1, len(block)):

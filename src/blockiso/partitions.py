@@ -86,13 +86,28 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
 @cache
 def multipartitions(k: int, w: int) -> tuple[tuple[Partition, ...], ...]:
     """All k-tuples of partitions with total size w, descending lexicographic.
-    Built from the last component forward: tails[r] lists the tuples of the
-    components placed so far with total size r."""
-    heads = sorted((mu for m in range(w + 1) for mu in enumerate_partitions(m)), reverse=True)
-    tails = {0: [()]}
-    for _ in range(k):
-        tails = {r: [(mu,) + rest for mu in heads for rest in tails.get(r - sum(mu), ())] for r in range(w + 1)}
-    return tuple(tails.get(w, ()))
+    The nonempty components are placed left to right, each at the earliest
+    free position first and the largest partition first (_place), so every
+    tuple is built once.  fits[r] lists the nonempty (partition, size) pairs
+    of size at most r, descending."""
+    heads = sorted(((mu, m) for m in range(1, w + 1) for mu in enumerate_partitions(m)), reverse=True)
+    fits = [[(mu, m) for mu, m in heads if m <= r] for r in range(w + 1)]
+    out: list[tuple[Partition, ...]] = []
+    _place([()] * k, 0, w, fits, out)
+    return tuple(out)
+
+
+def _place(comps: list, start: int, rest: int, fits: list, out: list) -> None:
+    # Not a closure (see symchar._peel); each level places one nonempty
+    # component, so the recursion is at most w deep.
+    if not rest:
+        out.append(tuple(comps))
+        return
+    for i in range(start, len(comps)):
+        for mu, m in fits[rest]:
+            comps[i] = mu
+            _place(comps, i + 1, rest - m, fits, out)
+        comps[i] = ()
 
 
 def is_prime(p: int) -> bool:

@@ -14,7 +14,7 @@ from operator import mul
 
 from .abacus import partitions_with_core
 from .classfn import ClassFunction
-from .isometry import block_basis, isometry_inverse, isometry_row
+from .isometry import block_basis, isometry_inverse, isometry_row, pushdown_to_wreath
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -29,7 +29,6 @@ from .symchar import (
     centralizer_order_sn,
     character_value,
     irr_class_function,
-    mn_value,
     sn_space,
 )
 from .wreath import (
@@ -39,7 +38,6 @@ from .wreath import (
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     format_class_label,
-    labels_in_U_s,
     lambda_psi,
     tp_wr,
     wreath_space,
@@ -92,16 +90,13 @@ def verify_transfer(p: int, w: int, rho: Partition) -> Report:
     n = p * w + sum(rho)
     block, chis, images = block_basis(p, w, rho)
     basis = chis, images
-    # mu is built from the images, so R_mu giving them back checks the
-    # transform alone.  The pushdown lam/rho (mn_value, which never reads the
-    # bijection) checks the images too, on the labels in U_w, where the two
-    # agree (verify main).
-    labels = labels_in_U_s(p, w, w)
-    at, taus = [wreath_space(p, w).index[lbl] for lbl in labels], [embed_to_sn(lbl) for lbl in labels]
-    for lam, image in zip(block, images):
+    # mu is built from the images, so R_mu giving them back checks the transform
+    # alone; the pushdown lam/rho, free of the bijection, checks them on U_w (main).
+    labels, _, pushed = pushdown_to_wreath(p, w, rho, w)
+    at = [wreath_space(p, w).index[lbl] for lbl in labels]
+    for lam, image, down in zip(block, images, pushed):
         got = R_mu(basis, irr_class_function(lam), p, w).values
-        pushed = [mn_value(lam, rho, tau) for tau in taus]
-        rep.add({"lambda": format_partition(lam), "map": "forward"}, got == image and [got[i] for i in at] == pushed)
+        rep.add({"lambda": format_partition(lam), "map": "forward"}, got == image and [got[i] for i in at] == down)
     members = set(block)
     for lam in enumerate_partitions(n):
         if lam not in members:

@@ -9,7 +9,7 @@ from core_sweep import degree_residues, reduced_cores
 from row_reference import diagram_report, pushdown_to_wreath
 
 from blockiso.abacus import circularly_nondecreasing, is_core, p_sign, partitions_with_core
-from blockiso import isometry, wreath
+from blockiso import isometry, perfect, wreath
 from blockiso.isometry import (
     _centralizer_scan,
     _in_wreath_times_tail,
@@ -32,8 +32,9 @@ from blockiso.isometry import (
 from blockiso.classfn import ClassFunction
 from blockiso.partitions import enumerate_partitions, format_partition, scale, sqcup
 from blockiso.reporting import record
-from blockiso.symchar import centralizer_order_sn, character_value
+from blockiso.symchar import centralizer_order_sn, character_value, mn_value
 from blockiso.wreath import (
+    embed_to_sn,
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     format_class_label,
@@ -168,11 +169,12 @@ def test_pointwise_verbs_read_no_full_label_list(monkeypatch):
 
 
 def test_pointwise_pushdown_and_image_match_whole_rows():
-    # main and val read _pointwise: the pushdown as the skew character
-    # lam/rho one label at a time, and the image by the wreath MN rule as
-    # one row over the labels they check; the whole-row maps (tilde_pi_rho
-    # of the irreducible row, the cached zeta_irr row) are the reference.
-    # U_0 holds every label.
+    # main and val read _pointwise: the pushdown (isometry.pushdown_to_wreath)
+    # as the skew character lam/rho one label at a time, and the image by the
+    # wreath MN rule as one row over the labels they check; the whole-row
+    # maps (tilde_pi_rho of the irreducible row, the cached zeta_irr row) are
+    # the reference.  U_0 holds every label.  At the empty core the pushdown
+    # is the restriction, character_value at each label's cycle type.
     grid = [(2, w) for w in range(1, 5)] + [(3, w) for w in range(1, 4)] + [(5, 1), (5, 2)]
     for p, w in grid:
         for rho in _small_cores(p):
@@ -185,6 +187,18 @@ def test_pointwise_pushdown_and_image_match_whole_rows():
                 img = isometry_image(lam, rho, p)
                 assert pushed == [down.value(lbl) for lbl in labels], (p, w, rho, lam)
                 assert image == [img.value(lbl) for lbl in labels], (p, w, rho, lam)
+                if not rho:
+                    assert pushed == [character_value(lam, embed_to_sn(lbl)) for lbl in labels], (p, w, lam)
+    # At the reduced cores, every U_s that main reads: the rows against a
+    # direct mn_value loop over labels_in_U_s and the block.
+    for p, w in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2)):
+        for rho in reduced_cores(p, w):
+            for s in (w - 1, w):
+                labels, members, rows = isometry.pushdown_to_wreath(p, w, rho, s)
+                assert labels == labels_in_U_s(p, w, s), (p, w, rho, s)
+                assert members == partitions_with_core(p * w + sum(rho), rho, p), (p, w, rho)
+                want = [[mn_value(lam, rho, embed_to_sn(lbl)) for lbl in labels] for lam in members]
+                assert rows == want, (p, w, rho, s)
 
 
 def _flip_one_sign(monkeypatch, flipped):
@@ -306,12 +320,40 @@ def test_verify_heights_fails_on_a_wrong_tower_height(monkeypatch):
 def test_verify_uniqueness_fails_on_two_equal_restrictions(monkeypatch):
     # The second member restricts like the first, so their difference
     # vanishes on every label and that one pair fails.
-    real = isometry.character_value
+    real = isometry.mn_value
     for p, w in ((2, 2), (3, 2)):
         first, second = partitions_with_core(p * w, (), p)[:2]
-        monkeypatch.setattr(isometry, "character_value", lambda lam, tau: real(first if lam == second else lam, tau))
+        monkeypatch.setattr(isometry, "mn_value", lambda lam, mu, tau: real(first if lam == second else lam, mu, tau))
         params = {"p": p, "w": w, "lambda1": format_partition(first), "lambda2": format_partition(second), "sign": "-"}
         assert verify_uniqueness(p, w).failures() == [record("unique", params, False)], (p, w)
+
+
+def test_one_copied_pushdown_row_fails_every_verb_that_reads_it(monkeypatch):
+    # main, val, unique and transfer's forward records read one pushdown,
+    # pushdown_to_wreath.  With the second member's row a copy of the
+    # first's, each verb fails, and only on the second member: main and val
+    # at its own records, unique at the pair of the two, transfer at its
+    # forward record.
+    real = isometry.pushdown_to_wreath
+
+    def copied(p_, w_, rho_, s):
+        labels, members, rows = real(p_, w_, rho_, s)
+        return labels, members, [rows[0] if lam == members[1] else row for lam, row in zip(members, rows)]
+
+    monkeypatch.setattr(isometry, "pushdown_to_wreath", copied)
+    monkeypatch.setattr(perfect, "pushdown_to_wreath", copied)
+    for p, w in ((2, 2), (3, 2)):
+        _, members, rows = real(p, w, (), w)
+        first, second = (format_partition(lam) for lam in members[:2])
+        assert rows[0] != rows[1], (p, w)
+        main = verify_main(p, w, ()).failures()
+        assert main and all(r["parameters"]["lambda"] == second for r in main), (p, w)
+        val = verify_val(p, w).failures()
+        assert val and all(r["parameters"]["lambda"] == second for r in val), (p, w)
+        params = {"p": p, "w": w, "lambda1": first, "lambda2": second, "sign": "-"}
+        assert verify_uniqueness(p, w).failures() == [record("unique", params, False)], (p, w)
+        params = {"p": p, "w": w, "core": "", "lambda": second, "map": "forward"}
+        assert perfect.verify_transfer(p, w, ()).failures() == [record("transfer", params, False)], (p, w)
 
 
 def test_verify_diagram_fails_on_a_negated_image(monkeypatch):

@@ -96,11 +96,13 @@ def test_multipartitions_match_product_filter():
             assert all(a > b for a, b in zip(got, got[1:]))
     assert multipartitions(0, 0) == ((),)
     assert multipartitions(0, 3) == ()
-    for k in range(9):
-        for w in range(7):
-            assert multipartitions(k, w) == label_reference.multipartitions(k, w), (k, w)
-    # The generator does not call itself, so it reaches the 490 classes of
-    # S_19 that a recursion per component could not: the labels in U_2 of
+    for k, w in [(k, w) for k in range(9) for w in range(7)] + [(60, 2)]:
+        assert multipartitions(k, w) == label_reference.multipartitions(k, w), (k, w)
+    # Each tuple is built once, so a whole list at p = 19 or past it is cheap.
+    assert len(multipartitions(200, 2)) == 20300
+    # The generator recurses once per nonempty component, not once per
+    # component, so it reaches the 490 classes of S_19 that a recursion per
+    # component could not: the labels in U_2 of
     # S_19 wr S_3 are the partitions of 3, and the partitions of 2 with one
     # more pair over any other class.
     assert len(multipartitions(489, 1)) == 489
