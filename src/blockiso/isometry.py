@@ -178,13 +178,14 @@ def verify_val(p: int, w: int) -> Report:
 
 def wreath_irr_degree(p: int, w: int, phi_label) -> int:
     """Degree of the wreath irreducible labelled by phi, by Clifford theory:
-    w! / prod |mu_k|! * prod deg(kappa_k)^|mu_k| * deg(mu_k)."""
+    w! / prod |mu_k|! * prod deg(kappa_k)^|mu_k| * deg(mu_k) over the nonempty mu_k."""
     if sum(sum(mu) for mu in phi_label) != w:
         raise ValueError("assignment sizes must sum to w")
     out = factorial(w)
     for kappa, mu in zip(enumerate_partitions(p), phi_label):
-        m = sum(mu)
-        out = out // factorial(m) * degree(kappa) ** m * degree(mu)
+        if mu:
+            m = sum(mu)
+            out = out // factorial(m) * degree(kappa) ** m * degree(mu)
     return out
 
 
@@ -301,41 +302,40 @@ def _centralizer_scan(hp, p: int, w: int) -> tuple[bool, int | None]:
     g(i) = v fixes g along i's whole cycle; a choice that meets a point
     already taken, or does not close up after one turn of the cycle, is
     pruned.  The leaves are exactly the elements of the centralizer."""
-    n = len(hp)
-    g: list[int | None] = [None] * n
-    taken = [False] * n
-
-    def walk(i: int) -> int | None:
-        # The number of centralizer elements extending g, which is fixed
-        # on every point below i; None once one lies outside.
-        while i < n and g[i] is not None:
-            i += 1
-        if i == n:
-            return 1 if _in_wreath_times_tail(g, p, w) else None
-        count = 0
-        for v in range(n):
-            if taken[v]:
-                continue
-            orbit = []
-            x, y = i, v
-            while not taken[y]:
-                g[x], taken[y] = y, True
-                orbit.append(x)
-                x, y = hp[x], hp[y]
-                if x == i:
-                    break
-            if x == i and y == v:
-                below = walk(i + 1)
-                if below is None:
-                    return None
-                count += below
-            for x in orbit:
-                taken[g[x]] = False
-                g[x] = None
-        return count
-
-    count = walk(0)
+    count = _walk(hp, p, w, [None] * len(hp), [False] * len(hp), 0)
     return count is not None, count
+
+
+def _walk(hp, p: int, w: int, g: list, taken: list, i: int) -> int | None:
+    # Not a closure (see symchar._peel).  The number of centralizer elements
+    # extending g, which is fixed on every point below i; None once one lies
+    # outside.
+    n = len(hp)
+    while i < n and g[i] is not None:
+        i += 1
+    if i == n:
+        return 1 if _in_wreath_times_tail(g, p, w) else None
+    count = 0
+    for v in range(n):
+        if taken[v]:
+            continue
+        orbit = []
+        x, y = i, v
+        while not taken[y]:
+            g[x], taken[y] = y, True
+            orbit.append(x)
+            x, y = hp[x], hp[y]
+            if x == i:
+                break
+        if x == i and y == v:
+            below = _walk(hp, p, w, g, taken, i + 1)
+            if below is None:
+                return None
+            count += below
+        for x in orbit:
+            taken[g[x]] = False
+            g[x] = None
+    return count
 
 
 def compute_W(p: int, w: int, e: int) -> dict:

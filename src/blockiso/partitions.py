@@ -71,16 +71,21 @@ def enumerate_partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n, descending lexicographic."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    out: list[Partition] = []
+    _descend([], n, n, out)
+    return tuple(out)
 
-    def gen(rem: int, maxpart: int):
-        if rem == 0:
-            yield ()
-            return
-        for first in range(min(rem, maxpart), 0, -1):
-            for rest in gen(rem - first, first):
-                yield (first,) + rest
 
-    return tuple(gen(n, n))
+def _descend(parts: list, rem: int, maxpart: int, out: list) -> None:
+    # Not a closure (see symchar._peel): appends parts followed by each
+    # partition of rem into parts at most maxpart, largest first part first.
+    if not rem:
+        out.append(tuple(parts))
+        return
+    for first in range(min(rem, maxpart), 0, -1):
+        parts.append(first)
+        _descend(parts, rem - first, first, out)
+        parts.pop()
 
 
 @cache

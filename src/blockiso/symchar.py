@@ -10,7 +10,7 @@ time.  Everything returns exact ints.
 """
 
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .abacus import (
     block_weight,
@@ -134,17 +134,14 @@ def character_value(lam: Partition, tau: Partition) -> int:
 
 @cache
 def degree(lam: Partition) -> int:
-    """Dimension by the hook length product."""
-    n = sum(lam)
-    if n == 0:
-        return 1
-    hooks = 1
-    for i, row in enumerate(lam):
-        for j in range(row):
-            arm = row - j - 1
-            leg = sum(1 for x in lam[i + 1 :] if x > j)
-            hooks *= arm + leg + 1
-    return factorial(n) // hooks
+    """Dimension by Frobenius's formula on the first-column hook lengths b_i
+    (the slots of lam's bead mask): n! * prod_{i<j} (b_i - b_j) / prod b_i!."""
+    b = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
+    spread = prod(x - y for i, x in enumerate(b) for y in b[i + 1 :])
+    q, r = divmod(factorial(sum(lam)) * spread, prod(map(factorial, b)))
+    if r:
+        raise AssertionError("Frobenius's formula did not divide evenly")
+    return q
 
 
 def centralizer_order_sn(tau: Partition) -> int:

@@ -25,8 +25,6 @@ from .partitions import (
     format_partition,
     multipartitions,
     parse_partition,
-    scale,
-    sqcup,
 )
 from .symchar import centralizer_order_sn, character_value, induced_row, sn_space
 
@@ -122,10 +120,7 @@ def centralizer_order_wreath(label: ClassLabel, p: int) -> int:
 
 def embed_to_sn(label: ClassLabel) -> Partition:
     """Cycle type of a label's representative inside the big symmetric group."""
-    typ: Partition = ()
-    for k, c in label:
-        typ = sqcup(typ, scale(k, c))
-    return typ
+    return tuple(sorted((k * x for k, c in label for x in c), reverse=True))
 
 
 def tp_wr(label: ClassLabel, p: int) -> Partition:

@@ -11,14 +11,15 @@ lists by filtering a list of every class or every irreducible:
 read off the multipartitions over all base classes), and
 `principal_block_filter` and `principal_gibr_filter` keep the assignments
 that `supported_on` finds on the hooks and on the leg labels.
-`multipartitions` is the generator that called itself once per component.
+`multipartitions` is the generator that called itself once per component,
+and `embed_by_fold` is the cycle type re-sorted once per (k, c) pair.
 """
 
 from functools import cache
 
 from blockiso.abacus import is_hook
 from blockiso.modular import GIBrLabel, brauer_labels
-from blockiso.partitions import Partition, enumerate_partitions
+from blockiso.partitions import Partition, enumerate_partitions, scale, sqcup
 from blockiso.wreath import ClassLabel, PMapLabel, canonical_label, in_U_s
 
 
@@ -61,3 +62,11 @@ def principal_block_filter(labels, p: int) -> tuple[PMapLabel, ...]:
 def principal_gibr_filter(assignments, p: int) -> tuple[GIBrLabel, ...]:
     """Keep assignments supported on the principal-block Brauer labels."""
     return supported_on(assignments, [kind == "leg" for kind, _ in brauer_labels(p)])
+
+
+def embed_by_fold(label: ClassLabel) -> Partition:
+    """Cycle type of a label's representative inside the big symmetric group."""
+    typ: Partition = ()
+    for k, c in label:
+        typ = sqcup(typ, scale(k, c))
+    return typ

@@ -4,11 +4,13 @@
 core and p-quotients.  The routes below are the ones it replaced: strips
 read off the sorted first-column hook lengths of a partition tuple, the
 Murnaghan-Nakayama recursion on tuples that keeps only the shapes
-containing the inner shape, and a block found by filtering every partition
-of n by its p-core.  They are slow and independent of the masks.
+containing the inner shape, a block found by filtering every partition
+of n by its p-core, and the degree as the hook length product read off the
+diagram cell by cell.  They are slow and independent of the masks.
 """
 
 from functools import cache
+from math import factorial
 
 from blockiso.abacus import beta_set, p_core, partition_from_beta
 from blockiso.partitions import contains, enumerate_partitions
@@ -51,3 +53,14 @@ def mn(lam, mu, tau) -> int:
 def block_by_filter(n: int, rho, p: int):
     """Every partition of n whose p-core is rho, canonical order."""
     return tuple(lam for lam in enumerate_partitions(n) if p_core(lam, p) == rho)
+
+
+def hook_degree(lam) -> int:
+    """Dimension of lam by the hook length product."""
+    hooks = 1
+    for i, row in enumerate(lam):
+        for j in range(row):
+            arm = row - j - 1
+            leg = sum(1 for x in lam[i + 1 :] if x > j)
+            hooks *= arm + leg + 1
+    return factorial(sum(lam)) // hooks

@@ -4,6 +4,7 @@ import itertools
 from math import lcm
 
 import pytest
+import label_reference
 import row_reference
 from core_sweep import degree_residues, reduced_cores
 from row_reference import diagram_report, pushdown_to_wreath
@@ -199,6 +200,12 @@ def test_pointwise_pushdown_and_image_match_whole_rows():
                 assert members == partitions_with_core(p * w + sum(rho), rho, p), (p, w, rho)
                 want = [[mn_value(lam, rho, embed_to_sn(lbl)) for lbl in labels] for lam in members]
                 assert rows == want, (p, w, rho, s)
+    # The cycle types that isometry.pushdown_to_wreath reads (embed_to_sn, one sort)
+    # against the fold that re-sorts once per pair, on every label at (2,4),
+    # (3,3) and (5,3) and on U_2 at (19,3).
+    grid = [enumerate_wreath_classes(p, w) for p, w in ((2, 4), (3, 3), (5, 3))]
+    for lbl in itertools.chain(*grid, labels_in_U_s(19, 3, 2)):
+        assert embed_to_sn(lbl) == label_reference.embed_by_fold(lbl), lbl
 
 
 def _flip_one_sign(monkeypatch, flipped):
@@ -580,8 +587,10 @@ def test_central_count_fails_when_the_scan_stops_early(monkeypatch):
 
 
 def test_wreath_irr_degree_is_the_identity_value():
-    # the closed form against the character value at the identity class
-    for p, w in ((2, 4), (3, 3), (3, 4), (5, 2), (5, 3)):
+    # the closed form against the character value at the identity class; at
+    # (7,2) and (11,2) empty components sit beside non-hook base irreducibles,
+    # so a skip that drops a nonempty component fails
+    for p, w in ((2, 4), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)):
         ident = identity_label(p, w)
         for phi in enumerate_irr_wreath(p, w):
             assert [wreath_irr_degree(p, w, phi)] == zeta_row(p, induction_factors(irr_base_rows(p), phi), [ident])

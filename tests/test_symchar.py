@@ -90,6 +90,13 @@ def test_degree_matches_identity_value():
             assert d > 0
             total += d * d
         assert total == factorial(n)
+    # Frobenius's product against the hook length product it replaced, on
+    # every partition of n <= 30 and on the principal block at (19,3).
+    for n in range(31):
+        for lam in enumerate_partitions(n):
+            assert degree(lam) == strip_reference.hook_degree(lam), lam
+    for lam in partitions_with_core(57, (), 19):
+        assert degree(lam) == strip_reference.hook_degree(lam), lam
 
 
 def test_skew_decomposition_integral_nonnegative():
