@@ -104,9 +104,7 @@ def from_core_and_quotient(rho: Partition, quot: tuple[Partition, ...], p: int) 
     w = sum(sum(q) for q in quot)
     slots = []
     for i, (count, q) in enumerate(zip(_core_beads(rho, p), quot)):
-        b = count + w
-        q_pad = q + (0,) * (b - len(q))
-        slots.extend((q_pad[j] + b - 1 - j) * p + i for j in range(b))
+        slots.extend(slot * p + i for slot in beta_set(q, count + w))
     return partition_from_beta(slots)
 
 

@@ -40,7 +40,7 @@ from .symchar import (
     height_by_valuation,
     induced_row,
     irr_class_function,
-    mn_value,
+    skew_row,
     sn_space,
 )
 from .wreath import (
@@ -106,12 +106,12 @@ def block_basis(p: int, w: int, rho: Partition):
 
 def pushdown_to_wreath(p: int, w: int, rho: Partition, s: int):
     """The labels in U_s, the block's members in block order and each member's
-    skew row lam/rho at the labels' cycle types (mn_value; at the empty core,
+    skew row lam/rho at the labels' cycle types (skew_row; at the empty core,
     the restriction): the one pushdown that the pointwise checks read."""
     labels = labels_in_U_s(p, w, s)
     taus = [embed_to_sn(lbl) for lbl in labels]
     members = partitions_with_core(p * w + sum(rho), rho, p)
-    return labels, members, [[mn_value(lam, rho, tau) for tau in taus] for lam in members]
+    return labels, members, [skew_row(lam, rho, taus) for lam in members]
 
 
 def _pointwise(p: int, w: int, rho: Partition, s: int):
@@ -394,7 +394,7 @@ def verify_diagram(p: int, w: int, rho: Partition) -> Report:
     for m in range(w + 1):
         space, down, wreath = sn_space(p * (w - m) + e), sn_space(p * (w - m)), wreath_space(p, w - m)
         small, chis, images = block_basis(p, w - m, rho)
-        skews = [[mn_value(nu, rho, sigma) for sigma in down.labels] for nu in small]
+        skews = [skew_row(nu, rho, down.labels) for nu in small]
         if not m:
             members = list(zip(map(format_partition, small), chis, skews, images))
             index, down_index, wreath_index = space.index, down.index, wreath.index
@@ -436,11 +436,8 @@ def f_tensor(lam: Partition, p: int) -> dict:
     """Values of the character of lam at one p-multiplied type joined with
     one type of p."""
     w = sum(lam) // p
-    out = {}
-    for alpha in enumerate_partitions(w - 1):
-        for beta in enumerate_partitions(p):
-            out[(alpha, beta)] = character_value(lam, sqcup(scale(p, alpha), beta))
-    return out
+    pairs = [(alpha, beta) for alpha in enumerate_partitions(w - 1) for beta in enumerate_partitions(p)]
+    return dict(zip(pairs, skew_row(lam, (), [sqcup(scale(p, alpha), beta) for alpha, beta in pairs])))
 
 
 def verify_lemma_f(p: int, w: int) -> Report:

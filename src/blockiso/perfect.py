@@ -27,8 +27,8 @@ from .reporting import Report
 from .symchar import (
     SnClassFunction,
     centralizer_order_sn,
-    character_value,
     irr_class_function,
+    skew_row,
     sn_space,
 )
 from .wreath import (
@@ -195,7 +195,7 @@ def verify_perfproj(p: int, w: int, rho: Partition) -> Report:
     # p-singular classes: saturated, of rank |B| - rank M.  So Y spans it
     # exactly when Y * M = 0, rank Y = |B| - rank M and Y is saturated.
     singular = [tau for tau in enumerate_partitions(n) if tp_p(tau, p) != ()]
-    matrix = [[character_value(lam, tau) for tau in singular] for lam in block]
+    matrix = [skew_row(lam, (), singular) for lam in block]
     rank = len(block) - len(hnf_basis(matrix))
     basis = hnf_basis(pulled)
     contained = all(sum(map(mul, y, col)) == 0 for col in zip(*matrix) for y in basis)

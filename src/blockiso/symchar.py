@@ -5,14 +5,15 @@ bits are its first-column hook lengths.  Removing a border strip of length
 k moves one bead from slot s to the empty slot s - k, two bit flips, and
 its sign is the parity of the beads jumped over.  Skew shapes recurse the
 same way and count the paths that end on the inner shape, so the pushdown
-of lam by a core rho is the skew character lam/rho, read one class at a
-time.  Everything returns exact ints.
+of lam by a core rho is the skew character lam/rho, read a row of classes
+at a time (skew_row).  Everything returns exact ints.
 """
 
 from functools import cache
 from math import factorial, prod
 
 from .abacus import (
+    beta_set,
     block_weight,
     core_tower_sizes,
     p_core,
@@ -30,24 +31,24 @@ from .partitions import (
 
 @cache
 def _mask(lam: Partition) -> int:
-    """The bead mask of lam, one bead per part: bit lam_i + L - 1 - i."""
-    top = len(lam) - 1
-    mask = 0
-    for i, part in enumerate(lam):
-        mask |= 1 << (part + top - i)
-    return mask
+    """The bead mask of lam: one bead per part, at its first-column hook lengths."""
+    return sum(1 << slot for slot in beta_set(lam, len(lam)))
+
+
+def skew_row(lam: Partition, mu: Partition, taus) -> list[int]:
+    """Values of lam/mu at each cycle type in taus, each of size |lam| - |mu|.
+    No sort: the recursion may peel the cycles in any order (James-Kerber).  No
+    containment check: no strip path from lam reaches a shape outside lam."""
+    size = sum(lam) - sum(mu)
+    if any(sum(tau) != size for tau in taus):
+        raise ValueError("cycle type size mismatch")
+    mask, floor = _mask(lam), _mask(mu)
+    return [_mn(mask, floor, tuple(tau)) for tau in taus]
 
 
 def mn_value(lam: Partition, mu: Partition, tau: Partition) -> int:
-    """Value of the (skew) irreducible character lam/mu at cycle type tau.
-
-    Zero if lam does not contain mu.  tau must partition |lam| - |mu|.
-    """
-    if sum(tau) != sum(lam) - sum(mu):
-        raise ValueError("cycle type size mismatch")
-    if mu and not contains(lam, mu):
-        return 0
-    return _mn(_mask(lam), _mask(mu), tuple(sorted(tau, reverse=True)))
+    """Value of the (skew) character lam/mu at cycle type tau (skew_row)."""
+    return skew_row(lam, mu, (tau,))[0]
 
 
 @cache
@@ -136,7 +137,7 @@ def character_value(lam: Partition, tau: Partition) -> int:
 def degree(lam: Partition) -> int:
     """Dimension by Frobenius's formula on the first-column hook lengths b_i
     (the slots of lam's bead mask): n! * prod_{i<j} (b_i - b_j) / prod b_i!."""
-    b = [part + len(lam) - 1 - i for i, part in enumerate(lam)]
+    b = beta_set(lam, len(lam))
     spread = prod(x - y for i, x in enumerate(b) for y in b[i + 1 :])
     q, r = divmod(factorial(sum(lam)) * spread, prod(map(factorial, b)))
     if r:
@@ -170,8 +171,7 @@ def SnClassFunction(n: int, values) -> ClassFunction:
 @cache
 def irr_class_function(lam: Partition) -> ClassFunction:
     """Irreducible character of lam; the row is built once and shared."""
-    n, mask = sum(lam), _mask(lam)
-    return SnClassFunction(n, (_mn(mask, 0, tau) for tau in enumerate_partitions(n)))
+    return SnClassFunction(sum(lam), skew_row(lam, (), enumerate_partitions(sum(lam))))
 
 
 def height_by_tower(lam: Partition, p: int) -> int:

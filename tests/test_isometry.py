@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 import label_reference
 import row_reference
+import strip_reference
 from core_sweep import degree_residues, reduced_cores
 from row_reference import diagram_report, pushdown_to_wreath
 
@@ -33,7 +34,7 @@ from blockiso.isometry import (
 from blockiso.classfn import ClassFunction
 from blockiso.partitions import enumerate_partitions, format_partition, scale, sqcup
 from blockiso.reporting import record
-from blockiso.symchar import centralizer_order_sn, character_value, mn_value
+from blockiso.symchar import centralizer_order_sn, character_value
 from blockiso.wreath import (
     embed_to_sn,
     enumerate_irr_wreath,
@@ -171,7 +172,7 @@ def test_pointwise_verbs_read_no_full_label_list(monkeypatch):
 
 def test_pointwise_pushdown_and_image_match_whole_rows():
     # main and val read _pointwise: the pushdown (isometry.pushdown_to_wreath)
-    # as the skew character lam/rho one label at a time, and the image by the
+    # as the skew character lam/rho one row per member, and the image by the
     # wreath MN rule as one row over the labels they check; the whole-row
     # maps (tilde_pi_rho of the irreducible row, the cached zeta_irr row) are
     # the reference.  U_0 holds every label.  At the empty core the pushdown
@@ -190,15 +191,15 @@ def test_pointwise_pushdown_and_image_match_whole_rows():
                 assert image == [img.value(lbl) for lbl in labels], (p, w, rho, lam)
                 if not rho:
                     assert pushed == [character_value(lam, embed_to_sn(lbl)) for lbl in labels], (p, w, lam)
-    # At the reduced cores, every U_s that main reads: the rows against a
-    # direct mn_value loop over labels_in_U_s and the block.
+    # At the reduced cores, every U_s that main reads: the rows against the
+    # tuple recursion (strip_reference.mn) over labels_in_U_s and the block.
     for p, w in ((2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (3, 4), (5, 2)):
         for rho in reduced_cores(p, w):
             for s in (w - 1, w):
                 labels, members, rows = isometry.pushdown_to_wreath(p, w, rho, s)
                 assert labels == labels_in_U_s(p, w, s), (p, w, rho, s)
                 assert members == partitions_with_core(p * w + sum(rho), rho, p), (p, w, rho)
-                want = [[mn_value(lam, rho, embed_to_sn(lbl)) for lbl in labels] for lam in members]
+                want = [[strip_reference.mn(lam, rho, embed_to_sn(lbl)) for lbl in labels] for lam in members]
                 assert rows == want, (p, w, rho, s)
     # The cycle types that isometry.pushdown_to_wreath reads (embed_to_sn, one sort)
     # against the fold that re-sorts once per pair, on every label at (2,4),
@@ -327,10 +328,10 @@ def test_verify_heights_fails_on_a_wrong_tower_height(monkeypatch):
 def test_verify_uniqueness_fails_on_two_equal_restrictions(monkeypatch):
     # The second member restricts like the first, so their difference
     # vanishes on every label and that one pair fails.
-    real = isometry.mn_value
+    real = isometry.skew_row
     for p, w in ((2, 2), (3, 2)):
         first, second = partitions_with_core(p * w, (), p)[:2]
-        monkeypatch.setattr(isometry, "mn_value", lambda lam, mu, tau: real(first if lam == second else lam, mu, tau))
+        monkeypatch.setattr(isometry, "skew_row", lambda lam, mu, taus: real(first if lam == second else lam, mu, taus))
         params = {"p": p, "w": w, "lambda1": format_partition(first), "lambda2": format_partition(second), "sign": "-"}
         assert verify_uniqueness(p, w).failures() == [record("unique", params, False)], (p, w)
 
@@ -394,10 +395,10 @@ def test_verify_diagram_fails_on_a_wrong_skew_value(monkeypatch):
     # error and the left square holds; at every other alpha only the first
     # member's own left record reads the wrong values.  The whole-row route
     # reads no skew value, and its left square passes whatever they are.
-    real = isometry.mn_value
+    real = isometry.skew_row
     for p, w, rho in ((2, 2, (1,)), (3, 2, (2,)), (2, 2, (2, 1))):
         first = partitions_with_core(p * w + sum(rho), rho, p)[0]
-        monkeypatch.setattr(isometry, "mn_value", lambda lam, mu, tau: real(lam, mu, tau) + (lam == first))
+        monkeypatch.setattr(isometry, "skew_row", lambda lam, mu, taus: [v + (lam == first) for v in real(lam, mu, taus)])
         failing = [r["parameters"] for r in verify_diagram(p, w, rho).failures()]
         alphas = [format_partition(a) for m in range(1, w + 1) for a in enumerate_partitions(m)]
         want = [{"alpha": a, "lambda": format_partition(first), "square": "left"} for a in alphas]

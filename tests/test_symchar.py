@@ -24,6 +24,7 @@ from blockiso.symchar import (
     induced_row,
     irr_class_function,
     mn_value,
+    skew_row,
     strips,
 )
 
@@ -164,6 +165,10 @@ def test_mask_kernel_matches_tuple_recursion():
         tau = tuple(data.draw(st.permutations(tau)))
         want = strip_reference.mn(lam, mu, tuple(sorted(tau, reverse=True)))
         assert mn_value(lam, mu, tau) == want, (lam, mu, tau)
+        # A short row of shuffled cycle types, read in one skew_row call.
+        types = data.draw(st.lists(st.sampled_from(enumerate_partitions(n - sum(mu))), max_size=4))
+        taus = [tuple(data.draw(st.permutations(t))) for t in types]
+        assert skew_row(lam, mu, taus) == [strip_reference.mn(lam, mu, t) for t in types], (lam, mu, taus)
         k = data.draw(st.integers(1, n + 1))
         assert shape_strips(lam, k) == strip_reference.strips(lam, k), (lam, k)
         factors = [((1,), lam, mu)]
@@ -174,6 +179,20 @@ def test_mask_kernel_matches_tuple_recursion():
         assert induced_row(factors, labels) == [reference_induced_mn(factors, labels[0])]
 
     check()
+
+
+def test_size_mismatch_raises_at_any_position():
+    # skew_row checks every cycle type of its row, and mn_value is its one-tau case.
+    good, bad = (2, 1), (2, 2)
+    for at in range(3):
+        taus = [good] * 3
+        taus[at] = bad
+        with pytest.raises(ValueError):
+            skew_row((4, 1), (2,), taus)
+    with pytest.raises(ValueError):
+        mn_value((4, 1), (2,), bad)
+    with pytest.raises(ValueError):
+        mn_value((3,), (), (2,))
 
 
 def test_induced_row_matches_deal_reference():
