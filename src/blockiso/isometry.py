@@ -176,24 +176,28 @@ def verify_val(p: int, w: int) -> Report:
     return rep
 
 
-def wreath_irr_degree(p: int, w: int, phi_label) -> int:
-    """Degree of the wreath irreducible labelled by phi, by Clifford theory:
-    w! / prod |mu_k|! * prod deg(kappa_k)^|mu_k| * deg(mu_k) over the nonempty mu_k."""
-    if sum(sum(mu) for mu in phi_label) != w:
-        raise ValueError("assignment sizes must sum to w")
-    out = factorial(w)
-    for kappa, mu in zip(enumerate_partitions(p), phi_label):
+def wreath_irr_degree(w: int, components) -> int:
+    """Degree of the wreath irreducible with the given (kappa, mu) pairs, base
+    irreducible kappa carrying mu, by Clifford theory: w! / prod |mu|! *
+    prod deg(kappa)^|mu| * deg(mu), one step per pair; an empty mu adds 1."""
+    out, size = factorial(w), 0
+    for kappa, mu in components:
         if mu:
             m = sum(mu)
+            size += m
             out = out // factorial(m) * degree(kappa) ** m * degree(mu)
+    if size != w:
+        raise ValueError("assignment sizes must sum to w")
     return out
 
 
 def verify_heights(p: int, w: int, rho: Partition) -> Report:
-    """Both height computations agree and transfer across the bijection."""
+    """Both height computations agree and transfer across the bijection.
+    The principal psi puts psi[i] on the hook with leg i."""
     rep = Report("heights", {"p": p, "w": w})
     n = p * w + sum(rho)
-    valuation = {psi: v_p(wreath_irr_degree(p, w, lambda_psi(psi, p)), p) for psi in multipartitions(p, w)}
+    hooks = [hook_partition(i, p) for i in range(p)]
+    valuation = {psi: v_p(wreath_irr_degree(w, zip(hooks, psi)), p) for psi in multipartitions(p, w)}
     floor = min(valuation.values())
     rep.add({"wreath_floor": floor}, floor == 0)
     for lam in partitions_with_core(n, rho, p):

@@ -16,6 +16,9 @@ lists them from the difference vectors, `scopes_moves` lists the moves from
 any core, and `scopes_reduce` walks a core down by them, so that a test can
 check that every walk ends in the list.
 
+`every_block(N)` lists every block of every S_n with n <= N, so that a sweep
+checks "all blocks" up to N literally, not through Scopes' equivalences.
+
 `degree_residues` reads the degree congruence across the signed bijection
 (an observation with the shape of the Isaacs-Navarro refinement of McKay,
 not the paper's claim) at one block.
@@ -25,11 +28,10 @@ import itertools
 from functools import cache
 from math import comb
 
-from blockiso.abacus import _core_beads, partition_from_beta, partitions_with_core
+from blockiso.abacus import _core_beads, hook_partition, is_core, partition_from_beta, partitions_with_core
 from blockiso.isometry import isometry_row, wreath_irr_degree
-from blockiso.partitions import v_p
+from blockiso.partitions import enumerate_partitions, is_prime, v_p
 from blockiso.symchar import degree
-from blockiso.wreath import lambda_psi
 
 
 def core_from_counts(counts) -> tuple:
@@ -87,6 +89,17 @@ def scopes_reduce(rho, p: int, w: int):
     return rho
 
 
+def every_block(N: int) -> list:
+    """(p, w, rho) for every prime p <= N, weight w >= 1 and p-core rho with
+    p * w + |rho| <= N: by p, then w, then core size, reverse lex within a size."""
+    out = []
+    for p in filter(is_prime, range(2, N + 1)):
+        for w in range(1, N // p + 1):
+            sizes = range(N - p * w + 1)
+            out += [(p, w, rho) for m in sizes for rho in enumerate_partitions(m) if is_core(rho, p)]
+    return out
+
+
 def p_prime(x: int, p: int) -> int:
     """The part of x prime to p."""
     return x // p ** v_p(x, p)
@@ -99,10 +112,11 @@ def degree_residues(p: int, w: int, rho):
     residue is eps times the second."""
     n = p * w + sum(rho)
     c_rho = p_prime(comb(n, sum(rho)), p) * p_prime(degree(rho), p)
+    hooks = [hook_partition(i, p) for i in range(p)]
     out = []
     for lam in partitions_with_core(n, rho, p):
         sign, psi = isometry_row(lam, rho, p)
         lhs = p_prime(degree(lam), p) % p
-        rhs = c_rho * p_prime(wreath_irr_degree(p, w, lambda_psi(psi, p)), p) % p
+        rhs = c_rho * p_prime(wreath_irr_degree(w, zip(hooks, psi)), p) % p
         out.append((lam, sign, lhs, rhs))
     return out

@@ -2,11 +2,12 @@
 
 import itertools
 
-from core_sweep import core_from_counts, differences, reduced_cores, scopes_moves, scopes_reduce
+from core_sweep import core_from_counts, differences, every_block, reduced_cores, scopes_moves, scopes_reduce
 
+from blockiso import isometry
 from blockiso.abacus import _core_beads, is_core, partitions_with_core
 from blockiso.isometry import isometry_row, verify_diagram, verify_heights, verify_main
-from blockiso.partitions import enumerate_partitions
+from blockiso.partitions import enumerate_partitions, format_partition, is_prime
 from blockiso.perfect import verify_perfproj, verify_transfer, verify_type
 from blockiso.symchar import mn_value
 
@@ -118,3 +119,55 @@ def test_move_identity_fails_on_a_flipped_sign():
         return (-sign if (lam, rho) == (victim, (1,)) else sign), psi
 
     assert move_identity(p, w, 6, flipped) == (5, [((2, 1), (1,), "sign")])
+
+
+def core_counts(p: int, bound: int) -> list:
+    """c_p(m) for m <= bound, the number of p-cores of m, read off the
+    generating function prod_k (1 - x^{pk})^p / (1 - x^k) (James-Kerber 2.7)."""
+    series = [1] + [0] * bound
+    for k in range(1, bound + 1):
+        for _ in range(p):  # times (1 - x^{pk})
+            for m in range(bound, p * k - 1, -1):
+                series[m] -= series[m - p * k]
+        for m in range(k, bound + 1):  # over (1 - x^k)
+            series[m] += series[m - k]
+    return series
+
+
+def test_every_block_count_matches_the_core_generating_function():
+    bound = 20
+    blocks = every_block(bound)
+    assert len(blocks) == len(set(blocks)) == 619
+    for n in range(bound + 1):
+        listed = sum(p * w + sum(rho) == n for p, w, rho in blocks)
+        primes = [p for p in range(2, n + 1) if is_prime(p)]
+        assert listed == sum(core_counts(p, n)[n - p * w] for p in primes for w in range(1, n // p + 1)), n
+    assert every_block(16) == [b for b in blocks if b[0] * b[1] + sum(b[2]) <= 16]
+
+
+def sweep(bound: int):
+    """The main and heights reports at every block of every S_n, n <= bound."""
+    for p, w, rho in every_block(bound):
+        yield verify_main(p, w, rho)
+        yield verify_heights(p, w, rho)
+
+
+def test_main_and_heights_at_every_block_up_to_n_16():
+    reports = list(sweep(16))
+    assert (len(reports), sum(len(rep.records) for rep in reports)) == (2 * 252, 8993)
+    for rep in reports:
+        assert rep.records and rep.ok, (rep.check, rep.run, rep.failures()[:1])
+
+
+def test_every_block_sweep_fails_on_a_flipped_sign(monkeypatch):
+    # one member of the block of (1) at p = 2, w = 1 with its sign flipped
+    victim, rho = partitions_with_core(3, (1,), 2)[0], (1,)
+
+    def flipped(lam, core, p):
+        sign, psi = isometry_row(lam, core, p)
+        return (-sign if (lam, core) == (victim, rho) else sign), psi
+
+    monkeypatch.setattr(isometry, "isometry_row", flipped)
+    failing = next(rep for rep in sweep(16) if not rep.ok)
+    assert (failing.check, failing.run) == ("main", {"p": 2, "w": 1, "core": "1"})
+    assert {r["parameters"]["lambda"] for r in failing.failures()} == {format_partition(victim)}

@@ -594,9 +594,10 @@ def test_wreath_irr_degree_is_the_identity_value():
     for p, w in ((2, 4), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (11, 2)):
         ident = identity_label(p, w)
         for phi in enumerate_irr_wreath(p, w):
-            assert [wreath_irr_degree(p, w, phi)] == zeta_row(p, induction_factors(irr_base_rows(p), phi), [ident])
+            degree = wreath_irr_degree(w, zip(enumerate_partitions(p), phi))
+            assert [degree] == zeta_row(p, induction_factors(irr_base_rows(p), phi), [ident])
     with pytest.raises(ValueError):
-        wreath_irr_degree(2, 2, ((1,), ()))
+        wreath_irr_degree(2, zip(enumerate_partitions(2), ((1,), ())))
 
 
 def test_degrees_agree_mod_p_across_the_bijection():
