@@ -113,4 +113,3 @@ def test_runner_names_each_failed_row_and_runs_every_row(tmp_path):
         "failed row 4: verify main --p 2 --w 2 --core 3",
     ]
     assert "an internal error" in run.stderr
-
