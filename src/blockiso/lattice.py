@@ -1,4 +1,4 @@
-"""Integer row lattices: Hermite normal form, containment, saturation.
+"""Integer row lattices: Hermite normal form and saturation.
 
 Everything here is exact integer arithmetic on lists of Python ints; an
 entry that is not an integer (a float, a Fraction) raises TypeError.  The
@@ -47,13 +47,6 @@ def hnf_basis(rows: Matrix) -> Matrix:
                 m[r] = [a - q * b for a, b in zip(m[r], piv)]
         top += 1
     return m[:top]
-
-
-def lattice_le(rows_a: Matrix, rows_b: Matrix) -> bool:
-    """Whether the lattice of A lies in the lattice of B: adding A's rows
-    to B's canonical basis leaves the basis as it is."""
-    basis = hnf_basis(rows_b)
-    return hnf_basis([*basis, *rows_a]) == basis
 
 
 def is_saturated(rows: Matrix) -> bool:

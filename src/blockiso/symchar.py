@@ -22,7 +22,6 @@ from .abacus import (
 from .classfn import ClassFunction, ClassSpace
 from .partitions import (
     Partition,
-    contains,
     enumerate_partitions,
     p_adic_digits,
     v_p,
@@ -91,14 +90,13 @@ def induced_row(factors, labels) -> list[int]:
     over base class index c (always 0 for a symmetric group).  Each cycle
     in turn is peeled as a k-border strip off one factor's shape, weighted
     by that factor's row[c] (the wreath Murnaghan-Nakayama rule); all labels
-    share one memo on the shapes left and the cycles still to peel.
+    share one memo on the shapes left and the cycles still to peel.  No
+    containment check: no strip path from lam reaches a mu outside it.
     """
     labels = tuple(map(tuple, labels))
     size = sum(sum(lam) - sum(mu) for _, lam, mu in factors)
     if _label_sizes(labels) - {size}:
         raise ValueError("factor sizes do not sum to the label size")
-    if not all(contains(lam, mu) for _, lam, mu in factors):
-        return [0] * len(labels)
     rows = tuple(row for row, _, _ in factors)
     floors = tuple(_mask(mu) for _, _, mu in factors)
     shapes, memo = tuple(_mask(lam) for _, lam, _ in factors), {}

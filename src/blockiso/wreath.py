@@ -11,7 +11,6 @@ strip sign and that factor's base value phi_i at c.  `zeta_row` evaluates
 one factor list at many labels at once, by `symchar.induced_row`.
 """
 
-import itertools
 import re
 from functools import cache
 from math import factorial
@@ -220,59 +219,3 @@ def lambda_psi(psi: tuple[Partition, ...], p: int) -> PMapLabel:
     spot = {hook_partition(i, p): psi[i] for i in range(p)}
     return tuple(spot.get(kappa, ()) for kappa in kappas)
 
-
-def tilde_power(phi: tuple, p: int, w: int) -> ClassFunction:
-    """Product of base values over a label's pairs (top group ignored)."""
-    class_idx = sn_space(p).index
-    values = []
-    for label in enumerate_wreath_classes(p, w):
-        term = 1
-        for _, c in label:
-            term *= phi[class_idx[c]]
-        values.append(term)
-    return WreathClassFunction(p, w, tuple(values))
-
-
-def omega_lambda(xi: ClassFunction, lam: Partition) -> dict[tuple[Partition, ...], object]:
-    """Base-class tensor of xi along labels with top cycle lengths lam."""
-    if sum(lam) != xi.w:
-        raise ValueError("lam must partition w")
-    return {
-        chosen: xi.value(canonical_label(zip(lam, chosen)))
-        for chosen in itertools.product(enumerate_partitions(xi.p), repeat=len(lam))
-    }
-
-
-def shr_m(xi: ClassFunction, m: int) -> ClassFunction:
-    """Shrink: value at a label is the value at the label with tops scaled by m."""
-    if xi.w % m:
-        raise ValueError("m must divide w")
-    d = xi.w // m
-    values = tuple(
-        xi.value(canonical_label((m * k, c) for k, c in lbl))
-        for lbl in enumerate_wreath_classes(xi.p, d)
-    )
-    return WreathClassFunction(xi.p, d, values)
-
-
-def in_K_s(xi: ClassFunction, s: int) -> bool:
-    """Whether xi vanishes on every class with at least s base p-cycles."""
-    return not any(xi.value(lbl) for lbl in labels_in_U_s(xi.p, xi.w, s))
-
-
-def span_generators(p: int, w: int, base_list: list[tuple]) -> list[ClassFunction]:
-    """Induced generators with base factors drawn from the given value tuples."""
-    return [
-        zeta_class_function(p, w, induction_factors(base_list, assign))
-        for assign in multipartitions(len(base_list), w)
-    ]
-
-
-def span_membership(xi: ClassFunction, base_list: list[tuple]) -> bool:
-    """Whether xi lies in the integer span of the induced generators."""
-    from .lattice import lattice_le
-    if any(int(v) != v for v in xi.values):
-        raise ValueError("membership asks for integer class functions")
-    gens = span_generators(xi.p, xi.w, base_list)
-    rows = [[int(v) for v in g.values] for g in gens]
-    return lattice_le([[int(v) for v in xi.values]], rows)

@@ -2,12 +2,14 @@
 
     python tests/grid.py
 
-A library row is (verb, p, w, core).  The verb is a `verify` verb of
-`blockiso.cli.VERIFY`, called through the library past the CLI's guards, or
-`residues`, the degree congruence of `core_sweep.degree_residues`.  The core
-is (), an explicit core, or "reduced" for every core of
-`core_sweep.reduced_cores(p, w)`.  A library row fails when it raises, when a
-report has no records or when a record fails.  A CLI row is the argument
+A library row is (verb, p, w, core) or (verb, N).  The verb is a `verify`
+verb of `blockiso.cli.VERIFY`, called through the library past the CLI's
+guards, or `residues`, the degree congruence of
+`core_sweep.degree_residues`.  The core is (), an explicit core, or
+"reduced" for every core of `core_sweep.reduced_cores(p, w)`.  The row
+(verb, N) runs the verb at every block of every S_n with n <= N, the
+blocks of `core_sweep.every_block(N)`.  A library row fails when it raises,
+when a report has no records or when a record fails.  A CLI row is the argument
 string of `python -m blockiso`, and it fails unless it exits 0.
 
 Each row runs in its own fresh `python -W error` child, one after another.
@@ -42,6 +44,9 @@ ROWS = [
     ("type", 3, 6, ()),
     ("type", 5, 3, (1,)),
     *[(verb, p, w, "reduced") for p, w in ((5, 3), (7, 2)) for verb in ("main", "heights", "residues")],
+    ("main", 24),
+    ("heights", 24),
+    *[(verb, 16) for verb in ("diagram", "transfer", "type", "perfproj", "sep", "probe")],
     *[f"verify {verb} --p 5 --w 4" for verb in ("main", "val", "unique", "lemmaf", "heights", "type", "diagram")],
     *[f"verify {verb} --p 3 --w 4" for verb in ("sep", "type", "transfer", "probe", "diagram")],
     *[f"verify {verb} --p 5 --w 3" for verb in ("sep", "transfer", "diagram", "type", "probe", "perfproj", "orth")],
@@ -58,13 +63,18 @@ TESTS = Path(__file__).resolve().parent
 ENV = {**os.environ, "PYTHONPATH": os.pathsep.join([str(TESTS.parent / "src"), str(TESTS)])}
 
 
-def check(verb, p, w, core) -> int:
+def check(verb, *case) -> int:
     """Run one library row in this process; its record count, or exit 1."""
     from blockiso import cli
-    from core_sweep import degree_residues, reduced_cores
+    from core_sweep import degree_residues, every_block, reduced_cores
 
+    if len(case) == 1:
+        blocks = every_block(*case)
+    else:
+        p, w, core = case
+        blocks = [(p, w, rho) for rho in (reduced_cores(p, w) if core == "reduced" else [core])]
     records = 0
-    for rho in reduced_cores(p, w) if core == "reduced" else [core]:
+    for p, w, rho in blocks:
         if verb == "residues":
             for lam, sign, lhs, rhs in degree_residues(p, w, rho):
                 if not (lhs - sign * rhs) % p == 0 != (lhs + sign * rhs) % p:

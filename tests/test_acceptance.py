@@ -13,6 +13,7 @@ from math import factorial, gcd
 
 from deal_reference import reference_induced_mn
 from row_reference import combination_class_function, decompose
+from span_reference import omega_lambda, shr_m, span_generators, span_membership, tilde_power
 
 from blockiso.abacus import contains_p, p_quotient, p_sign
 from blockiso.isometry import (
@@ -40,11 +41,6 @@ from blockiso.wreath import (
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     irr_base_values,
-    omega_lambda,
-    shr_m,
-    span_generators,
-    span_membership,
-    tilde_power,
     zeta_class_function,
     zeta_irr,
 )

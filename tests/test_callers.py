@@ -5,10 +5,10 @@ must be read somewhere in the package outside its own definition, either by
 name or as an attribute (`wreath.zeta_row`, `_lib("symchar").mn_value`).
 Attribute reads on the parsed arguments (`args.partition`) name options,
 not functions, so they do not count.  Dunder hooks (`__getattr__`) are read
-by the interpreter.  The exceptions are the helpers that state a definition
-of the paper, which the tests call directly, and the command bodies
+by the interpreter.  The one exception is the command bodies
 `commands._cmd_<name>`, which `cli.main` looks up by the name of their
-`COMMANDS` row.
+`COMMANDS` row.  A helper only the tests read lives in a test-side module
+(`tests/span_reference.py` holds the wreath-span helpers of criterion 12).
 """
 
 import ast
@@ -18,13 +18,6 @@ import blockiso
 import blockiso.cli as cli
 
 PACKAGE = Path(blockiso.__file__).parent
-PAPER_ROLE = (
-    "wreath.in_K_s",
-    "wreath.omega_lambda",
-    "wreath.shr_m",
-    "wreath.span_membership",
-    "wreath.tilde_power",
-)
 
 
 def _reads(tree: ast.Module):
@@ -62,7 +55,7 @@ def test_every_definition_has_a_library_caller():
     tree = ast.parse((PACKAGE / "commands.py").read_text())
     names = [node.name for node in tree.body if isinstance(node, ast.FunctionDef)]
     assert sorted(f"commands.{name}" for name in names if name.startswith("_cmd_")) == bodies
-    assert uncalled_definitions(PACKAGE) == sorted([*PAPER_ROLE, *bodies])
+    assert uncalled_definitions(PACKAGE) == bodies
 
 
 def test_args_attributes_are_not_callers(tmp_path):

@@ -4,7 +4,7 @@ import itertools
 
 from core_sweep import core_from_counts, differences, every_block, reduced_cores, scopes_moves, scopes_reduce
 
-from blockiso import isometry
+from blockiso import cli, isometry
 from blockiso.abacus import _core_beads, is_core, partitions_with_core
 from blockiso.isometry import isometry_row, verify_diagram, verify_heights, verify_main
 from blockiso.partitions import enumerate_partitions, format_partition, is_prime
@@ -171,3 +171,50 @@ def test_every_block_sweep_fails_on_a_flipped_sign(monkeypatch):
     failing = next(rep for rep in sweep(16) if not rep.ok)
     assert (failing.check, failing.run) == ("main", {"p": 2, "w": 1, "core": "1"})
     assert {r["parameters"]["lambda"] for r in failing.failures()} == {format_partition(victim)}
+
+
+# The verify verbs that take a core besides main and heights, and those that
+# take none, each called through cli.VERIFY as tests/grid.py calls it.
+CORE_VERBS = ("diagram", "transfer", "type", "perfproj", "sep", "probe")
+CORELESS_VERBS = ("val", "unique", "lemmaf", "orth")
+
+
+def verb_sweep(blocks):
+    """(verb, block, report) of every CORE_VERBS verb at each block, and of
+    every CORELESS_VERBS verb at each block with the empty core, that is at
+    every prime p and w >= 1 with p * w <= N when the blocks are every_block(N)."""
+    for p, w, rho in blocks:
+        for verb in CORE_VERBS:
+            yield verb, (p, w, rho), cli.VERIFY[verb][1]()(p, w, rho)
+        if rho == ():
+            for verb in CORELESS_VERBS:
+                yield verb, (p, w, rho), cli.VERIFY[verb][1]()(p, w)
+
+
+def test_every_verify_verb_at_every_block_up_to_n_12():
+    blocks = every_block(12)
+    reports = list(verb_sweep(blocks))
+    coreless = [rep for verb, _, rep in reports if verb in CORELESS_VERBS]
+    assert (len(blocks), len(reports) - len(coreless), len(coreless)) == (95, 6 * 95, 4 * 14)
+    assert (sum(len(rep.records) for _, _, rep in reports), sum(len(rep.records) for rep in coreless)) == (70568, 18331)
+    for verb, block, rep in reports:
+        assert rep.records and rep.ok, (verb, block, rep.failures()[:1])
+
+
+def test_verb_sweep_fails_on_a_negated_image(monkeypatch):
+    # one member of the block of (1) at p = 3, w = 2 with its image negated;
+    # the sweep runs up to that block
+    victim, block = partitions_with_core(7, (1,), 3)[0], (3, 2, (1,))
+    image = isometry.isometry_image
+
+    def negated(lam, rho, p):
+        got = image(lam, rho, p)
+        return got.scaled(-1) if (lam, rho, p) == (victim, block[2], block[0]) else got
+
+    monkeypatch.setattr(isometry, "isometry_image", negated)
+    blocks = every_block(12)
+    failing = [(verb, at, rep) for verb, at, rep in verb_sweep(blocks[: blocks.index(block) + 1]) if not rep.ok]
+    assert {at for _, at, _ in failing} == {block}
+    transfer = next(rep for verb, _, rep in failing if verb == "transfer")
+    forward = [r["parameters"]["lambda"] for r in transfer.failures() if r["parameters"]["map"] == "forward"]
+    assert forward == [format_partition(victim)]

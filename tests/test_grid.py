@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import grid
+from core_sweep import every_block
 
 from blockiso import cli
+from blockiso.isometry import verify_main
 
 # Every case the ten inline library steps and seven exit-0 CLI steps of the
 # CI workflow ran before the grid replaced them, one entry per case.
@@ -54,10 +56,20 @@ def test_library_rows_name_a_verb_and_a_core_it_reads():
     for row in grid.ROWS:
         if isinstance(row, str):
             continue
-        verb, p, w, core = row
+        verb, *case = row
         reads = "core" if verb == "residues" else cli.VERIFY[verb][2]
-        assert core == "reduced" or isinstance(core, tuple), row
+        core = "every" if len(case) == 1 else case[2]
+        assert core in ("reduced", "every") or isinstance(core, tuple), row
         assert core == () or "core" in reads.split(), row
+
+
+def test_every_block_rows():
+    assert [row for row in grid.ROWS if len(row) == 2] == [
+        ("main", 24), ("heights", 24),
+        *[(verb, 16) for verb in ("diagram", "transfer", "type", "perfproj", "sep", "probe")],
+    ]
+    # (verb, N) counts the records of the verb at every block of every S_n, n <= N
+    assert grid.check("main", 6) == sum(len(verify_main(*block).records) for block in every_block(6))
 
 
 # A script that runs the grid on tiny rows, three of them with the library

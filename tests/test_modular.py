@@ -19,8 +19,9 @@ from blockiso.modular import (
 )
 from blockiso.partitions import enumerate_partitions, format_multipartition
 from blockiso.reporting import record
-from blockiso.wreath import enumerate_irr_wreath, enumerate_wreath_classes, induction_factors, span_generators, zeta_irr
+from blockiso.wreath import enumerate_irr_wreath, enumerate_wreath_classes, induction_factors, zeta_irr
 from label_reference import principal_gibr_filter
+from span_reference import span_generators
 
 
 def test_base_biorthogonality():

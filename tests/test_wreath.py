@@ -10,6 +10,7 @@ import label_reference
 import pytest
 from deal_reference import reference_zeta_value
 from row_reference import combination_class_function, decompose, delta_alpha, restrict_from_sn
+from span_reference import in_K_s, omega_lambda, shr_m, span_generators, span_membership, tilde_power
 
 from blockiso.lattice import hnf_basis
 from blockiso.modular import (
@@ -30,18 +31,12 @@ from blockiso.wreath import (
     enumerate_irr_wreath,
     enumerate_wreath_classes,
     identity_label,
-    in_K_s,
     in_U_s,
     induction_factors,
     irr_base_rows,
     irr_base_values,
     labels_in_U_s,
     lambda_psi,
-    omega_lambda,
-    shr_m,
-    span_generators,
-    span_membership,
-    tilde_power,
     tp_wr,
     wreath_group_order,
     zeta_class_function,
